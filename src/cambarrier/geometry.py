@@ -79,8 +79,8 @@ class CameraParams:
     theta: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError(f"sensing radius must be positive, got {self.r}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"sensing radius must be positive and finite, got {self.r}")
         if not 0.0 < self.phi <= TAU + EPS:
             raise ValueError(f"field of view must be in (0, 2*pi], got {self.phi}")
         if not 0.0 < self.theta <= math.pi / 2 + EPS:
@@ -122,6 +122,46 @@ class Segment:
 
     def midpoint(self) -> Point2D:
         return Point2D((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
+
+
+#: Slack added to the largest sensing radius when culling cameras by
+#: position.  It must exceed EPS, because the kernel counts a camera as in
+#: range while ``dist < r + EPS``; the rest absorbs rounding of
+#: coordinates up to about 1e6 m.
+CULL_MARGIN = 1e-6
+
+
+class CameraCull:
+    """A set of cameras with positions held as arrays, so that each
+    segment can be handed only the cameras that can reach it.
+
+    Build it once per set of cameras; :meth:`near` then costs one
+    vectorized box test per segment.
+    """
+
+    def __init__(self, cameras):
+        self.cameras = list(cameras)
+        self.x = np.array([c.position.x for c in self.cameras])
+        self.y = np.array([c.position.y for c in self.cameras])
+        self.reach = max((c.params.r for c in self.cameras), default=0.0) + CULL_MARGIN
+
+    def near(self, seg: Segment) -> list:
+        """Cameras inside the bounding box of ``seg`` grown by the largest
+        sensing radius plus :data:`CULL_MARGIN`, in input order.
+
+        Conservative: every camera left out is farther than ``r + EPS``
+        from every point of ``seg``, so the full-view test gives the same
+        verdict on the result as on all cameras.
+        """
+        x0, x1 = sorted((seg.a.x, seg.b.x))
+        y0, y1 = sorted((seg.a.y, seg.b.y))
+        keep = (
+            (self.x >= x0 - self.reach)
+            & (self.x <= x1 + self.reach)
+            & (self.y >= y0 - self.reach)
+            & (self.y <= y1 + self.reach)
+        )
+        return [self.cameras[k] for k in np.flatnonzero(keep)]
 
 
 def covers(camera: CameraPose, p: Point2D) -> bool:
@@ -175,6 +215,14 @@ def _full_view_mask(xs, ys, cameras, theta, axis):
 
     Returns a boolean array, one entry per point.  This is the single
     implementation behind the point and segment predicates.
+
+    Camera rows that cannot contribute are dropped as soon as that is
+    known: rows with no point in range before the aim angle is computed,
+    then rows with no usable point before the bearing toward the camera
+    is computed and the bearings are sorted.  Dropping a row is plain
+    subsetting, so every surviving value, and therefore the verdict, is
+    bit-identical to evaluating every row.  When no row survives every
+    point fails.
     """
     npts = xs.size
     if not cameras:
@@ -188,9 +236,16 @@ def _full_view_mask(xs, ys, cameras, theta, axis):
     dx = xs[None, :] - cx[:, None]
     dy = ys[None, :] - cy[:, None]
     dist = np.hypot(dx, dy)
-    aim = np.abs(np.mod(np.arctan2(dy, dx) - fac[:, None] + math.pi, TAU) - math.pi)
     # Covering cameras that contribute a bearing; co-located ones do not.
-    usable = (dist > EPS) & (dist < rr[:, None] + EPS) & (aim < half[:, None] + EPS)
+    usable = (dist > EPS) & (dist < rr[:, None] + EPS)
+    rows = usable.any(axis=1)
+    dx, dy, usable, half, fac = dx[rows], dy[rows], usable[rows], half[rows], fac[rows]
+    aim = np.abs(np.mod(np.arctan2(dy, dx) - fac[:, None] + math.pi, TAU) - math.pi)
+    usable &= aim < half[:, None] + EPS
+    rows = usable.any(axis=1)
+    if not rows.any():
+        return np.zeros(npts, dtype=bool)
+    dx, dy, usable = dx[rows], dy[rows], usable[rows]
 
     toward = np.mod(np.arctan2(-dy, -dx), TAU)  # bearing point -> camera
     stack = [np.where(usable, toward, np.nan)]

@@ -18,6 +18,7 @@ from functools import cached_property
 
 from .geometry import (
     EPS,
+    CameraCull,
     CameraParams,
     CameraPose,
     Point2D,
@@ -131,6 +132,14 @@ class DeploymentPlan:
                 src = self.grid.poses[cid].params
                 out.append(CameraPose(cid, pos, face, CameraParams(src.r, SWING_FOV, src.theta)))
         return tuple(out)
+
+
+def cell_mid_segment(cell, d: float) -> Segment:
+    """Horizontal segment through the middle of ``cell``, spanning its
+    full width: the segment every coverage verdict is taken on."""
+    i, j = cell
+    y = (i - 0.5) * d
+    return Segment(Point2D((j - 1) * d, y), Point2D(j * d, y))
 
 
 def partition(width: float, height: float, d: float, cameras) -> GridModel:
@@ -314,10 +323,8 @@ def staffed_cells(plan: DeploymentPlan) -> set[tuple[int, int]]:
 def cell_full_view_verified(cell, plan: DeploymentPlan, theta: float, samples: int = 101) -> bool:
     """Geometric ground truth for one cell: the horizontal mid-segment of
     the cell, which sits d/2 from both camera rows, must pass the sampled
-    full-view test using every active camera of the plan (neighbors
-    included)."""
-    g = plan.grid
-    i, j = cell
-    y = (i - 0.5) * g.d
-    seg = Segment(Point2D((j - 1) * g.d, y), Point2D(j * g.d, y))
-    return full_view_covered_segment(seg, list(plan.active_cameras), theta, samples=samples)
+    full-view test using the active cameras of the plan (neighbors
+    included).  Only the cameras :class:`CameraCull` keeps near the
+    segment are passed on; the rest cannot reach it."""
+    seg = cell_mid_segment(cell, plan.grid.d)
+    return full_view_covered_segment(seg, CameraCull(plan.active_cameras).near(seg), theta, samples=samples)

@@ -9,15 +9,23 @@ same (seed, count, trial).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .barrier_graph import build_graph, distinct_cameras, prune_degree_one, shortest_barrier
-from .geometry import TAU, CameraParams, CameraPose, Point2D, Segment, full_view_covered_segment, slack_ceil
-from .grid_deploy import grid_length_bound, run_algorithm1, staffed_cells
+from .geometry import TAU, CameraCull, CameraParams, CameraPose, Point2D, full_view_covered_segment, slack_ceil
+from .grid_deploy import cell_mid_segment, grid_length_bound, run_algorithm1, staffed_cells
 
 MODES = ("static", "mobile")
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Reject anything but an integer >= ``minimum``; bools and integral
+    floats are rejected too, so that no value is silently converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,25 +49,20 @@ class ScenarioConfig:
     samples: int = 101
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"region dimensions must be positive, got {self.width} x {self.height}")
-        if self.r <= 0:
-            raise ValueError(f"sensing radius must be positive, got {self.r}")
-        if not 0.0 < self.theta <= math.pi / 2 + 1e-9:
-            raise ValueError(f"effective angle must be in (0, pi/2], got {self.theta}")
-        if not 0.0 < self.phi <= TAU + 1e-9:
-            raise ValueError(f"field of view must be in (0, 2*pi], got {self.phi}")
+        for side in (self.width, self.height):
+            if isinstance(side, bool) or not (math.isfinite(side) and side > 0):
+                raise ValueError(
+                    f"region dimensions must be positive and finite, got {self.width} x {self.height}"
+                )
+        self.camera_params()
+        for c in self.counts:
+            _check_integer("camera count", c, 0)
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"camera counts must be non-negative, got {self.counts}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_integer("trials", self.trials, 1)
+        _check_integer("seed", self.seed, 0)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
+        _check_integer("samples", self.samples, 2)
 
     def camera_params(self) -> CameraParams:
         return CameraParams(r=self.r, phi=self.phi, theta=self.theta)
@@ -148,18 +151,28 @@ def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
 def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
     """No movement, no rotation: a cell counts as covered iff its
     mid-segment passes the sampled full-view test with the cameras exactly
-    as deployed; then ask for an s-t path on the same grid."""
+    as deployed; then ask for an s-t path on the same grid.
+
+    Only work that can change the verdict is done.  Columns are tested
+    left to right, and the answer is False at the first column with no
+    covered cell: every s-t path over 8-adjacent cells visits every
+    column.  Each cell's test sees only the cameras :class:`CameraCull`
+    keeps near its mid-segment, a cut that leaves out only cameras too
+    far away to cover any point of it.
+    """
     d = grid_length_bound(config.r)
     m = max(1, slack_ceil(config.height / d))
     n = max(1, slack_ceil(config.width / d))
-    cams = list(cameras)
+    cull = CameraCull(cameras)
     covered = set()
-    for i in range(1, m + 1):
-        y = (i - 0.5) * d
-        for j in range(1, n + 1):
-            seg = Segment(Point2D((j - 1) * d, y), Point2D(j * d, y))
-            if full_view_covered_segment(seg, cams, config.theta, samples=config.samples):
+    for j in range(1, n + 1):
+        before = len(covered)
+        for i in range(1, m + 1):
+            seg = cell_mid_segment((i, j), d)
+            if full_view_covered_segment(seg, cull.near(seg), config.theta, samples=config.samples):
                 covered.add((i, j))
+        if len(covered) == before:
+            return False
     g = prune_degree_one(build_graph(covered, m, n))
     return shortest_barrier(g).exists
 

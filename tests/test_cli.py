@@ -140,6 +140,44 @@ class TestSimulate:
     def test_missing_file_exits_2(self, capsys):
         assert run(capsys, "simulate", "--config", "/nonexistent.json")[0] == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", math.inf), ("r", math.nan), ("seed", True), ("counts", [1.7])],
+    )
+    def test_bad_value_exits_2_without_traceback(self, tmp_path, capsys, config_file, field, value):
+        cfg = json.loads(config_file.read_text())
+        cfg[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))  # inf and nan become Infinity and NaN
+        code = main(["simulate", "--config", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    # Outputs taken before the static path was culled and cut short, and
+    # before the config checks were tightened.
+    PINNED = [
+        (
+            {"width": 30.0, "height": 30.0, "r": 20.0, "theta": math.pi / 3, "phi": 2 * math.pi / 3,
+             "counts": [0, 20, 40, 80], "trials": 6, "seed": 7, "mode": "mobile", "samples": 51},
+            "x,estimate,trials,successes,stderr\n0,0,6,0,0\n20,0.833333333,6,5,0.152145155\n"
+            "40,1,6,6,0\n80,1,6,6,0\n",
+        ),
+        (
+            {"width": 40.0, "height": 20.0, "r": 8.0, "theta": math.pi / 2, "phi": 2 * math.pi,
+             "counts": [0, 10, 20, 30], "trials": 6, "seed": 7, "mode": "static", "samples": 31},
+            "x,estimate,trials,successes,stderr\n0,0,6,0,0\n10,0.5,6,3,0.204124145\n"
+            "20,1,6,6,0\n30,1,6,6,0\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("cfg, expected", PINNED, ids=["mobile", "static"])
+    def test_integer_configs_keep_their_bytes(self, tmp_path, capsys, cfg, expected):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(capsys, "simulate", "--config", str(path)) == (0, expected)
+
 
 class TestFig3:
     def test_table(self, capsys):

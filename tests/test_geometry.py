@@ -6,11 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cambarrier.geometry import (
+    CULL_MARGIN,
+    EPS,
     TAU,
+    CameraCull,
     CameraParams,
     CameraPose,
     Point2D,
     Segment,
+    _full_view_mask,
     bearing_between,
     circular_gaps,
     covers,
@@ -22,7 +26,7 @@ from cambarrier.geometry import (
 )
 from cambarrier.line_model import place_line_deployment
 
-from helpers import boundary_margin, ref_full_view_point
+from helpers import boundary_margin, ref_covers, ref_full_view_point
 
 NORTH = math.pi / 2
 DEG = math.pi / 180.0
@@ -255,6 +259,78 @@ class TestVectorizedAgreement:
         assume(all(boundary_margin(q, cams) > 1e-6 for q in pts))
         expected = all(ref_full_view_point(q, cams, theta, axis=axis) for q in pts)
         assert full_view_covered_segment(seg, cams, theta, samples=samples, axis=axis) == expected
+
+
+class TestRowDropping:
+    def test_in_range_but_out_of_sector_or_colocated_gives_all_false(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        ys = np.zeros(11)
+        cams = [
+            cam(0.5, 2.0, NORTH, r=5.0, phi=math.pi / 2, cid=0),  # above, looking away
+            cam(0.0, 0.0, math.pi, r=5.0, phi=math.pi / 3, cid=1),  # on sample 0, looking left
+            cam(1.0, 0.0, 0.0, r=5.0, phi=math.pi / 3, cid=2),  # on the last sample, looking right
+        ]
+        assert all(math.hypot(x - c.position.x, c.position.y) < c.params.r for c in cams for x in xs)
+        for axis in (0.0, None):
+            mask = _full_view_mask(xs, ys, cams, math.pi / 2, axis)
+            assert mask.shape == (11,) and not mask.any()
+            assert not any(ref_full_view_point(Point2D(x, 0.0), cams, math.pi / 2, axis=axis) for x in xs)
+
+
+class TestCameraCull:
+    SEG = Segment(Point2D(2.0, 3.0), Point2D(4.0, 3.0))
+
+    def boundary_cameras(self, radii):
+        """Cameras within 1e-10 of the cull box edge and of each radius's
+        r + EPS range boundary, all facing the segment."""
+        reach = max(radii) + CULL_MARGIN
+        out = []
+        for r in radii:
+            for off in (-1e-10, 0.0, 1e-10):
+                for x, face in ((4.0 + reach + off, math.pi), (2.0 - reach - off, 0.0)):
+                    out.append((x, 3.0, face, r))
+                for y, face in ((3.0 + reach + off, 1.5 * math.pi), (3.0 - reach - off, NORTH)):
+                    out.append((3.0, y, face, r))
+                for dist in (r, r + EPS):
+                    out.append((4.0 + dist + off, 3.0, math.pi, r))
+                    out.append((3.0, 3.0 - dist - off, NORTH, r))
+        return [cam(x, y, f, r=r, phi=math.pi, cid=k) for k, (x, y, f, r) in enumerate(out)]
+
+    def test_keeps_every_camera_that_covers_a_sample(self):
+        cams = self.boundary_cameras((1.0, 2.5))
+        kept = CameraCull(cams).near(self.SEG)
+        assert [c.id for c in kept] == sorted(c.id for c in kept)
+        ids = {c.id for c in kept}
+        samples = [Point2D(x, 3.0) for x in np.linspace(2.0, 4.0, 101)]
+        reaching = [c for c in cams if any(ref_covers(c, q) for q in samples)]
+        assert reaching and {c.id for c in reaching} <= ids
+        assert len(kept) < len(cams)
+
+    def test_culled_verdict_matches_all_cameras(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(150):
+            cams = [
+                cam(
+                    float(rng.uniform(-2.0, 8.0)),
+                    float(rng.uniform(-1.0, 7.0)),
+                    float(rng.uniform(0.0, TAU)),
+                    r=float(rng.choice([1.0, 2.0, 3.0])),
+                    phi=float(rng.choice([math.pi, TAU])),
+                    cid=k,
+                )
+                for k in range(int(rng.integers(0, 40)))
+            ]
+            cams += self.boundary_cameras((1.0, 3.0))
+            kept = CameraCull(cams).near(self.SEG)
+            for theta in (math.pi / 4, math.pi / 2):
+                verdict = full_view_covered_segment(self.SEG, cams, theta, samples=21)
+                assert full_view_covered_segment(self.SEG, kept, theta, samples=21) == verdict
+                outcomes.add(verdict)
+        assert outcomes == {True, False}
+
+    def test_no_cameras(self):
+        assert CameraCull([]).near(self.SEG) == []
 
 
 class TestSegment:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cambarrier.geometry import CameraParams, CameraPose, Point2D
+import cambarrier.simulate as simulate_module
+from cambarrier.barrier_graph import build_graph, prune_degree_one, shortest_barrier
+from cambarrier.geometry import CULL_MARGIN, EPS, CameraParams, CameraPose, Point2D
 from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound
 from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
@@ -17,6 +19,8 @@ from cambarrier.simulate import (
     random_deploy,
     trial_seed,
 )
+
+from helpers import ref_full_view_point
 
 PARAMS = CameraParams(r=20.0, phi=2 * math.pi / 3, theta=math.pi / 3)
 
@@ -61,6 +65,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(counts=(-5,))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", math.inf),
+            ("height", math.nan),
+            ("width", True),
+            ("r", math.nan),
+            ("r", math.inf),
+            ("phi", math.nan),
+            ("seed", True),
+            ("seed", 7.0),
+            ("counts", (1.7,)),
+            ("counts", (20, False)),
+            ("trials", 2.5),
+            ("samples", True),
+        ],
+    )
+    def test_rejects_non_finite_bool_and_fractional_values(self, field, value):
+        with pytest.raises(ValueError):
+            small_config(**{field: value})
+
+    def test_integer_counts_of_any_integer_type_are_kept_as_int(self):
+        cfg = small_config(counts=np.arange(0, 60, 20))
+        assert cfg.counts == (0, 20, 40) and all(type(c) is int for c in cfg.counts)
+
 
 class TestRandomDeploy:
     def test_zero_count(self):
@@ -88,6 +117,41 @@ class TestRandomDeploy:
     def test_ids_are_sequential(self):
         cams = random_deploy(10, 10, 5, 1, PARAMS)
         assert [c.id for c in cams] == [0, 1, 2, 3, 4]
+
+
+def unculled_static_oracle(cameras, config):
+    """barrier_exists_static without its shortcuts: every cell against
+    every camera through the plain-math reference, on the kernel's
+    samples, then build, prune and search."""
+    d = grid_length_bound(config.r)
+    m = max(1, math.ceil(config.height / d - 1e-9))
+    n = max(1, math.ceil(config.width / d - 1e-9))
+    t = np.linspace(0.0, 1.0, config.samples)
+    covered = set()
+    for i in range(1, m + 1):
+        y = (i - 0.5) * d
+        for j in range(1, n + 1):
+            a, b = (j - 1) * d, j * d
+            if all(ref_full_view_point(Point2D(a + u * (b - a), y), cameras, config.theta) for u in t):
+                covered.add((i, j))
+    return shortest_barrier(prune_degree_one(build_graph(covered, m, n))).exists
+
+
+def lattice_watchers(cfg, columns):
+    """Swing cameras at the lattice vertices of the given grid columns,
+    facing down and up as the relocation pipeline would place them."""
+    d = grid_length_bound(cfg.r)
+    m = math.ceil(cfg.height / d - 1e-9)
+    hardware = CameraParams(r=cfg.r, phi=SWING_FOV, theta=cfg.theta)
+    cams = []
+    for i in range(1, m + 2):
+        for j in sorted({v for c in columns for v in (c, c + 1)}):
+            x, y = (j - 1) * d, (i - 1) * d
+            if i <= m:  # a downward watcher everywhere but the last row
+                cams.append(CameraPose(len(cams), Point2D(x, y), FACE_DOWN, hardware))
+            if i >= 2:  # an upward watcher everywhere but the first row
+                cams.append(CameraPose(len(cams), Point2D(x, y), FACE_UP, hardware))
+    return cams
 
 
 class TestBarrierExistence:
@@ -125,22 +189,8 @@ class TestBarrierExistence:
 
     def test_hand_placed_lattice_poses_pass_static(self):
         cfg = small_config()
-        d = grid_length_bound(cfg.r)
-        m = math.ceil(cfg.height / d - 1e-9)
-        n = math.ceil(cfg.width / d - 1e-9)
-        hardware = CameraParams(r=cfg.r, phi=SWING_FOV, theta=cfg.theta)
-        cams = []
-        cid = 0
-        for i in range(1, m + 2):
-            for j in range(1, n + 2):
-                x, y = (j - 1) * d, (i - 1) * d
-                if i <= m:  # a downward watcher everywhere but the last row
-                    cams.append(CameraPose(cid, Point2D(x, y), FACE_DOWN, hardware))
-                    cid += 1
-                if i >= 2:  # an upward watcher everywhere but the first row
-                    cams.append(CameraPose(cid, Point2D(x, y), FACE_UP, hardware))
-                    cid += 1
-        assert barrier_exists_static(cams, cfg)
+        n = math.ceil(cfg.width / grid_length_bound(cfg.r) - 1e-9)
+        assert barrier_exists_static(lattice_watchers(cfg, range(1, n + 1)), cfg)
 
     def test_static_never_beats_mobile_on_shared_draws(self):
         cfg = small_config(counts=(0, 15, 30, 60), trials=15)
@@ -150,6 +200,73 @@ class TestBarrierExistence:
                 cams = random_deploy(cfg.width, cfg.height, count, trial_seed(cfg.seed, count, t), params)
                 if barrier_exists_static(cams, cfg):
                     assert barrier_exists_mobile(cams, cfg)
+
+
+class TestStaticMatchesUnculledOracle:
+    def test_random_scenes_with_mixed_radii_and_cull_edge_cameras(self):
+        cfg = small_config(width=36.0, height=18.0, r=6.0, theta=math.pi / 2, phi=2 * math.pi, samples=11)
+        d = grid_length_bound(cfg.r)
+        rng = np.random.default_rng(2024)
+        outcomes = []
+        for _ in range(30):
+            radii = rng.choice([0.6 * cfg.r, cfg.r, 1.4 * cfg.r], size=int(rng.integers(0, 60)))
+            cams = [
+                CameraPose(
+                    k,
+                    Point2D(float(rng.uniform(0, cfg.width)), float(rng.uniform(0, cfg.height))),
+                    float(rng.uniform(0, 2 * math.pi)),
+                    CameraParams(r=float(r), phi=float(rng.choice([math.pi, 2 * math.pi])), theta=cfg.theta),
+                )
+                for k, r in enumerate(radii)
+            ]
+            # Cameras within 1e-10 of one cell's cull box, facing it.
+            reach = max((c.params.r for c in cams), default=0.0) + CULL_MARGIN
+            i, j = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            x0, x1, y = (j - 1) * d, j * d, (i - 0.5) * d
+            for off in (-1e-10, 1e-10):
+                for x, yy, face in (
+                    (x1 + reach + off, y, math.pi),
+                    (x0 - reach - off, y, 0.0),
+                    (x0, y + reach + off, 1.5 * math.pi),
+                    (x1, y - reach - off, 0.5 * math.pi),
+                    (x1 + cfg.r + EPS + off, y, math.pi),
+                ):
+                    cams.append(CameraPose(len(cams), Point2D(x, yy), face, cfg.camera_params()))
+            got = barrier_exists_static(cams, cfg)
+            assert got == unculled_static_oracle(cams, cfg)
+            outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize(
+        "columns, expected",
+        [
+            (range(1, 6), True),
+            (range(3, 6), False),  # covered cells only from column 3 on
+            (range(1, 4), False),  # the last columns stay empty
+            ((1, 4, 5), False),  # empty columns in the middle
+        ],
+    )
+    def test_columns_covered_in_part(self, columns, expected):
+        cfg = small_config(width=80.0)
+        assert math.ceil(cfg.width / grid_length_bound(cfg.r) - 1e-9) == 5
+        cams = lattice_watchers(cfg, columns)
+        assert barrier_exists_static(cams, cfg) == expected
+        assert unculled_static_oracle(cams, cfg) == expected
+
+    def test_stops_at_the_first_empty_column_and_culls(self, monkeypatch):
+        cfg = small_config(width=80.0)
+        cams = lattice_watchers(cfg, range(3, 6))
+        seen = []
+        real = simulate_module.full_view_covered_segment
+
+        def spy(seg, cameras, *args, **kwargs):
+            seen.append((seg.a.x, len(cameras)))
+            return real(seg, cameras, *args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "full_view_covered_segment", spy)
+        assert not barrier_exists_static(cams, cfg)
+        assert {x for x, _ in seen} == {0.0}  # column 1 only
+        assert all(k < len(cams) for _, k in seen)
 
 
 class TestSweeps:
