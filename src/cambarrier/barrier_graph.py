@@ -11,6 +11,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid_deploy import DeploymentPlan, cell_fully_staffed
 
 SOURCE = "s"
@@ -124,6 +126,40 @@ def prune_degree_one(g: CoverageGraph) -> CoverageGraph:
                 changed = True
     cells = frozenset(u for u in adj if u not in (SOURCE, SINK))
     return CoverageGraph(m=g.m, n=g.n, cells=cells, adj=adj)
+
+
+def barrier_exists(mask) -> bool:
+    """True iff the covered cells of the (m, n) boolean ``mask`` hold a
+    chain of 8-adjacent cells from column 1 to column n.
+
+    This is exactly when :func:`shortest_barrier` finds an s-t path in
+    the graph :func:`build_graph` makes of the same cells, pruned or not:
+    ``s`` reaches only column-1 cells and ``t`` only column-n cells.  It is
+    answered by one depth-first flood fill from the covered cells of
+    column 1, which stops at the first column-n cell it reaches.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or 0 in mask.shape:
+        raise ValueError(f"mask must be a non-empty (m, n) array, got shape {mask.shape}")
+    m, n = mask.shape
+    # A border of uncovered cells, so that no step leaves the grid or wraps.
+    w = n + 2
+    framed = np.zeros((m + 2, w), dtype=bool)
+    framed[1:-1, 1:-1] = mask
+    free = framed.ravel().tolist()
+    stack = [k for k in range(w + 1, (m + 1) * w, w) if free[k]]
+    for k in stack:
+        free[k] = False
+    steps = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
+    while stack:
+        k = stack.pop()
+        if k % w == n:
+            return True
+        for step in steps:
+            if free[k + step]:
+                free[k + step] = False
+                stack.append(k + step)
+    return False
 
 
 @dataclass(frozen=True)

@@ -97,17 +97,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+#: Longest radius list ``fig3`` computes.
+MAX_RADII = 100_000
+
+
 def _cmd_fig3(args) -> int:
+    for name, value in (("length", args.length), ("r-min", args.r_min), ("r-max", args.r_max), ("step", args.step)):
+        if not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value}")
     if args.step <= 0:
         raise ValueError(f"step must be positive, got {args.step}")
-    r_values = []
-    k = 0
-    while True:
-        r = args.r_min + k * args.step
-        if r > args.r_max + EPS:
-            break
-        r_values.append(r)
-        k += 1
+    # Radius k is r_min + k * step, kept while it is at most r_max + EPS,
+    # so k runs up to about ``span`` (which may overflow to +-inf).
+    span = (args.r_max + EPS - args.r_min) / args.step
+    if span >= MAX_RADII:
+        raise ValueError(f"the radius range holds more than {MAX_RADII} values")
+    radii = (args.r_min + k * args.step for k in range(math.floor(max(span, -1.0)) + 2))
+    r_values = [r for r in radii if r <= args.r_max + EPS]
     if not r_values:
         raise ValueError("empty radius range")
     _emit(sweep_csv_text(fig3_sweep(args.length, r_values)), args.out)

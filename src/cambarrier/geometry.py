@@ -16,6 +16,7 @@ call concurrently.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,13 @@ def bearing_between(a: float, b: float) -> float:
 def slack_ceil(x: float) -> int:
     """Ceiling that forgives float noise just below an integer."""
     return math.ceil(x - EPS)
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Reject anything but an integer >= ``minimum``; bools and integral
+    floats are rejected too, so that no value is silently converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,7 @@ class CameraPose:
     params: CameraParams
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"camera id must be non-negative, got {self.id}")
+        check_integer("camera id", self.id, 0)
         object.__setattr__(self, "facing", normalize_bearing(self.facing))
 
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .geometry import (
     EPS,
     CameraCull,
@@ -68,11 +70,6 @@ class GridModel:
 
     def vertex_position(self, i: int, j: int) -> Point2D:
         return Point2D((j - 1) * self.d, (i - 1) * self.d)
-
-    def cell_of(self, p: Point2D) -> tuple[int, int]:
-        """Cell containing ``p``; boundary points go to the smaller row,
-        then the smaller column."""
-        return (max(1, slack_ceil(p.y / self.d)), max(1, slack_ceil(p.x / self.d)))
 
     def cells(self):
         for i in range(1, self.m + 1):
@@ -142,36 +139,74 @@ def cell_mid_segment(cell, d: float) -> Segment:
     return Segment(Point2D((j - 1) * d, y), Point2D(j * d, y))
 
 
-def partition(width: float, height: float, d: float, cameras) -> GridModel:
-    """Cut the region into ceil(height/d) x ceil(width/d) cells and bin
-    each camera into the cell containing it.
+#: Largest grid, in cells, that is partitioned or swept.  It is about 20
+#: times the largest grid the tests, demos and benchmark use; relocation
+#: visits every lattice vertex, so a larger grid mostly means a run that
+#: does not finish or a plan that does not fit in memory.
+MAX_CELLS = 250_000
 
-    Points on shared cell boundaries bin to the smaller row, then the
-    smaller column.  Cameras outside the region raise
-    :class:`CameraOutsideRegionError` listing the offending ids.
+
+def grid_shape(width: float, height: float, d: float) -> tuple[int, int]:
+    """Rows and columns of the partition: ceil(height/d) x ceil(width/d),
+    at least 1 x 1.
+
+    Raises ``ValueError`` unless the three lengths are positive and finite
+    and the grid has at most :data:`MAX_CELLS` cells.
     """
-    if width <= 0 or height <= 0 or d <= 0:
-        raise ValueError(f"width, height and d must be positive, got {width}, {height}, {d}")
+    if not all(math.isfinite(v) and v > 0 for v in (width, height, d)):
+        raise ValueError(f"width, height and d must be positive and finite, got {width}, {height}, {d}")
+    rows, cols = height / d, width / d
+    if not (math.isfinite(rows) and math.isfinite(cols)):
+        raise ValueError(f"a {height} x {width} region in cells of side {d} exceeds {MAX_CELLS} cells")
+    m, n = max(1, slack_ceil(rows)), max(1, slack_ceil(cols))
+    if m * n > MAX_CELLS:
+        raise ValueError(f"a {m} x {n} grid exceeds {MAX_CELLS} cells")
+    return m, n
+
+
+def cell_index(v, d: float, size: int) -> np.ndarray:
+    """1-based cell index, along one axis of length ``size`` cells, of the
+    coordinates in array ``v``: ``max(1, ceil(v/d - EPS))``, clamped to
+    ``size``.
+
+    A point on a shared cell boundary goes to the smaller index.  The
+    clamp only moves points within EPS beyond the far edge of the region,
+    which would otherwise land in a cell the grid does not have.
+    """
+    return np.minimum(np.maximum(np.ceil(v / d - EPS), 1), size).astype(np.intp)
+
+
+def camera_positions(width: float, height: float, cameras) -> tuple[np.ndarray, np.ndarray]:
+    """x and y arrays of ``cameras``, in input order.
+
+    Raises ``ValueError`` for duplicate ids and
+    :class:`CameraOutsideRegionError`, listing the offending ids, for
+    cameras more than EPS outside the region.
+    """
     ids = [c.id for c in cameras]
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"duplicate camera ids: {dupes}")
-    m = max(1, slack_ceil(height / d))
-    n = max(1, slack_ceil(width / d))
-    outside = sorted(
-        c.id
-        for c in cameras
-        if not (-EPS <= c.position.x <= width + EPS and -EPS <= c.position.y <= height + EPS)
-    )
-    if outside:
-        raise CameraOutsideRegionError(outside)
+    xs = np.array([c.position.x for c in cameras], dtype=float)
+    ys = np.array([c.position.y for c in cameras], dtype=float)
+    outside = (xs < -EPS) | (xs > width + EPS) | (ys < -EPS) | (ys > height + EPS)
+    if outside.any():
+        raise CameraOutsideRegionError(sorted(ids[k] for k in np.flatnonzero(outside)))
+    return xs, ys
+
+
+def partition(width: float, height: float, d: float, cameras) -> GridModel:
+    """Cut the region into :func:`grid_shape` cells and bin each camera
+    into the cell :func:`cell_index` gives for its position.
+
+    Cameras outside the region raise :class:`CameraOutsideRegionError`
+    listing the offending ids.
+    """
+    m, n = grid_shape(width, height, d)
+    xs, ys = camera_positions(width, height, cameras)
     members: dict[tuple[int, int], list[int]] = {}
-    for c in cameras:
-        cell = (
-            max(1, slack_ceil(c.position.y / d)),
-            max(1, slack_ceil(c.position.x / d)),
-        )
-        members.setdefault(cell, []).append(c.id)
+    for c, i, j in zip(cameras, cell_index(ys, d, m).tolist(), cell_index(xs, d, n).tolist()):
+        members.setdefault((i, j), []).append(c.id)
     return GridModel(
         width=width,
         height=height,
@@ -181,6 +216,14 @@ def partition(width: float, height: float, d: float, cameras) -> GridModel:
         cell_members={cell: tuple(sorted(v)) for cell, v in members.items()},
         poses={c.id: c for c in cameras},
     )
+
+
+def cell_counts(xs, ys, d: float, shape: tuple[int, int]) -> np.ndarray:
+    """Number of cameras in each cell of the (m, n) grid ``shape``, for
+    cameras at ``xs``, ``ys``, binned as :func:`partition` bins them."""
+    m, n = shape
+    flat = (cell_index(ys, d, m) - 1) * n + (cell_index(xs, d, n) - 1)
+    return np.bincount(flat, minlength=m * n).reshape(m, n)
 
 
 def elect_grid_heads(grid: GridModel) -> dict[tuple[int, int], int]:
@@ -318,6 +361,41 @@ def cell_fully_staffed(cell, plan: DeploymentPlan) -> bool:
 def staffed_cells(plan: DeploymentPlan) -> set[tuple[int, int]]:
     """All cells that pass :func:`cell_fully_staffed`."""
     return {cell for cell in plan.grid.cells() if cell_fully_staffed(cell, plan)}
+
+
+def staffed_mask(counts) -> np.ndarray:
+    """The cells :func:`run_algorithm1` staffs, from the number of cameras
+    in each cell alone: a boolean array shaped like the (m, n) ``counts``.
+
+    Relocation never looks at a camera's position inside its cell, only at
+    how many cameras the cell holds, so the verdict follows from counts:
+
+    * :func:`assign_to_vertices` deals a cell's ``c`` cameras round-robin
+      onto its slots q = 0..3 (top-left, top-right, bottom-left,
+      bottom-right), so slot q gets ``max(c - q + 3, 0) // 4`` of them,
+      which is ``(c + 3 - q) // 4`` since ``c >= 0``.
+    * A vertex holds the sum of its slots over the up to four cells that
+      share it.
+    * By :func:`assign_orientations`, a row-1 vertex serves "down" when it
+      holds at least 1 camera and a row-(m+1) vertex serves "up" when it
+      holds at least 1; an interior vertex serves "down" with at least 1
+      and "up" with at least 2.
+    * By :func:`cell_fully_staffed`, a cell is staffed when both its top
+      vertices serve "down" and both its bottom vertices serve "up".
+    """
+    c = np.asarray(counts)
+    if c.ndim != 2 or 0 in c.shape or (c < 0).any():
+        raise ValueError(f"counts must be a non-empty (m, n) array of non-negative integers, got shape {c.shape}")
+    m, n = c.shape
+    held = np.zeros((m + 1, n + 1), dtype=np.int64)
+    held[:-1, :-1] += (c + 3) // 4
+    held[:-1, 1:] += (c + 2) // 4
+    held[1:, :-1] += (c + 1) // 4
+    held[1:, 1:] += c // 4
+    down = held[:-1] >= 1  # vertex rows 1..m
+    up = held[1:] >= 2  # vertex rows 2..m+1
+    up[-1] = held[-1] >= 1
+    return down[:, :-1] & down[:, 1:] & up[:, :-1] & up[:, 1:]
 
 
 def cell_full_view_verified(cell, plan: DeploymentPlan, theta: float, samples: int = 101) -> bool:

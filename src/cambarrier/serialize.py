@@ -70,7 +70,7 @@ def camera_to_dict(camera: CameraPose) -> dict:
 
 def camera_from_dict(data: dict) -> CameraPose:
     return CameraPose(
-        id=int(data["id"]),
+        id=data["id"],
         position=Point2D(float(data["x"]), float(data["y"])),
         facing=float(data["facing"]),
         params=CameraParams(r=float(data["r"]), phi=float(data["phi"]), theta=float(data["theta"])),

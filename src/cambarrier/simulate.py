@@ -6,26 +6,35 @@ draws from its own substream seeded by ``SeedSequence([seed, count,
 trial])``, so runs are reproducible bit for bit, trials are independent,
 and the static and mobile pipelines see identical camera draws for the
 same (seed, count, trial).
+
+Both pipelines end in an (m, n) covered-cell mask and one flood fill,
+:func:`~cambarrier.barrier_graph.barrier_exists`.  The static pipeline
+covers a cell when its mid-segment passes the full-view test with the
+cameras as deployed.  The mobile pipeline covers the cells relocation
+staffs, which follow from the number of cameras in each cell alone
+(:func:`~cambarrier.grid_deploy.staffed_mask`), so its sweep bins the
+drawn position arrays and builds no camera, plan or graph objects.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barrier_graph import build_graph, distinct_cameras, prune_degree_one, shortest_barrier
-from .geometry import TAU, CameraCull, CameraParams, CameraPose, Point2D, full_view_covered_segment, slack_ceil
-from .grid_deploy import cell_mid_segment, grid_length_bound, run_algorithm1, staffed_cells
+from .barrier_graph import barrier_exists, build_graph, distinct_cameras, prune_degree_one, shortest_barrier
+from .geometry import TAU, CameraCull, CameraParams, CameraPose, Point2D, check_integer, full_view_covered_segment
+from .grid_deploy import (
+    camera_positions,
+    cell_counts,
+    cell_mid_segment,
+    grid_length_bound,
+    grid_shape,
+    run_algorithm1,
+    staffed_cells,
+    staffed_mask,
+)
 
 MODES = ("static", "mobile")
-
-
-def _check_integer(name: str, value, minimum: int) -> None:
-    """Reject anything but an integer >= ``minimum``; bools and integral
-    floats are rejected too, so that no value is silently converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,14 +64,15 @@ class ScenarioConfig:
                     f"region dimensions must be positive and finite, got {self.width} x {self.height}"
                 )
         self.camera_params()
+        grid_shape(self.width, self.height, grid_length_bound(self.r))
         for c in self.counts:
-            _check_integer("camera count", c, 0)
+            check_integer("camera count", c, 0)
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        _check_integer("trials", self.trials, 1)
-        _check_integer("seed", self.seed, 0)
+        check_integer("trials", self.trials, 1)
+        check_integer("seed", self.seed, 0)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_integer("samples", self.samples, 2)
+        check_integer("samples", self.samples, 2)
 
     def camera_params(self) -> CameraParams:
         return CameraParams(r=self.r, phi=self.phi, theta=self.theta)
@@ -122,30 +132,47 @@ def trial_seed(seed: int, count: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, count, trial])
 
 
-def random_deploy(width: float, height: float, count: int, seed, params: CameraParams):
-    """``count`` cameras with positions uniform over the region and
-    facings uniform over [0, 2*pi), drawn from PCG64 seeded by ``seed``
-    (an int or a ``SeedSequence``)."""
+def draw_cameras(width: float, height: float, count: int, seed):
+    """Arrays ``xs, ys, facings`` of ``count`` cameras: positions uniform
+    over the region and facings uniform over [0, 2*pi), drawn in that
+    order from PCG64 seeded by ``seed`` (an int or a ``SeedSequence``)."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, width, count)
     ys = rng.uniform(0.0, height, count)
     facings = rng.uniform(0.0, TAU, count)
+    return xs, ys, facings
+
+
+def random_deploy(width: float, height: float, count: int, seed, params: CameraParams):
+    """The cameras :func:`draw_cameras` draws, as poses with ids 0 to
+    ``count - 1`` and hardware ``params``."""
+    xs, ys, facings = draw_cameras(width, height, count, seed)
     return [
-        CameraPose(k, Point2D(float(xs[k]), float(ys[k])), float(facings[k]), params)
-        for k in range(count)
+        CameraPose(k, Point2D(x, y), f, params)
+        for k, (x, y, f) in enumerate(zip(xs.tolist(), ys.tolist(), facings.tolist()))
     ]
+
+
+def _mobile_barrier(xs, ys, d: float, shape: tuple[int, int]) -> bool:
+    return barrier_exists(staffed_mask(cell_counts(xs, ys, d, shape)))
 
 
 def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
     """Relocate with the grid pipeline at d equal to the verifiable bound,
-    take fully staffed cells as covered, and ask for an s-t path."""
+    take fully staffed cells as covered, and ask for an s-t path.
+
+    The verdict is the one :func:`run_algorithm1`, :func:`staffed_cells`
+    and a graph search would give, and the same errors are raised for
+    duplicate ids and cameras outside the region.  It is computed from the
+    per-cell camera counts (:func:`staffed_mask`) and one flood fill
+    (:func:`barrier_exists`); no plan or graph is built.
+    """
     d = grid_length_bound(config.r)
-    plan = run_algorithm1(config.width, config.height, list(cameras), d)
-    covered = staffed_cells(plan)
-    g = prune_degree_one(build_graph(covered, plan.grid.m, plan.grid.n))
-    return shortest_barrier(g).exists
+    shape = grid_shape(config.width, config.height, d)
+    xs, ys = camera_positions(config.width, config.height, list(cameras))
+    return _mobile_barrier(xs, ys, d, shape)
 
 
 def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
@@ -158,23 +185,20 @@ def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
     covered cell: every s-t path over 8-adjacent cells visits every
     column.  Each cell's test sees only the cameras :class:`CameraCull`
     keeps near its mid-segment, a cut that leaves out only cameras too
-    far away to cover any point of it.
+    far away to cover any point of it.  The covered-cell mask then goes
+    to one flood fill (:func:`barrier_exists`).
     """
     d = grid_length_bound(config.r)
-    m = max(1, slack_ceil(config.height / d))
-    n = max(1, slack_ceil(config.width / d))
+    m, n = grid_shape(config.width, config.height, d)
     cull = CameraCull(cameras)
-    covered = set()
-    for j in range(1, n + 1):
-        before = len(covered)
-        for i in range(1, m + 1):
-            seg = cell_mid_segment((i, j), d)
-            if full_view_covered_segment(seg, cull.near(seg), config.theta, samples=config.samples):
-                covered.add((i, j))
-        if len(covered) == before:
+    covered = np.zeros((m, n), dtype=bool)
+    for j in range(n):
+        for i in range(m):
+            seg = cell_mid_segment((i + 1, j + 1), d)
+            covered[i, j] = full_view_covered_segment(seg, cull.near(seg), config.theta, samples=config.samples)
+        if not covered[:, j].any():
             return False
-    g = prune_degree_one(build_graph(covered, m, n))
-    return shortest_barrier(g).exists
+    return barrier_exists(covered)
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
@@ -189,18 +213,27 @@ def _base_metadata(config: ScenarioConfig) -> dict:
 
 def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
     """Barrier-existence probability per deployed count, for the mode
-    selected in the config.  estimate = successes / trials exactly."""
-    check = barrier_exists_mobile if config.mode == "mobile" else barrier_exists_static
-    params = config.camera_params()
+    selected in the config.  estimate = successes / trials exactly.
+
+    Mobile trials are decided on the drawn position arrays, with the
+    verdict :func:`barrier_exists_mobile` gives on the same cameras."""
+    if config.mode == "mobile":
+        d = grid_length_bound(config.r)
+        shape = grid_shape(config.width, config.height, d)
+
+        def check(count, seed):
+            xs, ys, _ = draw_cameras(config.width, config.height, count, seed)
+            return _mobile_barrier(xs, ys, d, shape)
+
+    else:
+        params = config.camera_params()
+
+        def check(count, seed):
+            return barrier_exists_static(random_deploy(config.width, config.height, count, seed, params), config)
+
     rows = []
     for count in config.counts:
-        successes = 0
-        for t in range(config.trials):
-            cams = random_deploy(
-                config.width, config.height, count, trial_seed(config.seed, count, t), params
-            )
-            if check(cams, config):
-                successes += 1
+        successes = sum(check(count, trial_seed(config.seed, count, t)) for t in range(config.trials))
         p = successes / config.trials
         rows.append(
             SweepRow(

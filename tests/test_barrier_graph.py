@@ -6,6 +6,7 @@ import pytest
 from cambarrier.barrier_graph import (
     SINK,
     SOURCE,
+    barrier_exists,
     build_graph,
     distinct_cameras,
     k_barrier_count,
@@ -152,6 +153,60 @@ class TestShortestBarrier:
             assert res.path[0][1] == 1 and res.path[-1][1] == n
             for a, b in zip(res.path, res.path[1:]):
                 assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) == 1
+
+
+def as_mask(covered, m, n):
+    mask = np.zeros((m, n), dtype=bool)
+    for i, j in covered:
+        mask[i - 1, j - 1] = True
+    return mask
+
+
+class TestBarrierExists:
+    def test_matches_search_and_brute_force_on_random_masks(self):
+        rng = np.random.default_rng(53)
+        seen = set()
+        for _ in range(600):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            covered = random_covered(rng, m, n, p=float(rng.uniform(0.3, 0.8)))
+            g = build_graph(covered, m, n)
+            got = barrier_exists(as_mask(covered, m, n))
+            assert got == shortest_barrier(prune_degree_one(g)).exists
+            if m * n <= 12:
+                assert got == (brute_force_min_weight(g) is not None)
+            seen.add((got, min(m, n) == 1))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_path_that_turns_back_left(self, flip):
+        # The only crossing steps down-left, left, down-left again; flipped
+        # upside down, it steps up-left instead.
+        rows = ["1111000", "0000100", "0011000", "0100000", "0011111"]
+        mask = np.array([[ch == "1" for ch in row] for row in rows])
+        if flip:
+            mask = mask[::-1]
+        assert barrier_exists(mask)
+        mask[2, 2] = False
+        assert not barrier_exists(mask)
+
+    @pytest.mark.parametrize(
+        "mask, expected",
+        [
+            ([[True]], True),
+            ([[False]], False),
+            ([[False], [True], [False]], True),  # n = 1: any covered cell
+            ([[True, True, False, True]], False),  # m = 1: one gap cuts it
+            ([[True, True, True, True]], True),
+            ([[True, False], [False, True]], True),  # a diagonal step
+        ],
+    )
+    def test_small_grids(self, mask, expected):
+        assert barrier_exists(np.array(mask)) is expected
+
+    @pytest.mark.parametrize("mask", [np.zeros(3, dtype=bool), np.zeros((0, 2), dtype=bool)])
+    def test_rejects_masks_that_are_not_a_grid(self, mask):
+        with pytest.raises(ValueError, match="mask"):
+            barrier_exists(mask)
 
 
 class TestDistinctCameras:

@@ -78,6 +78,23 @@ class TestGridPipeline:
         kdata = json.loads(out)
         assert kdata["k"] == min(kdata["column_counts"])
 
+    @pytest.mark.parametrize("camera_id", [True, 1.7, 2.0, "3"])
+    def test_non_integer_camera_id_exits_2(self, tmp_path, capsys, camera_id):
+        entry = {"id": camera_id, "x": 1.0, "y": 1.0, "facing": 0.0, "r": 5.0, "phi": 2.0, "theta": 1.0}
+        path = tmp_path / "cams.json"
+        path.write_text(json.dumps([entry]))
+        code = main(["deploy-grid", "--cameras", str(path), "--width", "10", "--height", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: camera id") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("size", ["1e5", "inf"])
+    def test_grid_over_the_cell_limit_exits_2(self, capsys, camera_file, size):
+        code = main(["deploy-grid", "--cameras", str(camera_file), "--width", size, "--height", size, "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_outside_camera_exits_3(self, tmp_path, capsys, camera_file):
         code, _ = run(
             capsys,
@@ -142,7 +159,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("width", math.inf), ("r", math.nan), ("seed", True), ("counts", [1.7])],
+        [("width", math.inf), ("r", math.nan), ("seed", True), ("counts", [1.7]), ("width", 1e300)],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, capsys, config_file, field, value):
         cfg = json.loads(config_file.read_text())
@@ -170,9 +187,18 @@ class TestSimulate:
             "x,estimate,trials,successes,stderr\n0,0,6,0,0\n10,0.5,6,3,0.204124145\n"
             "20,1,6,6,0\n30,1,6,6,0\n",
         ),
+        # A 7 x 7 grid, taken before mobile trials were decided from
+        # per-cell camera counts.
+        (
+            {"width": 30.0, "height": 27.0, "r": 5.0, "theta": math.pi / 3, "phi": 2 * math.pi / 3,
+             "counts": [0, 80, 100, 120, 140, 160, 200], "trials": 8, "seed": 11, "mode": "mobile",
+             "samples": 51},
+            "x,estimate,trials,successes,stderr\n0,0,8,0,0\n80,0,8,0,0\n100,0,8,0,0\n"
+            "120,0.5,8,4,0.176776695\n140,0.5,8,4,0.176776695\n160,1,8,8,0\n200,1,8,8,0\n",
+        ),
     ]
 
-    @pytest.mark.parametrize("cfg, expected", PINNED, ids=["mobile", "static"])
+    @pytest.mark.parametrize("cfg, expected", PINNED, ids=["mobile", "static", "mobile-7x7"])
     def test_integer_configs_keep_their_bytes(self, tmp_path, capsys, cfg, expected):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
@@ -190,3 +216,29 @@ class TestFig3:
 
     def test_bad_step_exits_2(self, capsys):
         assert run(capsys, "fig3", "--length", "100", "--r-min", "2", "--r-max", "10", "--step", "0")[0] == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"--r-max": "inf"},
+            {"--r-max": "nan"},
+            {"--r-min": "nan"},
+            {"--r-min": "-inf"},
+            {"--length": "inf"},
+            {"--step": "inf"},
+            {"--step": "1e-9"},  # 8e9 radii
+            {"--r-min": "-1e308", "--r-max": "1e308"},  # r_max - r_min overflows to inf
+        ],
+    )
+    def test_unbounded_radius_range_exits_2(self, capsys, overrides):
+        argv = {"--length": "100", "--r-min": "2", "--r-max": "10", "--step": "1", **overrides}
+        code = main(["fig3", *(f"{k}={v}" for k, v in argv.items())])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_radius_count_worked_out_before_the_loop_keeps_the_table(self, capsys):
+        code, out = run(capsys, "fig3", "--length", "100", "--r-min", "2", "--r-max", "3.2", "--step", "0.3")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["2", "2.3", "2.6", "2.9", "3.2"]

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from cambarrier.geometry import CameraParams, CameraPose, Point2D
+from cambarrier.geometry import EPS, CameraParams, CameraPose, Point2D
 from cambarrier.grid_deploy import (
+    MAX_CELLS,
     CameraOutsideRegionError,
     assign_orientations,
     assign_to_vertices,
+    camera_positions,
+    cell_counts,
     cell_full_view_verified,
     cell_fully_staffed,
     elect_grid_heads,
     grid_length_bound,
+    grid_shape,
     partition,
     run_algorithm1,
     staffed_cells,
+    staffed_mask,
 )
 from cambarrier.line_model import optimal_params
 
@@ -72,6 +77,120 @@ class TestPartition:
     def test_float_noise_in_dimensions(self):
         grid = partition(1.0, 1.0, 0.1, [])
         assert (grid.m, grid.n) == (10, 10)
+
+    def test_cameras_just_past_the_far_edges_bin_into_the_last_cells(self):
+        grid = partition(0.4, 0.4, 0.1, [cam(0, 0.05, 0.4 + 5e-10), cam(1, 0.4 + 5e-10, 0.05)])
+        assert (grid.m, grid.n) == (4, 4)
+        assert grid.cell_members == {(4, 1): (0,), (1, 4): (1,)}
+
+
+class TestGridShape:
+    def test_ceiling_with_slack(self):
+        assert grid_shape(10, 10, 4) == (3, 3)
+        assert grid_shape(1.0, 1.0, 0.1) == (10, 10)
+        assert grid_shape(0.5, 3.0, 1.0) == (3, 1)
+
+    def test_cell_limit(self):
+        assert grid_shape(500, 500, 1) == (500, 500) and 500 * 500 == MAX_CELLS
+        with pytest.raises(ValueError, match="exceeds"):
+            grid_shape(501, 500, 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            grid_shape(1e5, 1e5, 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            grid_shape(1e300, 1.0, 1e-300)  # width / d overflows to inf
+
+    @pytest.mark.parametrize(
+        "width, height, d", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (math.inf, 1, 1), (1, math.nan, 1), (1, 1, math.nan)]
+    )
+    def test_rejects_non_positive_and_non_finite_lengths(self, width, height, d):
+        with pytest.raises(ValueError, match="positive and finite"):
+            grid_shape(width, height, d)
+
+    def test_partition_applies_it(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            partition(1e5, 1e5, 1.0, [cam(0, 1, 1)])
+
+
+def staffed_from_counts(width, height, cams, d):
+    xs, ys = camera_positions(width, height, cams)
+    return staffed_mask(cell_counts(xs, ys, d, grid_shape(width, height, d)))
+
+
+def staffed_from_plan(width, height, cams, d):
+    plan = run_algorithm1(width, height, cams, d)
+    mask = np.zeros((plan.grid.m, plan.grid.n), dtype=bool)
+    for i, j in staffed_cells(plan):
+        mask[i - 1, j - 1] = True
+    return mask
+
+
+class TestStaffedMask:
+    def test_matches_relocation_on_random_deployments(self):
+        rng = np.random.default_rng(59)
+        d = grid_length_bound(5.0)
+        staffed = cells = 0
+        for _ in range(150):
+            width, height = float(rng.uniform(0.5, 6) * d), float(rng.uniform(0.5, 6) * d)
+            m, n = grid_shape(width, height, d)
+            cams = random_cameras(rng, int(rng.integers(0, 10 * m * n)), width, height)
+            got = staffed_from_counts(width, height, cams, d)
+            assert got.shape == (m, n)
+            assert (got == staffed_from_plan(width, height, cams, d)).all()
+            staffed += int(got.sum())
+            cells += m * n
+        assert 0 < staffed < cells
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (4, 1), (2, 3)])
+    def test_matches_relocation_on_edges_corners_and_just_outside(self, m, n):
+        # Lattice points, edge midpoints, the far edges exactly and within
+        # EPS beyond every edge, each up to twice.
+        d = 5.0
+        width, height = n * d, m * d
+        xs = sorted({k * d / 2 for k in range(2 * n + 1)} | {-EPS / 2, width + EPS / 2})
+        ys = sorted({k * d / 2 for k in range(2 * m + 1)} | {-EPS / 2, height + EPS / 2})
+        rng = np.random.default_rng(61 + 10 * m + n)
+        outcomes = set()
+        for _ in range(40):
+            p = rng.uniform(0.05, 0.5)
+            cams = []
+            for x in xs:
+                for y in ys:
+                    for _ in range(int(rng.binomial(2, p))):
+                        cams.append(cam(len(cams), x, y))
+            rng.shuffle(cams)
+            got = staffed_from_counts(width, height, cams, d)
+            assert (got == staffed_from_plan(width, height, cams, d)).all()
+            outcomes.add(bool(got.any()))
+        assert outcomes == {True, False}
+
+    def test_no_cameras_staff_nothing(self):
+        for m, n in ((1, 1), (3, 2)):
+            assert not staffed_from_counts(5.0 * n, 5.0 * m, [], 5.0).any()
+            assert not staffed_mask(np.zeros((m, n), dtype=int)).any()
+
+    def test_counts_from_the_derivation(self):
+        # One cell: four cameras staff it, three leave bottom-right empty.
+        assert staffed_mask([[4]]).tolist() == [[True]]
+        assert staffed_mask([[3]]).tolist() == [[False]]
+        # Two stacked cells: the shared middle vertices must serve up
+        # (2 cameras) for the top cell and down (1) for the bottom cell.
+        assert staffed_mask([[4], [4]]).tolist() == [[True], [True]]
+        assert staffed_mask([[4], [0]]).tolist() == [[False], [False]]
+        assert staffed_mask([[6], [4]]).tolist() == [[True], [True]]
+
+    @pytest.mark.parametrize("counts", [[1, 2], [[-1]], np.zeros((0, 3))])
+    def test_rejects_bad_counts(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            staffed_mask(counts)
+
+    def test_positions_raise_what_partition_raises(self):
+        for cams in ([cam(3, 11, 5), cam(1, 5, -2)], [cam(1, 1, 1), cam(1, 2, 2)]):
+            with pytest.raises(ValueError) as from_partition:
+                partition(10, 10, 5, cams)
+            with pytest.raises(ValueError) as from_positions:
+                camera_positions(10, 10, cams)
+            assert type(from_positions.value) is type(from_partition.value)
+            assert str(from_positions.value) == str(from_partition.value)
 
 
 class TestHeads:

@@ -6,7 +6,7 @@ import pytest
 import cambarrier.simulate as simulate_module
 from cambarrier.barrier_graph import build_graph, prune_degree_one, shortest_barrier
 from cambarrier.geometry import CULL_MARGIN, EPS, CameraParams, CameraPose, Point2D
-from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound
+from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound, run_algorithm1, staffed_cells
 from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
 from cambarrier.simulate import (
@@ -15,6 +15,7 @@ from cambarrier.simulate import (
     barrier_exists_mobile,
     barrier_exists_static,
     coverage_probability_sweep,
+    draw_cameras,
     fig3_sweep,
     random_deploy,
     trial_seed,
@@ -86,6 +87,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(**{field: value})
 
+    def test_rejects_regions_over_the_cell_limit(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            small_config(width=1e300)
+        with pytest.raises(ValueError, match="exceeds"):
+            small_config(width=1e5, height=1e5)
+
     def test_integer_counts_of_any_integer_type_are_kept_as_int(self):
         cfg = small_config(counts=np.arange(0, 60, 20))
         assert cfg.counts == (0, 20, 40) and all(type(c) is int for c in cfg.counts)
@@ -117,6 +124,21 @@ class TestRandomDeploy:
     def test_ids_are_sequential(self):
         cams = random_deploy(10, 10, 5, 1, PARAMS)
         assert [c.id for c in cams] == [0, 1, 2, 3, 4]
+
+    def test_poses_carry_the_drawn_arrays(self):
+        seed = trial_seed(3, 40, 2)
+        xs, ys, facings = draw_cameras(20, 30, 40, seed)
+        rng = np.random.default_rng(trial_seed(3, 40, 2))
+        assert xs.tolist() == rng.uniform(0.0, 20, 40).tolist()
+        assert ys.tolist() == rng.uniform(0.0, 30, 40).tolist()
+        assert facings.tolist() == rng.uniform(0.0, 2 * math.pi, 40).tolist()
+        cams = random_deploy(20, 30, 40, trial_seed(3, 40, 2), PARAMS)
+        assert [(c.position.x, c.position.y, c.facing) for c in cams] == list(zip(xs, ys, facings))
+        assert all(c.params == PARAMS for c in cams)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            draw_cameras(10, 10, -1, 1)
 
 
 def unculled_static_oracle(cameras, config):
@@ -200,6 +222,50 @@ class TestBarrierExistence:
                 cams = random_deploy(cfg.width, cfg.height, count, trial_seed(cfg.seed, count, t), params)
                 if barrier_exists_static(cams, cfg):
                     assert barrier_exists_mobile(cams, cfg)
+
+
+def relocation_oracle(cameras, config):
+    """barrier_exists_mobile the long way: relocate, collect the staffed
+    cells, then build, prune and search the graph."""
+    plan = run_algorithm1(config.width, config.height, list(cameras), grid_length_bound(config.r))
+    covered = staffed_cells(plan)
+    return shortest_barrier(prune_degree_one(build_graph(covered, plan.grid.m, plan.grid.n))).exists
+
+
+class TestMobileMatchesRelocationOracle:
+    def test_random_configs(self):
+        rng = np.random.default_rng(67)
+        outcomes = []
+        for _ in range(150):
+            r = float(rng.uniform(2.0, 12.0))
+            d = grid_length_bound(r)
+            cfg = small_config(
+                width=float(d * rng.uniform(0.5, 7.0)), height=float(d * rng.uniform(0.5, 7.0)), r=r
+            )
+            cells = math.ceil(cfg.width / d) * math.ceil(cfg.height / d)
+            count = int(rng.integers(0, 10 * cells))
+            cams = random_deploy(cfg.width, cfg.height, count, int(rng.integers(0, 10**6)), cfg.camera_params())
+            got = barrier_exists_mobile(cams, cfg)
+            assert got == relocation_oracle(cams, cfg)
+            outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize(
+        "cams",
+        [
+            [CameraPose(3, Point2D(31.0, 5.0), 0.0, PARAMS), CameraPose(1, Point2D(5.0, -2.0), 0.0, PARAMS)],
+            [CameraPose(1, Point2D(1.0, 1.0), 0.0, PARAMS), CameraPose(1, Point2D(2.0, 2.0), 0.0, PARAMS)],
+        ],
+        ids=["outside", "duplicate"],
+    )
+    def test_raises_what_relocation_raises(self, cams):
+        cfg = small_config()
+        with pytest.raises(ValueError) as expected:
+            relocation_oracle(cams, cfg)
+        with pytest.raises(ValueError) as got:
+            barrier_exists_mobile(cams, cfg)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestStaticMatchesUnculledOracle:
@@ -319,6 +385,20 @@ class TestSweeps:
         sta = coverage_probability_sweep(small_config(counts=counts, trials=25, mode="static"))
         for mrow, srow in zip(mob.rows, sta.rows):
             assert mrow.estimate >= srow.estimate
+
+    def test_mobile_sweep_builds_no_camera_objects(self, monkeypatch):
+        built = []
+        real = CameraPose.__post_init__
+
+        def spy(self):
+            built.append(self.id)
+            real(self)
+
+        monkeypatch.setattr(CameraPose, "__post_init__", spy)
+        monkeypatch.setattr(simulate_module, "random_deploy", lambda *a: pytest.fail("random_deploy called"))
+        res = coverage_probability_sweep(small_config(counts=(0, 20, 40), trials=4))
+        assert sum(row.successes for row in res.rows) > 0
+        assert built == []
 
     def test_metadata_carries_provenance(self):
         res = coverage_probability_sweep(small_config(counts=(0,), trials=1))
