@@ -227,8 +227,16 @@ def distinct_cameras(result: BarrierResult, plan: DeploymentPlan) -> int:
     return len(ids)
 
 
+def column_counts(covered, m: int, n: int) -> list[int]:
+    """Number of covered cells in each column of an m x n grid, columns
+    1 to n in order."""
+    counts = [0] * n
+    for _, j in _validate_cells(covered, m, n):
+        counts[j - 1] += 1
+    return counts
+
+
 def k_barrier_count(covered, m: int, n: int) -> int:
     """Barrier multiplicity estimate: the minimum, over columns, of the
     number of covered cells in that column."""
-    cells = _validate_cells(covered, m, n)
-    return min(sum(1 for i in range(1, m + 1) if (i, j) in cells) for j in range(1, n + 1))
+    return min(column_counts(covered, m, n))

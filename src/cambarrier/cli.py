@@ -12,7 +12,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .barrier_graph import build_graph, distinct_cameras, k_barrier_count, prune_degree_one, shortest_barrier
+from .barrier_graph import (
+    build_graph,
+    column_counts,
+    distinct_cameras,
+    k_barrier_count,
+    prune_degree_one,
+    shortest_barrier,
+)
 from .geometry import EPS, Point2D, Segment
 from .grid_deploy import CameraOutsideRegionError, grid_length_bound, run_algorithm1, staffed_cells
 from .line_model import place_line_deployment
@@ -82,8 +89,7 @@ def _cmd_k_barrier(args) -> int:
     plan = plan_from_dict(_load_json(args.plan))
     covered = staffed_cells(plan)
     m, n = plan.grid.m, plan.grid.n
-    counts = [sum(1 for i in range(1, m + 1) if (i, j) in covered) for j in range(1, n + 1)]
-    _emit(dumps({"k": k_barrier_count(covered, m, n), "column_counts": counts}), args.out)
+    _emit(dumps({"k": k_barrier_count(covered, m, n), "column_counts": column_counts(covered, m, n)}), args.out)
     return 0
 
 

@@ -35,6 +35,14 @@ def normalize_bearing(angle: float) -> float:
     return a
 
 
+def normalize_bearings(angles) -> np.ndarray:
+    """:func:`normalize_bearing` on every entry of an array, bit for bit."""
+    a = np.fmod(np.asarray(angles, dtype=float), TAU)
+    a = np.where(a < 0.0, a + TAU, a)
+    a[a >= TAU] = 0.0
+    return a
+
+
 def bearing_between(a: float, b: float) -> float:
     """Smallest circular separation between two bearings, in [0, pi]."""
     d = abs(math.fmod(a - b, TAU))
@@ -139,36 +147,59 @@ CULL_MARGIN = 1e-6
 
 
 class CameraCull:
-    """A set of cameras with positions held as arrays, so that each
-    segment can be handed only the cameras that can reach it.
+    """A set of cameras as arrays, one entry per camera in input order:
+    position ``x`` and ``y``, sensing radius ``r``, half the field of view
+    ``half`` and normalized ``facing``.  This is what the full-view kernel
+    reads.
 
-    Build it once per set of cameras; :meth:`near` then costs one
-    vectorized box test per segment.
+    Build it once per set of cameras (:meth:`of` converts poses); each
+    segment can then be handed only the cameras that can reach it, with
+    :meth:`near`, at the cost of one vectorized box test.
     """
 
-    def __init__(self, cameras):
-        self.cameras = list(cameras)
-        self.x = np.array([c.position.x for c in self.cameras])
-        self.y = np.array([c.position.y for c in self.cameras])
-        self.reach = max((c.params.r for c in self.cameras), default=0.0) + CULL_MARGIN
+    def __init__(self, x, y, r, half, facing):
+        self.x, self.y, self.r, self.half, self.facing = x, y, r, half, facing
+        self.reach = (float(r.max()) if r.size else 0.0) + CULL_MARGIN
 
-    def near(self, seg: Segment) -> list:
-        """Cameras inside the bounding box of ``seg`` grown by the largest
+    @classmethod
+    def of(cls, cameras) -> "CameraCull":
+        """The array view of ``cameras``, a list of :class:`CameraPose`;
+        a view is returned as it is."""
+        if isinstance(cameras, cls):
+            return cameras
+        cameras = list(cameras)
+        return cls(
+            np.array([c.position.x for c in cameras], dtype=float),
+            np.array([c.position.y for c in cameras], dtype=float),
+            np.array([c.params.r for c in cameras], dtype=float),
+            np.array([c.params.phi / 2.0 for c in cameras], dtype=float),
+            np.array([c.facing for c in cameras], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def within(self, x0: float, x1: float, y0: float, y1: float) -> "CameraCull":
+        """Cameras inside the box [x0, x1] x [y0, y1] grown by the largest
         sensing radius plus :data:`CULL_MARGIN`, in input order.
 
         Conservative: every camera left out is farther than ``r + EPS``
-        from every point of ``seg``, so the full-view test gives the same
-        verdict on the result as on all cameras.
+        from every point of the box, so the full-view test of any point
+        in it gives the same verdict on the result as on all cameras.
         """
-        x0, x1 = sorted((seg.a.x, seg.b.x))
-        y0, y1 = sorted((seg.a.y, seg.b.y))
         keep = (
             (self.x >= x0 - self.reach)
             & (self.x <= x1 + self.reach)
             & (self.y >= y0 - self.reach)
             & (self.y <= y1 + self.reach)
         )
-        return [self.cameras[k] for k in np.flatnonzero(keep)]
+        return CameraCull(self.x[keep], self.y[keep], self.r[keep], self.half[keep], self.facing[keep])
+
+    def near(self, seg: Segment) -> "CameraCull":
+        """The cameras :meth:`within` the bounding box of ``seg``."""
+        x0, x1 = sorted((seg.a.x, seg.b.x))
+        y0, y1 = sorted((seg.a.y, seg.b.y))
+        return self.within(x0, x1, y0, y1)
 
 
 def covers(camera: CameraPose, p: Point2D) -> bool:
@@ -217,11 +248,28 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"effective angle must be in (0, pi/2], got {theta}")
 
 
-def _full_view_mask(xs, ys, cameras, theta, axis):
+def _mod_tau(v):
+    """``np.mod(v, TAU)``, bit for bit, in the steps numpy's float
+    remainder performs (``fmod``, then :func:`_wrap_negative`), without
+    its division."""
+    return _wrap_negative(np.fmod(v, TAU))
+
+
+def _wrap_negative(v):
+    """``np.mod(v, TAU)``, bit for bit, for ``v`` in (-TAU, TAU), such as
+    an ``arctan2`` result: ``TAU`` is added to the negative values.
+    Adding ``0.0`` to the rest turns ``-0.0`` into ``+0.0``, as ``np.mod``
+    does."""
+    return v + np.where(v < 0.0, TAU, 0.0)
+
+
+def _full_view_mask(xs, ys, cameras: CameraCull, theta, axis):
     """Vectorized full-view test for many points at once.
 
     Returns a boolean array, one entry per point.  This is the single
-    implementation behind the point and segment predicates.
+    implementation behind the point and segment predicates.  Each point's
+    verdict depends on that point and the cameras alone, not on the other
+    points of the batch.
 
     Camera rows that cannot contribute are dropped as soon as that is
     known: rows with no point in range before the aim angle is computed,
@@ -232,29 +280,25 @@ def _full_view_mask(xs, ys, cameras, theta, axis):
     point fails.
     """
     npts = xs.size
-    if not cameras:
+    if not len(cameras):
         return np.zeros(npts, dtype=bool)
-    cx = np.array([c.position.x for c in cameras])
-    cy = np.array([c.position.y for c in cameras])
-    rr = np.array([c.params.r for c in cameras])
-    half = np.array([c.params.phi / 2.0 for c in cameras])
-    fac = np.array([c.facing for c in cameras])
 
-    dx = xs[None, :] - cx[:, None]
-    dy = ys[None, :] - cy[:, None]
+    dx = xs[None, :] - cameras.x[:, None]
+    dy = ys[None, :] - cameras.y[:, None]
     dist = np.hypot(dx, dy)
     # Covering cameras that contribute a bearing; co-located ones do not.
-    usable = (dist > EPS) & (dist < rr[:, None] + EPS)
+    usable = (dist > EPS) & (dist < cameras.r[:, None] + EPS)
     rows = usable.any(axis=1)
-    dx, dy, usable, half, fac = dx[rows], dy[rows], usable[rows], half[rows], fac[rows]
-    aim = np.abs(np.mod(np.arctan2(dy, dx) - fac[:, None] + math.pi, TAU) - math.pi)
+    dx, dy, usable = dx[rows], dy[rows], usable[rows]
+    half, fac = cameras.half[rows], cameras.facing[rows]
+    aim = np.abs(_mod_tau(np.arctan2(dy, dx) - fac[:, None] + math.pi) - math.pi)
     usable &= aim < half[:, None] + EPS
     rows = usable.any(axis=1)
     if not rows.any():
         return np.zeros(npts, dtype=bool)
     dx, dy, usable = dx[rows], dy[rows], usable[rows]
 
-    toward = np.mod(np.arctan2(-dy, -dx), TAU)  # bearing point -> camera
+    toward = _wrap_negative(np.arctan2(-dy, -dx))  # bearing point -> camera
     stack = [np.where(usable, toward, np.nan)]
     if axis is not None:
         a0 = normalize_bearing(axis)
@@ -292,11 +336,20 @@ def full_view_covered_point(p: Point2D, cameras, theta: float, axis: float | Non
 
     Cameras co-located with ``p`` cover it but contribute no bearing; a
     point with no usable bearing is never full-view covered.
+
+    ``cameras`` is a list of :class:`CameraPose` or a :class:`CameraCull`.
     """
     _check_theta(theta)
     xs = np.array([p.x])
     ys = np.array([p.y])
-    return bool(_full_view_mask(xs, ys, cameras, theta, axis)[0])
+    return bool(_full_view_mask(xs, ys, CameraCull.of(cameras), theta, axis)[0])
+
+
+def segment_points(seg: Segment, t) -> tuple[np.ndarray, np.ndarray]:
+    """x and y arrays of the points of ``seg`` at fractions ``t`` (an
+    array) of the way from ``a`` to ``b``.  Every sampled test computes
+    its points here, so equal fractions give bit-identical points."""
+    return seg.a.x + t * (seg.b.x - seg.a.x), seg.a.y + t * (seg.b.y - seg.a.y)
 
 
 def full_view_covered_segment(
@@ -306,15 +359,14 @@ def full_view_covered_segment(
     points of ``seg``, endpoints included.
 
     Sampling density is the caller's knob; the default of 101 matches the
-    rest of the package.
+    rest of the package.  ``cameras`` is a list of :class:`CameraPose` or
+    a :class:`CameraCull`.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     _check_theta(theta)
-    t = np.linspace(0.0, 1.0, samples)
-    xs = seg.a.x + t * (seg.b.x - seg.a.x)
-    ys = seg.a.y + t * (seg.b.y - seg.a.y)
-    return bool(_full_view_mask(xs, ys, cameras, theta, axis).all())
+    xs, ys = segment_points(seg, np.linspace(0.0, 1.0, samples))
+    return bool(_full_view_mask(xs, ys, CameraCull.of(cameras), theta, axis).all())
 
 
 def midpoint_shortcut_covered(seg: Segment, cameras, theta: float, axis: float | None = 0.0) -> bool:

@@ -405,4 +405,4 @@ def cell_full_view_verified(cell, plan: DeploymentPlan, theta: float, samples: i
     included).  Only the cameras :class:`CameraCull` keeps near the
     segment are passed on; the rest cannot reach it."""
     seg = cell_mid_segment(cell, plan.grid.d)
-    return full_view_covered_segment(seg, CameraCull(plan.active_cameras).near(seg), theta, samples=samples)
+    return full_view_covered_segment(seg, CameraCull.of(plan.active_cameras).near(seg), theta, samples=samples)

@@ -7,6 +7,7 @@ identical inputs.
 """
 
 import json
+import sys
 
 from .barrier_graph import BarrierResult, CoverageGraph
 from .geometry import CameraParams, CameraPose, Point2D
@@ -15,6 +16,8 @@ from .line_model import LineDeployment
 from .simulate import SweepResult
 
 CSV_HEADER = "x,estimate,trials,successes,stderr"
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _round9(value: float) -> float:
@@ -68,7 +71,21 @@ def camera_to_dict(camera: CameraPose) -> dict:
     }
 
 
+#: Camera-file fields that must be finite numbers.
+_CAMERA_NUMBERS = ("x", "y", "facing", "r", "phi", "theta")
+
+
 def camera_from_dict(data: dict) -> CameraPose:
+    """The camera a camera-file entry describes.  Every field but ``id``
+    must be a finite JSON number; bools, strings, nulls, NaN and
+    infinities are rejected with ``ValueError``, not converted."""
+    for key in _CAMERA_NUMBERS:
+        value = data[key]
+        # Exact types: JSON numbers load as int or float, and bool is
+        # neither.  The range test rejects NaN, infinities and ints too
+        # large for a float.
+        if (type(value) is not float and type(value) is not int) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ValueError(f"camera field {key!r} must be a finite number, got {value!r}")
     return CameraPose(
         id=data["id"],
         position=Point2D(float(data["x"]), float(data["y"])),

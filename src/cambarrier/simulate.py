@@ -10,10 +10,12 @@ same (seed, count, trial).
 Both pipelines end in an (m, n) covered-cell mask and one flood fill,
 :func:`~cambarrier.barrier_graph.barrier_exists`.  The static pipeline
 covers a cell when its mid-segment passes the full-view test with the
-cameras as deployed.  The mobile pipeline covers the cells relocation
-staffs, which follow from the number of cameras in each cell alone
-(:func:`~cambarrier.grid_deploy.staffed_mask`), so its sweep bins the
-drawn position arrays and builds no camera, plan or graph objects.
+cameras as deployed, and its sweep hands the drawn arrays to the kernel
+as a :class:`~cambarrier.geometry.CameraCull`.  The mobile pipeline
+covers the cells relocation staffs, which follow from the number of
+cameras in each cell alone (:func:`~cambarrier.grid_deploy.staffed_mask`),
+so its sweep bins the drawn position arrays.  Neither sweep builds
+camera, plan or graph objects.
 """
 
 import math
@@ -22,7 +24,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barrier_graph import barrier_exists, build_graph, distinct_cameras, prune_degree_one, shortest_barrier
-from .geometry import TAU, CameraCull, CameraParams, CameraPose, Point2D, check_integer, full_view_covered_segment
+from .geometry import (
+    TAU,
+    CameraCull,
+    CameraParams,
+    CameraPose,
+    Point2D,
+    _full_view_mask,
+    check_integer,
+    full_view_covered_segment,
+    normalize_bearings,
+    segment_points,
+)
 from .grid_deploy import (
     camera_positions,
     cell_counts,
@@ -35,6 +48,12 @@ from .grid_deploy import (
 )
 
 MODES = ("static", "mobile")
+
+#: Largest camera count a scenario may sweep.  It is about 20 times the
+#: largest count the tests, demos and benchmark use; each trial holds
+#: arrays of this length, so a larger count mostly means a run that does
+#: not fit in memory.
+MAX_CAMERAS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -67,6 +86,8 @@ class ScenarioConfig:
         grid_shape(self.width, self.height, grid_length_bound(self.r))
         for c in self.counts:
             check_integer("camera count", c, 0)
+            if c > MAX_CAMERAS:
+                raise ValueError(f"camera count {c} exceeds {MAX_CAMERAS}")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         check_integer("trials", self.trials, 1)
         check_integer("seed", self.seed, 0)
@@ -175,6 +196,48 @@ def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
     return _mobile_barrier(xs, ys, d, shape)
 
 
+#: Samples per cell, evenly spaced with both endpoints, that the static
+#: check tests first, for a whole column in one kernel call.  Most cells
+#: that fail the full test already fail one of these, so the full test
+#: runs mostly on cells that pass.  Any subset gives the same verdicts.
+#: Fewer lets more failing cells through to the full test, more makes
+#: every column's call larger; 4 to 8 ran about equally fast on the
+#: benchmark workloads, 11 slower.
+_COARSE_SAMPLES = 6
+
+
+def _drawn_view(config: ScenarioConfig, count: int, seed) -> CameraCull:
+    """The cameras :func:`random_deploy` draws for ``config``, as the
+    array view :meth:`CameraCull.of` makes of the poses, without them."""
+    xs, ys, facings = draw_cameras(config.width, config.height, count, seed)
+    r = np.full(count, config.r, dtype=float)
+    half = np.full(count, config.phi / 2.0, dtype=float)
+    return CameraCull(xs, ys, r, half, normalize_bearings(facings))
+
+
+def _static_barrier(cameras: CameraCull, config: ScenarioConfig) -> bool:
+    d = grid_length_bound(config.r)
+    m, n = grid_shape(config.width, config.height, d)
+    t = np.linspace(0.0, 1.0, config.samples)
+    last = config.samples - 1
+    coarse = t[sorted({round(k * last / (_COARSE_SAMPLES - 1)) for k in range(_COARSE_SAMPLES)})]
+    covered = np.zeros((m, n), dtype=bool)
+    for j in range(n):
+        segs = [cell_mid_segment((i + 1, j + 1), d) for i in range(m)]
+        column = cameras.within(segs[0].a.x, segs[0].b.x, segs[0].a.y, segs[-1].a.y)
+        points = [segment_points(seg, coarse) for seg in segs]
+        xs = np.concatenate([x for x, _ in points])
+        ys = np.concatenate([y for _, y in points])
+        passed = _full_view_mask(xs, ys, column, config.theta, 0.0).reshape(m, coarse.size).all(axis=1)
+        for i in np.flatnonzero(passed):
+            covered[i, j] = full_view_covered_segment(
+                segs[i], column.near(segs[i]), config.theta, samples=config.samples
+            )
+        if not covered[:, j].any():
+            return False
+    return barrier_exists(covered)
+
+
 def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
     """No movement, no rotation: a cell counts as covered iff its
     mid-segment passes the sampled full-view test with the cameras exactly
@@ -183,22 +246,16 @@ def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
     Only work that can change the verdict is done.  Columns are tested
     left to right, and the answer is False at the first column with no
     covered cell: every s-t path over 8-adjacent cells visits every
-    column.  Each cell's test sees only the cameras :class:`CameraCull`
-    keeps near its mid-segment, a cut that leaves out only cameras too
-    far away to cover any point of it.  The covered-cell mask then goes
-    to one flood fill (:func:`barrier_exists`).
+    column.  A column's cells are first tested together on a few of
+    their samples, in one kernel call that sees the cameras near the
+    column; the kernel decides each point on its own, so a cell that
+    fails there fails the full test.  Each remaining cell gets the full
+    test on the cameras :class:`CameraCull` keeps near its mid-segment.
+    Every cut leaves out only cameras too far away to cover a sample.
+    The covered-cell mask then goes to one flood fill
+    (:func:`barrier_exists`).
     """
-    d = grid_length_bound(config.r)
-    m, n = grid_shape(config.width, config.height, d)
-    cull = CameraCull(cameras)
-    covered = np.zeros((m, n), dtype=bool)
-    for j in range(n):
-        for i in range(m):
-            seg = cell_mid_segment((i + 1, j + 1), d)
-            covered[i, j] = full_view_covered_segment(seg, cull.near(seg), config.theta, samples=config.samples)
-        if not covered[:, j].any():
-            return False
-    return barrier_exists(covered)
+    return _static_barrier(CameraCull.of(cameras), config)
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
@@ -215,8 +272,9 @@ def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
     """Barrier-existence probability per deployed count, for the mode
     selected in the config.  estimate = successes / trials exactly.
 
-    Mobile trials are decided on the drawn position arrays, with the
-    verdict :func:`barrier_exists_mobile` gives on the same cameras."""
+    Trials are decided on the drawn arrays, with the verdict
+    :func:`barrier_exists_mobile` or :func:`barrier_exists_static` gives
+    on the same cameras."""
     if config.mode == "mobile":
         d = grid_length_bound(config.r)
         shape = grid_shape(config.width, config.height, d)
@@ -226,10 +284,9 @@ def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
             return _mobile_barrier(xs, ys, d, shape)
 
     else:
-        params = config.camera_params()
 
         def check(count, seed):
-            return barrier_exists_static(random_deploy(config.width, config.height, count, seed, params), config)
+            return _static_barrier(_drawn_view(config, count, seed), config)
 
     rows = []
     for count in config.counts:

@@ -88,6 +88,28 @@ class TestGridPipeline:
         assert code == 2
         assert captured.err.startswith("error: camera id") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("x", True),
+            ("r", True),
+            ("y", "1.0"),
+            ("facing", None),
+            ("phi", False),
+            ("theta", "0.5"),
+            ("facing", math.nan),
+            ("x", 10**400),
+        ],
+    )
+    def test_non_numeric_camera_field_exits_2(self, tmp_path, capsys, field, value):
+        entry = {"id": 0, "x": 1.0, "y": 1.0, "facing": 0.0, "r": 5.0, "phi": 2.0, "theta": 1.0, field: value}
+        path = tmp_path / "cams.json"
+        path.write_text(json.dumps([entry]))  # nan becomes NaN
+        code = main(["deploy-grid", "--cameras", str(path), "--width", "10", "--height", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: camera field '{field}'") and captured.out == ""
+
     @pytest.mark.parametrize("size", ["1e5", "inf"])
     def test_grid_over_the_cell_limit_exits_2(self, capsys, camera_file, size):
         code = main(["deploy-grid", "--cameras", str(camera_file), "--width", size, "--height", size, "--d", "1"])
@@ -159,7 +181,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("width", math.inf), ("r", math.nan), ("seed", True), ("counts", [1.7]), ("width", 1e300)],
+        [
+            ("width", math.inf),
+            ("r", math.nan),
+            ("seed", True),
+            ("counts", [1.7]),
+            ("width", 1e300),
+            ("counts", [1_000_000_000_000_000]),
+        ],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, capsys, config_file, field, value):
         cfg = json.loads(config_file.read_text())

@@ -15,6 +15,8 @@ from cambarrier.geometry import (
     Point2D,
     Segment,
     _full_view_mask,
+    _mod_tau,
+    _wrap_negative,
     bearing_between,
     circular_gaps,
     covers,
@@ -23,6 +25,7 @@ from cambarrier.geometry import (
     max_angular_gap,
     midpoint_shortcut_covered,
     normalize_bearing,
+    normalize_bearings,
 )
 from cambarrier.line_model import place_line_deployment
 
@@ -272,9 +275,92 @@ class TestRowDropping:
         ]
         assert all(math.hypot(x - c.position.x, c.position.y) < c.params.r for c in cams for x in xs)
         for axis in (0.0, None):
-            mask = _full_view_mask(xs, ys, cams, math.pi / 2, axis)
+            mask = _full_view_mask(xs, ys, CameraCull.of(cams), math.pi / 2, axis)
             assert mask.shape == (11,) and not mask.any()
             assert not any(ref_full_view_point(Point2D(x, 0.0), cams, math.pi / 2, axis=axis) for x in xs)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def awkward_angles():
+    """Signed zeros, multiples of pi and their float neighbours,
+    subnormals, and random values over several turns."""
+    base = [0.0, math.pi, TAU, 2 * TAU, 3 * TAU, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-17, 7.0]
+    near = [np.nextafter(v, w) for v in base for w in (-np.inf, np.inf)]
+    values = np.array(base + near + [-v for v in base + near])
+    rng = np.random.default_rng(5)
+    return np.concatenate([values, rng.uniform(-4 * TAU, 4 * TAU, 4000), rng.uniform(-1e-12, 1e-12, 200)])
+
+
+class TestAngleWraps:
+    def test_mod_tau_is_np_mod_bit_for_bit(self):
+        v = awkward_angles()
+        assert np.array_equal(bits(_mod_tau(v)), bits(np.mod(v, TAU)))
+        grid = v[:3000].reshape(30, 100)  # the kernel's 2-D shape
+        assert np.array_equal(bits(_mod_tau(grid)), bits(np.mod(grid, TAU)))
+
+    def test_wrap_negative_is_np_mod_on_arctan2_results(self):
+        v = awkward_angles()
+        v = v[np.abs(v) <= math.pi]
+        rng = np.random.default_rng(6)
+        dy, dx = rng.normal(size=(2, 20, 200))
+        signed = np.array([0.0, -0.0, 1.0, -1.0])
+        atan = np.concatenate(
+            [v, np.arctan2(dy, dx).ravel(), np.arctan2(signed[:, None], signed[None, :]).ravel()]
+        )
+        assert {-math.pi, math.pi, 0.0} <= set(atan.tolist())
+        assert np.array_equal(bits(_wrap_negative(atan)), bits(np.mod(atan, TAU)))
+
+    def test_normalize_bearings_matches_the_scalar_rule(self):
+        v = np.concatenate([awkward_angles(), [TAU, np.nextafter(TAU, 0.0), -1e-300, -5e-324]])
+        expected = [normalize_bearing(a) for a in v.tolist()]
+        assert np.array_equal(bits(normalize_bearings(v)), bits(expected))
+        assert normalize_bearings(np.array([TAU]))[0] == 0.0
+        assert bits(normalize_bearings(np.array([-0.0])))[0] == bits([normalize_bearing(-0.0)])[0]
+
+    def test_view_of_poses_holds_their_normalized_facings(self):
+        cams = [cam(float(k), 0.0, f, cid=k) for k, f in enumerate((TAU, -1e-300, 7.0, -0.5))]
+        view = CameraCull.of(cams)
+        assert np.array_equal(bits(view.facing), bits(normalize_bearings([TAU, -1e-300, 7.0, -0.5])))
+        assert CameraCull.of(view) is view
+
+
+class TestBatchIndependence:
+    def test_each_point_alone_matches_the_batch(self):
+        rng = np.random.default_rng(19)
+        outcomes = set()
+        for _ in range(60):
+            k = int(rng.integers(0, 30))
+            cams = [
+                cam(
+                    float(rng.uniform(-3, 3)),
+                    float(rng.uniform(-3, 3)),
+                    float(rng.uniform(0, TAU)),
+                    r=float(rng.choice([1.0, 2.5, 4.0])),
+                    phi=float(rng.choice([math.pi / 2, math.pi, TAU])),
+                    cid=j,
+                )
+                for j in range(k)
+            ]
+            view = CameraCull.of(cams)
+            npts = int(rng.integers(1, 40))
+            xs, ys = rng.uniform(-2, 2, npts), rng.uniform(-2, 2, npts)
+            if cams and rng.random() < 0.3:  # a point on a camera
+                xs[0], ys[0] = cams[0].position.x, cams[0].position.y
+            theta = float(rng.choice([math.pi / 4, math.pi / 3, math.pi / 2]))
+            for axis in (0.0, None):
+                batch = _full_view_mask(xs, ys, view, theta, axis)
+                alone = [_full_view_mask(xs[p : p + 1], ys[p : p + 1], view, theta, axis)[0] for p in range(npts)]
+                assert batch.tolist() == alone
+                outcomes.update(alone)
+        assert outcomes == {True, False}
+
+
+def camera_rows(view):
+    """One (x, y, r, half, facing) tuple per camera of a CameraCull."""
+    return list(zip(*(a.tolist() for a in (view.x, view.y, view.r, view.half, view.facing))))
 
 
 class TestCameraCull:
@@ -298,12 +384,15 @@ class TestCameraCull:
 
     def test_keeps_every_camera_that_covers_a_sample(self):
         cams = self.boundary_cameras((1.0, 2.5))
-        kept = CameraCull(cams).near(self.SEG)
-        assert [c.id for c in kept] == sorted(c.id for c in kept)
-        ids = {c.id for c in kept}
+        everyone = CameraCull.of(cams)
+        kept = everyone.near(self.SEG)
+        rows, kept_rows = camera_rows(everyone), camera_rows(kept)
+        assert rows == [(c.position.x, c.position.y, c.params.r, c.params.phi / 2, c.facing) for c in cams]
+        remaining = iter(rows)
+        assert all(row in remaining for row in kept_rows)  # input order
         samples = [Point2D(x, 3.0) for x in np.linspace(2.0, 4.0, 101)]
-        reaching = [c for c in cams if any(ref_covers(c, q) for q in samples)]
-        assert reaching and {c.id for c in reaching} <= ids
+        reaching = [row for c, row in zip(cams, rows) if any(ref_covers(c, q) for q in samples)]
+        assert reaching and set(reaching) <= set(kept_rows)
         assert len(kept) < len(cams)
 
     def test_culled_verdict_matches_all_cameras(self):
@@ -322,7 +411,7 @@ class TestCameraCull:
                 for k in range(int(rng.integers(0, 40)))
             ]
             cams += self.boundary_cameras((1.0, 3.0))
-            kept = CameraCull(cams).near(self.SEG)
+            kept = CameraCull.of(cams).near(self.SEG)
             for theta in (math.pi / 4, math.pi / 2):
                 verdict = full_view_covered_segment(self.SEG, cams, theta, samples=21)
                 assert full_view_covered_segment(self.SEG, kept, theta, samples=21) == verdict
@@ -330,7 +419,7 @@ class TestCameraCull:
         assert outcomes == {True, False}
 
     def test_no_cameras(self):
-        assert CameraCull([]).near(self.SEG) == []
+        assert len(CameraCull.of([]).near(self.SEG)) == 0
 
 
 class TestSegment:

@@ -5,11 +5,12 @@ import pytest
 
 import cambarrier.simulate as simulate_module
 from cambarrier.barrier_graph import build_graph, prune_degree_one, shortest_barrier
-from cambarrier.geometry import CULL_MARGIN, EPS, CameraParams, CameraPose, Point2D
+from cambarrier.geometry import CULL_MARGIN, EPS, CameraCull, CameraParams, CameraPose, Point2D
 from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound, run_algorithm1, staffed_cells
 from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
 from cambarrier.simulate import (
+    MAX_CAMERAS,
     ScenarioConfig,
     barrier_camera_count_sweep,
     barrier_exists_mobile,
@@ -92,6 +93,11 @@ class TestConfig:
             small_config(width=1e300)
         with pytest.raises(ValueError, match="exceeds"):
             small_config(width=1e5, height=1e5)
+
+    def test_rejects_counts_over_the_camera_limit(self):
+        assert small_config(counts=(MAX_CAMERAS,)).counts == (MAX_CAMERAS,)
+        with pytest.raises(ValueError, match="exceeds"):
+            small_config(counts=(0, MAX_CAMERAS + 1))
 
     def test_integer_counts_of_any_integer_type_are_kept_as_int(self):
         cfg = small_config(counts=np.arange(0, 60, 20))
@@ -303,6 +309,50 @@ class TestStaticMatchesUnculledOracle:
             outcomes.append(got)
         assert True in outcomes and False in outcomes
 
+    def test_drawn_view_is_the_view_of_the_drawn_poses(self):
+        cfg = small_config(r=7, phi=2, mode="static")  # integer hardware values
+        for count in (0, 1, 50):
+            seed = trial_seed(cfg.seed, count, 3)
+            got = simulate_module._drawn_view(cfg, count, seed)
+            want = CameraCull.of(random_deploy(cfg.width, cfg.height, count, seed, cfg.camera_params()))
+            for name in ("x", "y", "r", "half", "facing"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype == np.float64 and a.flags.c_contiguous
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+            assert got.reach == want.reach
+
+    def test_array_sweep_matches_pose_oracle(self):
+        rng = np.random.default_rng(97)
+        successes = failures = 0
+        for samples in (2, 3, 7):
+            for _ in range(8):
+                r = float(rng.uniform(3.0, 9.0))
+                d = grid_length_bound(r)
+                cfg = small_config(
+                    width=float(d * rng.uniform(0.5, 3.5)),
+                    height=float(d * rng.uniform(0.5, 3.5)),
+                    r=r,
+                    theta=float(rng.choice([math.pi / 3, math.pi / 2])),
+                    phi=float(rng.choice([2 * math.pi / 3, math.pi, 2 * math.pi])),
+                    counts=(0, int(rng.integers(5, 25)), int(rng.integers(25, 70))),
+                    trials=3,
+                    seed=int(rng.integers(0, 1000)),
+                    mode="static",
+                    samples=samples,
+                )
+                params = cfg.camera_params()
+                for row in coverage_probability_sweep(cfg).rows:
+                    expected = sum(
+                        unculled_static_oracle(
+                            random_deploy(cfg.width, cfg.height, row.x, trial_seed(cfg.seed, row.x, t), params), cfg
+                        )
+                        for t in range(cfg.trials)
+                    )
+                    assert row.successes == expected
+                    successes += expected
+                    failures += cfg.trials - expected
+        assert successes > 0 and failures > 0
+
     @pytest.mark.parametrize(
         "columns, expected",
         [
@@ -321,18 +371,29 @@ class TestStaticMatchesUnculledOracle:
 
     def test_stops_at_the_first_empty_column_and_culls(self, monkeypatch):
         cfg = small_config(width=80.0)
+        d = grid_length_bound(cfg.r)
         cams = lattice_watchers(cfg, range(3, 6))
-        seen = []
-        real = simulate_module.full_view_covered_segment
+        coarse, full = [], []
+        real_mask = simulate_module._full_view_mask
+        real_segment = simulate_module.full_view_covered_segment
 
-        def spy(seg, cameras, *args, **kwargs):
-            seen.append((seg.a.x, len(cameras)))
-            return real(seg, cameras, *args, **kwargs)
+        def mask_spy(xs, ys, cameras, *args):
+            coarse.append((xs.min(), xs.max(), len(cameras)))
+            return real_mask(xs, ys, cameras, *args)
 
-        monkeypatch.setattr(simulate_module, "full_view_covered_segment", spy)
+        def segment_spy(seg, cameras, *args, **kwargs):
+            full.append((seg.a.x, len(cameras)))
+            return real_segment(seg, cameras, *args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "_full_view_mask", mask_spy)
+        monkeypatch.setattr(simulate_module, "full_view_covered_segment", segment_spy)
         assert not barrier_exists_static(cams, cfg)
-        assert {x for x, _ in seen} == {0.0}  # column 1 only
-        assert all(k < len(cams) for _, k in seen)
+        # One coarse call, on column 1 only, with the column's cameras.
+        assert len(coarse) == 1
+        lo, hi, k = coarse[0]
+        assert lo == 0.0 and hi == pytest.approx(d) and 0 < k < len(cams)
+        assert {x for x, _ in full} <= {0.0}
+        assert all(k < len(cams) for _, k in full)
 
 
 class TestSweeps:
@@ -386,7 +447,8 @@ class TestSweeps:
         for mrow, srow in zip(mob.rows, sta.rows):
             assert mrow.estimate >= srow.estimate
 
-    def test_mobile_sweep_builds_no_camera_objects(self, monkeypatch):
+    @staticmethod
+    def sweep_building_no_cameras(monkeypatch, cfg):
         built = []
         real = CameraPose.__post_init__
 
@@ -396,9 +458,18 @@ class TestSweeps:
 
         monkeypatch.setattr(CameraPose, "__post_init__", spy)
         monkeypatch.setattr(simulate_module, "random_deploy", lambda *a: pytest.fail("random_deploy called"))
-        res = coverage_probability_sweep(small_config(counts=(0, 20, 40), trials=4))
+        res = coverage_probability_sweep(cfg)
         assert sum(row.successes for row in res.rows) > 0
         assert built == []
+
+    def test_mobile_sweep_builds_no_camera_objects(self, monkeypatch):
+        self.sweep_building_no_cameras(monkeypatch, small_config(counts=(0, 20, 40), trials=4))
+
+    def test_static_sweep_builds_no_camera_objects(self, monkeypatch):
+        cfg = small_config(
+            width=40.0, height=20.0, r=8.0, theta=math.pi / 2, phi=2 * math.pi, counts=(0, 20, 30), mode="static"
+        )
+        self.sweep_building_no_cameras(monkeypatch, cfg)
 
     def test_metadata_carries_provenance(self):
         res = coverage_probability_sweep(small_config(counts=(0,), trials=1))
