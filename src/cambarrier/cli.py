@@ -25,7 +25,7 @@ from .grid_deploy import CameraOutsideRegionError, grid_length_bound, run_algori
 from .line_model import place_line_deployment
 from .serialize import (
     barrier_to_dict,
-    camera_from_dict,
+    cameras_from_list,
     dumps,
     graph_to_dict,
     line_deployment_to_dict,
@@ -60,7 +60,7 @@ def _cmd_plan_line(args) -> int:
 
 
 def _cmd_deploy_grid(args) -> int:
-    cameras = [camera_from_dict(entry) for entry in _load_json(args.cameras)]
+    cameras = cameras_from_list(_load_json(args.cameras))
     if args.d is not None:
         d = args.d
     else:

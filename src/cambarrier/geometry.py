@@ -57,8 +57,12 @@ def slack_ceil(x: float) -> int:
 def check_integer(name: str, value, minimum: int) -> None:
     """Reject anything but an integer >= ``minimum``; bools and integral
     floats are rejected too, so that no value is silently converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if type(value) is int:  # the common case, without the ABC check below
+        if value >= minimum:
+            return
+    elif not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum:
+        return
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -6,37 +6,123 @@ and indented, CSV rows follow the fixed header
 identical inputs.
 """
 
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .barrier_graph import BarrierResult, CoverageGraph
 from .geometry import CameraParams, CameraPose, Point2D
-from .grid_deploy import CameraRecord, DeploymentPlan, GridModel, VertexAssignment
+from .grid_deploy import ORIENT_DOWN, ORIENT_UP, CameraRecord, DeploymentPlan, GridModel, VertexAssignment
 from .line_model import LineDeployment
 from .simulate import SweepResult
 
 CSV_HEADER = "x,estimate,trials,successes,stderr"
 
 _FLOAT_MAX = sys.float_info.max
-
-
-def _round9(value: float) -> float:
-    return float(f"{value:.9g}")
-
-
-def _clean(obj):
-    if isinstance(obj, float):
-        return _round9(obj)
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
+_INF = float("inf")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: rounded floats, sorted keys, newline at end."""
-    return json.dumps(_clean(obj), indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: floats rounded to 9 significant digits,
+    keys sorted, two-space indent, newline at end.
+
+    One recursive pass writes the text into a list of chunks, joined once.
+    The bytes are those of ``json.dumps(tree, indent=2, sort_keys=True)``
+    on a copy of ``obj`` with every float (``np.float64`` included)
+    replaced by ``float(f"{v:.9g}")``, and the same inputs raise
+    ``TypeError``: anything but dicts, lists, tuples, strings, ints,
+    floats, bools and None, and dict keys other than strings, ints,
+    floats, bools and None.
+    """
+    chunks = []
+    _write(obj, "", "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+#: Types ``dumps`` writes by an exact ``type()`` test.
+_JSON_TYPES = frozenset((str, int, float, dict, list, tuple, bool, type(None)))
+
+
+def _write(value, head: str, newline: str, chunks: list) -> None:
+    """Append ``head`` and then the JSON text of ``value`` to ``chunks``;
+    ``newline`` is the line break and indent of the line the value ends
+    on."""
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = _json_base(value)
+    if kind is str:
+        chunks.append(head + _quote(value))
+    elif kind is int:
+        chunks.append(head + int.__repr__(value))
+    elif kind is float:
+        # The value written is float(text), in float.__repr__'s form.  When
+        # text is plain notation with a point (exponents -4 to 8), it is
+        # that form already: repr picks the fewest digits that name the
+        # double, and no two decimals of at most 15 significant digits
+        # name the same normal double, so those are text's own digits.
+        text = f"{value:.9g}"
+        chunks.append(head + (text if "." in text and "e" not in text else _float(float(text))))
+    elif kind is dict:
+        if not value:
+            chunks.append(head + "{}")
+            return
+        inner = newline + "  "
+        head += "{" + inner
+        for key, item in sorted(value.items()):
+            _write(item, head + (_quote(key) if type(key) is str else _key(key)) + ": ", inner, chunks)
+            head = "," + inner
+        chunks.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            chunks.append(head + "[]")
+            return
+        inner = newline + "  "
+        head += "[" + inner
+        for item in value:
+            _write(item, head, inner, chunks)
+            head = "," + inner
+        chunks.append(newline + "]")
+    elif value is None:
+        chunks.append(head + "null")
+    else:
+        chunks.append(head + ("true" if value else "false"))
+
+
+def _json_base(value) -> type:
+    """The type a value of a subclass is written as: float first, since
+    :func:`dumps` rounds every float, then the order ``json`` tests in."""
+    for base in (float, dict, list, tuple, str, int):
+        if isinstance(value, base):
+            return base
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _float(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key(key) -> str:
+    """A dict key that is not an exact ``str``, as ``json`` writes it:
+    floats are not rounded."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def format_number(value) -> str:
@@ -75,23 +161,40 @@ def camera_to_dict(camera: CameraPose) -> dict:
 _CAMERA_NUMBERS = ("x", "y", "facing", "r", "phi", "theta")
 
 
-def camera_from_dict(data: dict) -> CameraPose:
+def _is_finite_number(value) -> bool:
+    # Exact types: JSON numbers load as int or float, and bool is
+    # neither.  The range test rejects NaN, infinities and ints too large
+    # for a float.
+    return (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def camera_from_dict(data: dict, params: dict | None = None) -> CameraPose:
     """The camera a camera-file entry describes.  Every field but ``id``
     must be a finite JSON number; bools, strings, nulls, NaN and
-    infinities are rejected with ``ValueError``, not converted."""
+    infinities are rejected with ``ValueError``, not converted.
+
+    ``params`` maps each ``(r, phi, theta)`` triple read so far in one
+    load to its :class:`CameraParams`, so the cameras of a file share
+    them; a triple's checks do not depend on which camera carries it.
+    """
     for key in _CAMERA_NUMBERS:
         value = data[key]
-        # Exact types: JSON numbers load as int or float, and bool is
-        # neither.  The range test rejects NaN, infinities and ints too
-        # large for a float.
-        if (type(value) is not float and type(value) is not int) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if not _is_finite_number(value):
             raise ValueError(f"camera field {key!r} must be a finite number, got {value!r}")
-    return CameraPose(
-        id=data["id"],
-        position=Point2D(float(data["x"]), float(data["y"])),
-        facing=float(data["facing"]),
-        params=CameraParams(r=float(data["r"]), phi=float(data["phi"]), theta=float(data["theta"])),
-    )
+    position = Point2D(float(data["x"]), float(data["y"]))
+    if params is None:
+        params = {}
+    triple = (data["r"], data["phi"], data["theta"])
+    shared = params.get(triple)
+    if shared is None:
+        shared = params[triple] = CameraParams(r=float(triple[0]), phi=float(triple[1]), theta=float(triple[2]))
+    return CameraPose(id=data["id"], position=position, facing=float(data["facing"]), params=shared)
+
+
+def cameras_from_list(entries) -> list[CameraPose]:
+    """The cameras of a camera file, in file order."""
+    params = {}
+    return [camera_from_dict(entry, params) for entry in entries]
 
 
 def line_deployment_to_dict(dep: LineDeployment) -> dict:
@@ -146,48 +249,108 @@ def plan_to_dict(plan: DeploymentPlan) -> dict:
     }
 
 
+def _plan_error(key: str, expected: str, value) -> ValueError:
+    return ValueError(f"plan field {key!r} must be {expected}, got {value!r}")
+
+
+def _plan_number(value, key: str) -> float:
+    if not _is_finite_number(value):
+        raise _plan_error(key, "a finite number", value)
+    return float(value)
+
+
+def _plan_id(value, key: str) -> int:
+    if type(value) is not int or value < 0:
+        raise _plan_error(key, "a non-negative integer", value)
+    return value
+
+
+def _plan_duty(value, key: str):
+    """The camera serving one orientation at a vertex, or None."""
+    return None if value is None else _plan_id(value, key)
+
+
+def _plan_ids(value, key: str) -> tuple[int, ...]:
+    if type(value) is list:
+        for cid in value:
+            if type(cid) is not int or cid < 0:
+                break
+        else:
+            return tuple(value)
+    raise _plan_error(key, "a list of non-negative integers", value)
+
+
+def _plan_pair(value, key: str) -> tuple[int, int]:
+    if type(value) is not list or len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int:
+        raise _plan_error(key, "a pair of integers", value)
+    return (value[0], value[1])
+
+
+def _plan_orientation(value, key: str):
+    if value is not None and value != ORIENT_DOWN and value != ORIENT_UP:
+        raise _plan_error(key, f"{ORIENT_DOWN!r}, {ORIENT_UP!r} or null", value)
+    return value
+
+
 def plan_from_dict(data: dict) -> DeploymentPlan:
+    """The plan a plan JSON describes.  Every field must have its exact
+    JSON type, or ``ValueError`` is raised: ``m`` and ``n`` integers
+    >= 1, ``width``, ``height``, ``d`` and ``distance`` finite numbers,
+    ids non-negative integers (``down`` and ``up`` may be null), ``cell``
+    and ``vertex`` pairs of integers, ``orientation`` ``"down"``, ``"up"``
+    or null, and ``d_within_bound`` a bool.  Camera fields are checked
+    as in :func:`camera_from_dict`."""
     gd = data["grid"]
-    poses = {int(c["id"]): camera_from_dict(c) for c in data["cameras"]}
+    for key in ("m", "n"):
+        if type(gd[key]) is not int or gd[key] < 1:
+            raise _plan_error(key, "an integer >= 1", gd[key])
+    params = {}
+    poses = {}
+    records = {}
+    for c in data["cameras"]:
+        pose = camera_from_dict(c, params)
+        poses[pose.id] = pose
+        records[pose.id] = CameraRecord(
+            camera_id=pose.id,
+            origin=pose.position,
+            vertex=_plan_pair(c["vertex"], "vertex"),
+            distance=_plan_number(c["distance"], "distance"),
+            orientation=_plan_orientation(c["orientation"], "orientation"),
+        )
     grid = GridModel(
-        width=float(gd["width"]),
-        height=float(gd["height"]),
-        d=float(gd["d"]),
-        m=int(gd["m"]),
-        n=int(gd["n"]),
+        width=_plan_number(gd["width"], "width"),
+        height=_plan_number(gd["height"], "height"),
+        d=_plan_number(gd["d"], "d"),
+        m=gd["m"],
+        n=gd["n"],
         cell_members={
-            tuple(entry["cell"]): tuple(int(i) for i in entry["cameras"]) for entry in data["cells"]
+            _plan_pair(entry["cell"], "cell"): _plan_ids(entry["cameras"], "cameras") for entry in data["cells"]
         },
         poses=poses,
     )
     assignments = {}
     for entry in data["assignments"]:
-        v = tuple(entry["vertex"])
+        v = _plan_pair(entry["vertex"], "vertex")
         assignments[v] = VertexAssignment(
             vertex=v,
-            stationed=tuple(int(i) for i in entry["stationed"]),
-            down=entry["down"],
-            up=entry["up"],
-            silent=tuple(int(i) for i in entry["silent"]),
+            stationed=_plan_ids(entry["stationed"], "stationed"),
+            down=_plan_duty(entry["down"], "down"),
+            up=_plan_duty(entry["up"], "up"),
+            silent=_plan_ids(entry["silent"], "silent"),
         )
-    records = {}
-    for c in data["cameras"]:
-        cid = int(c["id"])
-        origin = Point2D(float(c["x"]), float(c["y"]))
-        records[cid] = CameraRecord(
-            camera_id=cid,
-            origin=origin,
-            vertex=tuple(c["vertex"]),
-            distance=float(c["distance"]),
-            orientation=c["orientation"],
-        )
+    heads = {_plan_pair(entry["cell"], "cell"): _plan_id(entry["id"], "id") for entry in data["heads"]}
+    if type(data["d_within_bound"]) is not bool:
+        raise _plan_error("d_within_bound", "true or false", data["d_within_bound"])
     return DeploymentPlan(
         grid=grid,
-        heads={tuple(entry["cell"]): int(entry["id"]) for entry in data["heads"]},
+        heads=heads,
         assignments=assignments,
         records=records,
-        deficits=tuple((tuple(entry["vertex"]), entry["orientation"]) for entry in data["deficits"]),
-        d_within_bound=bool(data["d_within_bound"]),
+        deficits=tuple(
+            (_plan_pair(entry["vertex"], "vertex"), _plan_orientation(entry["orientation"], "orientation"))
+            for entry in data["deficits"]
+        ),
+        d_within_bound=data["d_within_bound"],
     )
 
 
@@ -223,6 +386,7 @@ __all__ = [
     "sweep_csv_text",
     "camera_to_dict",
     "camera_from_dict",
+    "cameras_from_list",
     "line_deployment_to_dict",
     "plan_to_dict",
     "plan_from_dict",

@@ -1,10 +1,12 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's vectorized kernel and graph search
-so they can cross-check them: plain-math full-view evaluation and
-exhaustive s-t path enumeration.
+These deliberately avoid the library's vectorized kernel, graph search
+and JSON writer so they can cross-check them: plain-math full-view
+evaluation, exhaustive s-t path enumeration and the standard library's
+JSON encoder.
 """
 
+import json
 import math
 
 from cambarrier.barrier_graph import SINK, SOURCE
@@ -109,3 +111,20 @@ def brute_force_lex_best_path(g):
         return None
     best = min(d for d, _ in paths)
     return min(p for d, p in paths if d == best)
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def ref_dumps(obj):
+    """The JSON text ``serialize.dumps`` must write: a copy of ``obj``
+    with every float rounded to 9 significant digits, through
+    ``json.dumps`` with a two-space indent and sorted keys."""
+    return json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -116,6 +117,79 @@ class TestGridPipeline:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    # SHA-256 of each command's output on the 120-camera file above, taken
+    # before JSON output moved to a one-pass writer.
+    PINNED_SHA256 = {
+        "plan-line": "001f686995aa1e86fa01bc5f766a0f7e6bf0c07a8a10881198f48f86d1f0f922",
+        "deploy-grid": "2e49fd809d8c896c486b8ae1485404c2f1cb9a715225cccb22a77972cf91f0e2",
+        "barrier": "390619ee255713e0634e280ca6a1c7b717dbe29875d2e6ab3c347f802e3e1d86",
+        "k-barrier": "d9a17777708d324432128db63446cd9bd6c3b83b9ce36f1a5545a9ea61161efd",
+    }
+
+    def test_plan_commands_keep_their_bytes(self, tmp_path, capsys, camera_file):
+        plan_path = tmp_path / "plan.json"
+        argvs = {
+            "plan-line": ["plan-line", "--length", "100", "--r", "5"],
+            "deploy-grid": ["deploy-grid", "--cameras", str(camera_file), "--width", "20", "--height", "10"],
+            "barrier": ["barrier", "--plan", str(plan_path)],
+            "k-barrier": ["k-barrier", "--plan", str(plan_path)],
+        }
+        digests = {}
+        for command, argv in argvs.items():
+            code, out = run(capsys, *argv)
+            assert code == 0
+            if command == "deploy-grid":
+                plan_path.write_text(out)
+            digests[command] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == self.PINNED_SHA256
+
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("grid", "m"), True),
+            (("grid", "m"), 0),
+            (("grid", "n"), 2.0),
+            (("grid", "d"), True),
+            (("grid", "width"), "20"),
+            (("grid", "height"), math.inf),
+            (("cells", 0, "cell"), [1]),
+            (("cells", 0, "cell"), [1, "1"]),
+            (("cells", 0, "cameras"), ["1"]),
+            (("heads", 0, "id"), -1),
+            (("heads", 0, "id"), None),
+            (("assignments", 0, "vertex"), [1.0, 1]),
+            (("assignments", 0, "down"), "7"),
+            (("assignments", 0, "down"), True),
+            (("assignments", 0, "up"), 1.5),
+            (("assignments", 0, "stationed"), "12"),
+            (("assignments", 0, "silent"), [False]),
+            (("cameras", 0, "distance"), True),
+            (("cameras", 0, "vertex"), [1.0, 1]),
+            (("cameras", 0, "orientation"), "left"),
+            (("deficits", 0, "orientation"), 1),
+            (("d_within_bound",), "no"),
+            (("d_within_bound",), 1),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, str) else v,
+    )
+    def test_mistyped_plan_field_exits_2(self, tmp_path, capsys, camera_file, command, path, value):
+        plan_path = tmp_path / "plan.json"
+        assert run(capsys, "deploy-grid", "--cameras", str(camera_file), "--width", "20", "--height", "10",
+                   "--out", str(plan_path))[0] == 0
+        plan = json.loads(plan_path.read_text())
+        assert plan["deficits"], "the plan must have a deficit to mistype"
+        target = plan
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        plan_path.write_text(json.dumps(plan))  # inf becomes Infinity
+        code = main([command, "--plan", str(plan_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: plan field {path[-1]!r}") and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_outside_camera_exits_3(self, tmp_path, capsys, camera_file):
         code, _ = run(

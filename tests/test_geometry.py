@@ -18,6 +18,7 @@ from cambarrier.geometry import (
     _mod_tau,
     _wrap_negative,
     bearing_between,
+    check_integer,
     circular_gaps,
     covers,
     full_view_covered_point,
@@ -71,6 +72,20 @@ class TestTypes:
 
     def test_bearing_between_wraps(self):
         assert bearing_between(350 * DEG, 10 * DEG) == pytest.approx(20 * DEG)
+
+    @pytest.mark.parametrize("value", [0, 3, 10**30, np.int64(3), np.uint8(0)], ids=repr)
+    def test_check_integer_accepts_integers_at_or_above_the_minimum(self, value):
+        check_integer("count", value, 0)
+
+    @pytest.mark.parametrize(
+        "value, minimum",
+        [(True, 0), (False, 0), (2.0, 0), ("3", 0), (None, 0), (-1, 0), (1, 2), (np.int64(-1), 0),
+         (np.bool_(True), 0), (-(10**30), 0)],
+        ids=repr,
+    )
+    def test_check_integer_rejects_everything_else(self, value, minimum):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            check_integer("count", value, minimum)
 
 
 class TestCovers:
