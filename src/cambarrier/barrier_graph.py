@@ -128,7 +128,7 @@ def prune_degree_one(g: CoverageGraph) -> CoverageGraph:
     return CoverageGraph(m=g.m, n=g.n, cells=cells, adj=adj)
 
 
-def barrier_exists(mask) -> bool:
+def barrier_exists(mask, covered=None) -> bool:
     """True iff the covered cells of the (m, n) boolean ``mask`` hold a
     chain of 8-adjacent cells from column 1 to column n.
 
@@ -136,7 +136,15 @@ def barrier_exists(mask) -> bool:
     the graph :func:`build_graph` makes of the same cells, pruned or not:
     ``s`` reaches only column-1 cells and ``t`` only column-n cells.  It is
     answered by one depth-first flood fill from the covered cells of
-    column 1, which stops at the first column-n cell it reaches.
+    column 1, which stops at the first column-n cell it reaches.  Steps
+    to the right are taken first.
+
+    ``covered``, when given, is a predicate ``covered(i, j)`` on 0-based
+    cell indices, and a cell counts as covered only if the mask holds it
+    and the predicate confirms it: the answer is that of
+    ``barrier_exists(mask & truth)``.  The predicate is asked only about
+    mask cells the fill reaches, at most once each, so an expensive test
+    runs only where it can change the answer.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2 or 0 in mask.shape:
@@ -150,9 +158,14 @@ def barrier_exists(mask) -> bool:
     stack = [k for k in range(w + 1, (m + 1) * w, w) if free[k]]
     for k in stack:
         free[k] = False
-    steps = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
+    # Left, then vertical, then right: the last pushed is popped first.
+    steps = (-w - 1, -1, w - 1, -w, w, -w + 1, w + 1, 1)
     while stack:
         k = stack.pop()
+        if covered is not None:
+            i, j = divmod(k, w)
+            if not covered(i - 1, j - 1):
+                continue
         if k % w == n:
             return True
         for step in steps:

@@ -79,10 +79,6 @@ class Point2D:
     def distance_to(self, other: "Point2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def bearing_to(self, other: "Point2D") -> float:
-        """Bearing from this point to ``other``."""
-        return normalize_bearing(math.atan2(other.y - self.y, other.x - self.x))
-
 
 @dataclass(frozen=True)
 class CameraParams:
@@ -255,8 +251,16 @@ def _check_theta(theta: float) -> None:
 def _mod_tau(v):
     """``np.mod(v, TAU)``, bit for bit, in the steps numpy's float
     remainder performs (``fmod``, then :func:`_wrap_negative`), without
-    its division."""
-    return _wrap_negative(np.fmod(v, TAU))
+    its division.
+
+    ``fmod`` runs only where it can change a value: IEEE ``fmod(v, TAU)``
+    is ``v`` itself when ``|v| < TAU``.  NaN and infinities fail that
+    test, so they go through ``fmod`` too."""
+    far = ~(np.abs(v) < TAU)
+    if far.any():
+        v = v.copy()
+        v[far] = np.fmod(v[far], TAU)
+    return _wrap_negative(v)
 
 
 def _wrap_negative(v):
@@ -278,10 +282,10 @@ def _full_view_mask(xs, ys, cameras: CameraCull, theta, axis):
     Camera rows that cannot contribute are dropped as soon as that is
     known: rows with no point in range before the aim angle is computed,
     then rows with no usable point before the bearing toward the camera
-    is computed and the bearings are sorted.  Dropping a row is plain
-    subsetting, so every surviving value, and therefore the verdict, is
-    bit-identical to evaluating every row.  When no row survives every
-    point fails.
+    is computed and the bearings are sorted (no copy is made when every
+    row stays).  Dropping a row is plain subsetting, so every surviving
+    value, and therefore the verdict, is bit-identical to evaluating
+    every row.  When no row survives every point fails.
     """
     npts = xs.size
     if not len(cameras):
@@ -293,14 +297,17 @@ def _full_view_mask(xs, ys, cameras: CameraCull, theta, axis):
     # Covering cameras that contribute a bearing; co-located ones do not.
     usable = (dist > EPS) & (dist < cameras.r[:, None] + EPS)
     rows = usable.any(axis=1)
-    dx, dy, usable = dx[rows], dy[rows], usable[rows]
-    half, fac = cameras.half[rows], cameras.facing[rows]
+    half, fac = cameras.half, cameras.facing
+    if not rows.all():
+        dx, dy, usable = dx[rows], dy[rows], usable[rows]
+        half, fac = half[rows], fac[rows]
     aim = np.abs(_mod_tau(np.arctan2(dy, dx) - fac[:, None] + math.pi) - math.pi)
     usable &= aim < half[:, None] + EPS
     rows = usable.any(axis=1)
     if not rows.any():
         return np.zeros(npts, dtype=bool)
-    dx, dy, usable = dx[rows], dy[rows], usable[rows]
+    if not rows.all():
+        dx, dy, usable = dx[rows], dy[rows], usable[rows]
 
     toward = _wrap_negative(np.arctan2(-dy, -dx))  # bearing point -> camera
     stack = [np.where(usable, toward, np.nan)]

@@ -292,6 +292,17 @@ def _plan_orientation(value, key: str):
     return value
 
 
+def _unknown_camera(cell_members, heads, assignments, poses) -> ValueError:
+    """The error for the first id, taking cells, heads and assignments in
+    turn, that names no camera of the plan; one must exist."""
+    fields = [("cameras", ids) for ids in cell_members.values()]
+    fields.append(("id", heads.values()))
+    for a in assignments.values():
+        fields += [("stationed", a.stationed), ("down", (a.down,)), ("up", (a.up,)), ("silent", a.silent)]
+    key, cid = next((key, cid) for key, ids in fields for cid in ids if cid is not None and cid not in poses)
+    return _plan_error(key, "the id of a camera in 'cameras'", cid)
+
+
 def plan_from_dict(data: dict) -> DeploymentPlan:
     """The plan a plan JSON describes.  Every field must have its exact
     JSON type, or ``ValueError`` is raised: ``m`` and ``n`` integers
@@ -299,7 +310,8 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
     ids non-negative integers (``down`` and ``up`` may be null), ``cell``
     and ``vertex`` pairs of integers, ``orientation`` ``"down"``, ``"up"``
     or null, and ``d_within_bound`` a bool.  Camera fields are checked
-    as in :func:`camera_from_dict`."""
+    as in :func:`camera_from_dict`.  Every id in ``cells``, ``heads`` and
+    ``assignments`` must name a camera in ``cameras``."""
     gd = data["grid"]
     for key in ("m", "n"):
         if type(gd[key]) is not int or gd[key] < 1:
@@ -339,6 +351,13 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
             silent=_plan_ids(entry["silent"], "silent"),
         )
     heads = {_plan_pair(entry["cell"], "cell"): _plan_id(entry["id"], "id") for entry in data["heads"]}
+    named = set(heads.values())
+    named.update(*grid.cell_members.values())
+    for a in assignments.values():
+        named.update(a.stationed, a.silent, (a.down, a.up))
+    named.discard(None)
+    if not named.issubset(poses):
+        raise _unknown_camera(grid.cell_members, heads, assignments, poses)
     if type(data["d_within_bound"]) is not bool:
         raise _plan_error("d_within_bound", "true or false", data["d_within_bound"])
     return DeploymentPlan(

@@ -7,11 +7,12 @@ trial])``, so runs are reproducible bit for bit, trials are independent,
 and the static and mobile pipelines see identical camera draws for the
 same (seed, count, trial).
 
-Both pipelines end in an (m, n) covered-cell mask and one flood fill,
+Both pipelines end in one flood fill on an (m, n) cell mask,
 :func:`~cambarrier.barrier_graph.barrier_exists`.  The static pipeline
 covers a cell when its mid-segment passes the full-view test with the
-cameras as deployed, and its sweep hands the drawn arrays to the kernel
-as a :class:`~cambarrier.geometry.CameraCull`.  The mobile pipeline
+cameras as deployed; the fill runs that test on the cells it reaches,
+and the sweep hands the drawn arrays to the kernel as a
+:class:`~cambarrier.geometry.CameraCull`.  The mobile pipeline
 covers the cells relocation staffs, which follow from the number of
 cameras in each cell alone (:func:`~cambarrier.grid_deploy.staffed_mask`),
 so its sweep bins the drawn position arrays.  Neither sweep builds
@@ -221,7 +222,8 @@ def _static_barrier(cameras: CameraCull, config: ScenarioConfig) -> bool:
     t = np.linspace(0.0, 1.0, config.samples)
     last = config.samples - 1
     coarse = t[sorted({round(k * last / (_COARSE_SAMPLES - 1)) for k in range(_COARSE_SAMPLES)})]
-    covered = np.zeros((m, n), dtype=bool)
+    candidates = np.zeros((m, n), dtype=bool)
+    columns = []
     for j in range(n):
         segs = [cell_mid_segment((i + 1, j + 1), d) for i in range(m)]
         column = cameras.within(segs[0].a.x, segs[0].b.x, segs[0].a.y, segs[-1].a.y)
@@ -229,13 +231,16 @@ def _static_barrier(cameras: CameraCull, config: ScenarioConfig) -> bool:
         xs = np.concatenate([x for x, _ in points])
         ys = np.concatenate([y for _, y in points])
         passed = _full_view_mask(xs, ys, column, config.theta, 0.0).reshape(m, coarse.size).all(axis=1)
-        for i in np.flatnonzero(passed):
-            covered[i, j] = full_view_covered_segment(
-                segs[i], column.near(segs[i]), config.theta, samples=config.samples
-            )
-        if not covered[:, j].any():
+        if not passed.any():
             return False
-    return barrier_exists(covered)
+        candidates[:, j] = passed
+        columns.append((segs, column))
+
+    def covered(i, j):
+        segs, column = columns[j]
+        return full_view_covered_segment(segs[i], column.near(segs[i]), config.theta, samples=config.samples)
+
+    return barrier_exists(candidates, covered)
 
 
 def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
@@ -243,17 +248,17 @@ def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
     mid-segment passes the sampled full-view test with the cameras exactly
     as deployed; then ask for an s-t path on the same grid.
 
-    Only work that can change the verdict is done.  Columns are tested
-    left to right, and the answer is False at the first column with no
-    covered cell: every s-t path over 8-adjacent cells visits every
-    column.  A column's cells are first tested together on a few of
-    their samples, in one kernel call that sees the cameras near the
-    column; the kernel decides each point on its own, so a cell that
-    fails there fails the full test.  Each remaining cell gets the full
-    test on the cameras :class:`CameraCull` keeps near its mid-segment.
-    Every cut leaves out only cameras too far away to cover a sample.
-    The covered-cell mask then goes to one flood fill
-    (:func:`barrier_exists`).
+    Only work that can change the verdict is done.  Columns are first
+    tested left to right, each in one kernel call on a few samples of
+    every cell, with the cameras near the column; the kernel decides each
+    point on its own, so a cell that fails there fails the full test.
+    The answer is False at the first column where no cell passes: every
+    s-t path over 8-adjacent cells visits every column.  The cells that
+    pass go to one flood fill (:func:`barrier_exists`), which runs the
+    full test on a cell only when it reaches it, on the cameras
+    :class:`CameraCull` keeps near the cell's mid-segment, and stops at
+    the first covered cell of the last column.  Every cut leaves out only
+    cameras too far away to cover a sample.
     """
     return _static_barrier(CameraCull.of(cameras), config)
 

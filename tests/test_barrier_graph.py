@@ -210,6 +210,67 @@ class TestBarrierExists:
             barrier_exists(mask)
 
 
+class TestBarrierExistsOnDemand:
+    """``barrier_exists(mask, covered)`` against the fill on the
+    confirmed cells alone, ``barrier_exists(mask & truth)``."""
+
+    def test_matches_the_fill_on_confirmed_cells(self):
+        rng = np.random.default_rng(59)
+        seen = set()
+        for _ in range(2500):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            mask = rng.random((m, n)) < rng.uniform(0.3, 1.0)
+            truth = rng.random((m, n)) < rng.uniform(0.3, 1.0)
+            asked = []
+
+            def covered(i, j):
+                assert 0 <= i < m and 0 <= j < n
+                asked.append((i, j))
+                return bool(truth[i, j])
+
+            got = barrier_exists(mask, covered)
+            assert got == barrier_exists(mask & truth)
+            assert all(mask[c] for c in asked)
+            assert len(asked) == len(set(asked))
+            seen.add((got, m == 1, n == 1))
+        assert {(True, True, False), (False, True, False), (True, False, True), (False, False, True)} <= seen
+        assert {(True, False, False), (False, False, False)} <= seen
+
+    def test_dropped_cell_is_not_a_step(self):
+        # The only crossing runs through the middle of the top row; when the
+        # predicate rejects that cell, the fill must not step over it.
+        mask = np.array([[True, True, True], [True, False, True]])
+        assert barrier_exists(mask, lambda i, j: (i, j) != (0, 1)) is False
+        assert barrier_exists(mask, lambda i, j: True) is True
+
+    def test_steps_straight_right_first(self):
+        # From the top-left cell both the cell to the right and the one
+        # below it are open; the fill asks about the one to the right first
+        # and is done before it needs the other.
+        mask = np.array([[True, True, True], [False, True, False]])
+        asked = []
+
+        def covered(i, j):
+            asked.append((i, j))
+            return True
+
+        assert barrier_exists(mask, covered)
+        assert asked == [(0, 0), (0, 1), (0, 2)]
+
+    def test_full_grid_confirms_one_cell_per_column(self):
+        # Steps to the right are taken first, so a fully covered grid is
+        # crossed along one row with no detour.
+        for m, n in ((1, 1), (1, 6), (5, 1), (4, 7)):
+            asked = []
+
+            def covered(i, j):
+                asked.append((i, j))
+                return True
+
+            assert barrier_exists(np.ones((m, n), dtype=bool), covered)
+            assert sorted(j for _, j in asked) == list(range(n))
+
+
 class TestDistinctCameras:
     def _plan(self, width, height, count, d):
         rng = np.random.default_rng(41)

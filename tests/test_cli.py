@@ -191,6 +191,49 @@ class TestGridPipeline:
         assert captured.err.startswith(f"error: plan field {path[-1]!r}") and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("cells", "cameras"),
+            ("heads", "id"),
+            ("assignments", "stationed"),
+            ("assignments", "down"),
+            ("assignments", "up"),
+            ("assignments", "silent"),
+        ],
+    )
+    def test_plan_id_naming_no_camera_exits_2(self, tmp_path, capsys, camera_file, command, section, key):
+        plan_path = tmp_path / "plan.json"
+        assert run(capsys, "deploy-grid", "--cameras", str(camera_file), "--width", "20", "--height", "10",
+                   "--out", str(plan_path))[0] == 0
+        plan = json.loads(plan_path.read_text())
+        entry = next(e for e in plan[section] if e[key] or e[key] == 0)
+        entry[key] = [999999] if isinstance(entry[key], list) else 999999
+        plan_path.write_text(json.dumps(plan))
+        code = main([command, "--plan", str(plan_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: plan field {key!r}") and "999999" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    def test_plan_whose_down_duties_name_no_camera_exits_2(self, tmp_path, capsys, camera_file, command):
+        plan_path = tmp_path / "plan.json"
+        assert run(capsys, "deploy-grid", "--cameras", str(camera_file), "--width", "20", "--height", "10",
+                   "--out", str(plan_path))[0] == 0
+        assert json.loads(run(capsys, "barrier", "--plan", str(plan_path))[1])["camera_count"] == 12
+        plan = json.loads(plan_path.read_text())
+        for entry in plan["assignments"]:
+            if entry["down"] is not None:
+                entry["down"] = 999999
+        plan_path.write_text(json.dumps(plan))
+        code = main([command, "--plan", str(plan_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: plan field 'down' must be the id of a camera in 'cameras', got 999999\n"
+        assert captured.out == ""
+
     def test_outside_camera_exits_3(self, tmp_path, capsys, camera_file):
         code, _ = run(
             capsys,
@@ -299,9 +342,18 @@ class TestSimulate:
             "x,estimate,trials,successes,stderr\n0,0,8,0,0\n80,0,8,0,0\n100,0,8,0,0\n"
             "120,0.5,8,4,0.176776695\n140,0.5,8,4,0.176776695\n160,1,8,8,0\n200,1,8,8,0\n",
         ),
+        # A 3 x 7 static grid, taken before full tests moved into the flood
+        # fill.
+        (
+            {"width": 60.0, "height": 20.0, "r": 10.0, "theta": math.pi / 2, "phi": math.pi,
+             "counts": [0, 15, 20, 25, 30, 40], "trials": 6, "seed": 5, "mode": "static", "samples": 101},
+            "x,estimate,trials,successes,stderr\n0,0,6,0,0\n15,0.166666667,6,1,0.152145155\n"
+            "20,0.5,6,3,0.204124145\n25,0.5,6,3,0.204124145\n30,0.833333333,6,5,0.152145155\n"
+            "40,1,6,6,0\n",
+        ),
     ]
 
-    @pytest.mark.parametrize("cfg, expected", PINNED, ids=["mobile", "static", "mobile-7x7"])
+    @pytest.mark.parametrize("cfg, expected", PINNED, ids=["mobile", "static", "mobile-7x7", "static-3x7"])
     def test_integer_configs_keep_their_bytes(self, tmp_path, capsys, cfg, expected):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))

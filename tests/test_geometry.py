@@ -316,6 +316,26 @@ class TestAngleWraps:
         grid = v[:3000].reshape(30, 100)  # the kernel's 2-D shape
         assert np.array_equal(bits(_mod_tau(grid)), bits(np.mod(grid, TAU)))
 
+    def test_mod_tau_on_values_at_and_beyond_a_turn(self):
+        # fmod is skipped only where |v| < TAU; at TAU itself, beyond it and
+        # on NaN and infinities it must still run.
+        turns = [k * TAU for k in (1, 2, 3, 7, 1e6)]
+        edges = [np.nextafter(t, w) for t in (TAU, -TAU) for w in (0.0, np.inf, -np.inf)]
+        special = [np.inf, np.nan, 1e300, 1.7976931348623157e308, *turns, *edges]
+        v = np.array(special + [-x for x in special])
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(bits(_mod_tau(v)), bits(np.mod(v, TAU)))
+            for x in v:  # one at a time too, so no entry hides behind another
+                assert np.array_equal(bits(_mod_tau(np.array([x]))), bits(np.mod(np.array([x]), TAU)))
+        assert _mod_tau(np.array([TAU]))[0] == 0.0
+
+    def test_mod_tau_leaves_its_argument_alone(self):
+        v = np.array([0.5, 3 * TAU, -TAU, np.inf])
+        before = bits(v).copy()
+        with np.errstate(invalid="ignore"):
+            _mod_tau(v)
+        assert np.array_equal(bits(v), before)
+
     def test_wrap_negative_is_np_mod_on_arctan2_results(self):
         v = awkward_angles()
         v = v[np.abs(v) <= math.pi]

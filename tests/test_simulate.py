@@ -395,6 +395,27 @@ class TestStaticMatchesUnculledOracle:
         assert {x for x, _ in full} <= {0.0}
         assert all(k < len(cams) for _, k in full)
 
+    def test_full_tests_run_only_where_the_fill_reaches(self, monkeypatch):
+        cfg = small_config(width=80.0)
+        d = grid_length_bound(cfg.r)
+        n = math.ceil(cfg.width / d - 1e-9)
+        m = math.ceil(cfg.height / d - 1e-9)
+        assert m >= 2 and n == 5
+        cams = lattice_watchers(cfg, range(1, n + 1))
+        full = []
+        real_segment = simulate_module.full_view_covered_segment
+
+        def segment_spy(seg, cameras, *args, **kwargs):
+            full.append((seg.a.x, seg.a.y))
+            return real_segment(seg, cameras, *args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "full_view_covered_segment", segment_spy)
+        assert barrier_exists_static(cams, cfg)
+        # Every cell is covered, and the fill crosses along one row: one
+        # full test per column, none twice.
+        assert sorted(round(x / d) for x, _ in full) == list(range(n))
+        assert len(set(full)) == n
+
 
 class TestSweeps:
     def test_zero_count_row_estimates_zero(self):
