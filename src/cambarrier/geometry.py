@@ -139,11 +139,24 @@ class Segment:
         return Point2D((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
 
 
-#: Slack added to the largest sensing radius when culling cameras by
-#: position.  It must exceed EPS, because the kernel counts a camera as in
-#: range while ``dist < r + EPS``; the rest absorbs rounding of
-#: coordinates up to about 1e6 m.
+#: Slack added to the sensing radius when culling cameras by position.
+#: It must exceed EPS, because the kernel counts a camera as in range
+#: while ``dist < r + EPS``; the rest absorbs rounding of coordinates up
+#: to :data:`CULL_SCALE`.
 CULL_MARGIN = 1e-6
+
+#: Largest coordinate magnitude, in meters, for which :meth:`CameraCull.near`
+#: drops cameras; past it every camera is kept.
+CULL_SCALE = 1e6
+
+#: Distance from a segment's line, in meters, within which
+#: :meth:`CameraCull.near` keeps a camera whatever its facing: the bearings
+#: from such a camera to the segment are ill-conditioned.
+CULL_LINE = 1e-3
+
+#: Slack, in radians, added to half the field of view when culling
+#: cameras by facing.  The bound is worked out in :meth:`CameraCull.near`.
+CULL_ANGLE = 1e-5
 
 
 class CameraCull:
@@ -153,8 +166,8 @@ class CameraCull:
     reads.
 
     Build it once per set of cameras (:meth:`of` converts poses); each
-    segment can then be handed only the cameras that can reach it, with
-    :meth:`near`, at the cost of one vectorized box test.
+    region can then be handed only the cameras that can reach it: a box
+    with :meth:`within`, a segment with :meth:`near`.
     """
 
     def __init__(self, x, y, r, half, facing):
@@ -179,6 +192,10 @@ class CameraCull:
     def __len__(self) -> int:
         return self.x.size
 
+    def _subset(self, keep) -> "CameraCull":
+        rows = np.flatnonzero(keep)  # one index array is cheaper to apply five times than a mask
+        return CameraCull(self.x[rows], self.y[rows], self.r[rows], self.half[rows], self.facing[rows])
+
     def within(self, x0: float, x1: float, y0: float, y1: float) -> "CameraCull":
         """Cameras inside the box [x0, x1] x [y0, y1] grown by the largest
         sensing radius plus :data:`CULL_MARGIN`, in input order.
@@ -193,13 +210,56 @@ class CameraCull:
             & (self.y >= y0 - self.reach)
             & (self.y <= y1 + self.reach)
         )
-        return CameraCull(self.x[keep], self.y[keep], self.r[keep], self.half[keep], self.facing[keep])
+        return self._subset(keep)
 
     def near(self, seg: Segment) -> "CameraCull":
-        """The cameras :meth:`within` the bounding box of ``seg``."""
-        x0, x1 = sorted((seg.a.x, seg.b.x))
-        y0, y1 = sorted((seg.a.y, seg.b.y))
-        return self.within(x0, x1, y0, y1)
+        """The cameras whose sensing sector can reach ``seg``, in input
+        order.  A camera is kept when both hold:
+
+        * its distance to the segment is below ``r +`` :data:`CULL_MARGIN`;
+        * its facing is within ``half + EPS +`` :data:`CULL_ANGLE` of the
+          arc of bearings from it to the segment, taken as the short arc
+          between the bearings to the endpoints (it holds every point of
+          the segment, by convexity); or it lies within :data:`CULL_LINE`
+          of the segment's line, where that arc is ill-conditioned.
+
+        Conservative: every camera left out has no usable (point, camera)
+        pair in the kernel's arithmetic for any point
+        :func:`segment_points` samples on ``seg``, so the full-view test
+        of those points gives the same verdict on the result as on all
+        cameras.  Take the segment's coordinates and the radii of at most
+        :data:`CULL_SCALE` (1e6) in magnitude; every camera the range test
+        can keep then lies within 2e6 of the origin, where an ulp is
+        2.3e-10.  A sampled point lies within about 5e-10 of the segment,
+        and the kernel's offsets to a camera are off by at most 1.5e-9.
+        Distances are then off by far less than the ``CULL_MARGIN - EPS``
+        of slack.  A camera at distance ``h >= CULL_LINE`` from the line
+        sees every point at least ``h`` away, so the kernel's bearing to a
+        sample is off by at most ``1.5e-9 / h <= 1.5e-6`` from the bearing
+        to a point of the arc, and this test's endpoint bearings by less;
+        ``CULL_ANGLE`` covers both several times over.  Past
+        ``CULL_SCALE`` every camera is kept.
+        """
+        ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
+        if not len(self) or max(abs(ax), abs(ay), abs(bx), abs(by), self.reach) > CULL_SCALE:
+            return self
+        ux, uy = bx - ax, by - ay
+        length = math.hypot(ux, uy)
+        px, py = self.x - ax, self.y - ay
+        # Offset from the nearest point of the segment.
+        t = np.minimum(np.maximum((px * ux + py * uy) / (length * length), 0.0), 1.0)
+        qx, qy = px - t * ux, py - t * uy
+        keep = qx * qx + qy * qy < (self.r + CULL_MARGIN) ** 2
+        if self.half.min() + EPS + CULL_ANGLE < math.pi:
+            to_a = np.arctan2(ay - self.y, ax - self.x)
+            turn = np.arctan2(by - self.y, bx - self.x) - to_a
+            turn -= TAU * np.rint(turn / TAU)  # the short arc, in [-pi, pi]
+            off = self.facing - (to_a + turn / 2.0)
+            off -= TAU * np.rint(off / TAU)
+            sees = np.abs(off) <= np.abs(turn) / 2.0 + self.half + (EPS + CULL_ANGLE)
+            sees |= np.abs(ux * py - uy * px) < CULL_LINE * length
+            keep &= sees
+        return self._subset(keep)
 
 
 def covers(camera: CameraPose, p: Point2D) -> bool:
@@ -251,13 +311,14 @@ def _check_theta(theta: float) -> None:
 def _mod_tau(v):
     """``np.mod(v, TAU)``, bit for bit, in the steps numpy's float
     remainder performs (``fmod``, then :func:`_wrap_negative`), without
-    its division.
+    its division.  ``v`` itself is left alone.
 
     ``fmod`` runs only where it can change a value: IEEE ``fmod(v, TAU)``
     is ``v`` itself when ``|v| < TAU``.  NaN and infinities fail that
-    test, so they go through ``fmod`` too."""
-    far = ~(np.abs(v) < TAU)
-    if far.any():
+    test, so they go through ``fmod`` too; one maximum tells whether any
+    value needs it."""
+    if v.size and not np.abs(v).max() < TAU:
+        far = ~(np.abs(v) < TAU)
         v = v.copy()
         v[far] = np.fmod(v[far], TAU)
     return _wrap_negative(v)
@@ -271,13 +332,70 @@ def _wrap_negative(v):
     return v + np.where(v < 0.0, TAU, 0.0)
 
 
+#: Relative half-width of the band around a squared threshold inside
+#: which :func:`_in_range` asks ``np.hypot``.  Far wider than the few ulps
+#: by which ``dx*dx + dy*dy`` can differ from the square of ``np.hypot``.
+_SQUARE_BAND = 1e-12
+_EPS2_LO = EPS * EPS * (1.0 - _SQUARE_BAND)
+_EPS2_HI = EPS * EPS * (1.0 + _SQUARE_BAND)
+
+
+def _in_range(dx, dy, r):
+    """``(dist > EPS) & (dist < r + EPS)`` with ``dist = np.hypot(dx, dy)``,
+    bit for bit, for offsets ``dx, dy`` of shape (cameras, points) and one
+    radius per camera row.
+
+    Each pair is decided from ``s = dx*dx + dy*dy`` against the squared
+    thresholds; ``np.hypot``, the referee, runs only on the pairs squaring
+    cannot settle: ``s`` within a relative ``_SQUARE_BAND`` of either
+    squared threshold, ``s`` not finite, and every pair of a row whose
+    squared threshold overflows.  An ``s`` that overflows past a finite
+    band is settled: the pair is out of range."""
+    s = dx * dx
+    s += dy * dy
+    reach = r + EPS
+    square = reach * reach
+    lo, hi = square * (1.0 - _SQUARE_BAND), square * (1.0 + _SQUARE_BAND)
+    overflow = ~(hi < np.inf)
+    if overflow.any():
+        lo[overflow] = hi[overflow] = np.nan  # NaN settles nothing
+    inside = s < lo[:, None]
+    usable = inside & (s > _EPS2_HI)
+    outside = s > hi[:, None]
+    n_in, n_usable = np.count_nonzero(inside), np.count_nonzero(usable)
+    if n_in + np.count_nonzero(outside) == s.size and n_usable == n_in:
+        return usable
+    unsure = ~(usable | outside | (s < _EPS2_LO))
+    dist = np.hypot(dx[unsure], dy[unsure])
+    usable[unsure] = (dist > EPS) & (dist < np.broadcast_to(reach[:, None], s.shape)[unsure])
+    return usable
+
+
+#: Most camera rows times points one kernel pass evaluates at a time:
+#: larger batches are split by points.  One point of ``MAX_CAMERAS``
+#: cameras fits, and the benchmark's calls are far below it.
+KERNEL_BUDGET = 1 << 20
+
+
 def _full_view_mask(xs, ys, cameras: CameraCull, theta, axis):
     """Vectorized full-view test for many points at once.
 
     Returns a boolean array, one entry per point.  This is the single
     implementation behind the point and segment predicates.  Each point's
     verdict depends on that point and the cameras alone, not on the other
-    points of the batch.
+    points of the batch, so the points are evaluated in chunks of at most
+    :data:`KERNEL_BUDGET` (camera, point) pairs.
+    """
+    step = max(1, KERNEL_BUDGET // max(len(cameras), 1))
+    if xs.size <= step:
+        return _full_view_chunk(xs, ys, cameras, theta, axis)
+    return np.concatenate(
+        [_full_view_chunk(xs[k : k + step], ys[k : k + step], cameras, theta, axis) for k in range(0, xs.size, step)]
+    )
+
+
+def _full_view_chunk(xs, ys, cameras: CameraCull, theta, axis):
+    """:func:`_full_view_mask` on one batch of points.
 
     Camera rows that cannot contribute are dropped as soon as that is
     known: rows with no point in range before the aim angle is computed,
@@ -288,47 +406,55 @@ def _full_view_mask(xs, ys, cameras: CameraCull, theta, axis):
     every row.  When no row survives every point fails.
     """
     npts = xs.size
+    fail = np.zeros(npts, dtype=bool)
     if not len(cameras):
-        return np.zeros(npts, dtype=bool)
+        return fail
 
     dx = xs[None, :] - cameras.x[:, None]
     dy = ys[None, :] - cameras.y[:, None]
-    dist = np.hypot(dx, dy)
     # Covering cameras that contribute a bearing; co-located ones do not.
-    usable = (dist > EPS) & (dist < cameras.r[:, None] + EPS)
+    usable = _in_range(dx, dy, cameras.r)
     rows = usable.any(axis=1)
+    if not rows.any():
+        return fail
     half, fac = cameras.half, cameras.facing
     if not rows.all():
         dx, dy, usable = dx[rows], dy[rows], usable[rows]
         half, fac = half[rows], fac[rows]
-    aim = np.abs(_mod_tau(np.arctan2(dy, dx) - fac[:, None] + math.pi) - math.pi)
+    aim = np.arctan2(dy, dx)
+    aim -= fac[:, None]
+    aim += math.pi
+    aim = _mod_tau(aim)
+    aim -= math.pi
+    np.abs(aim, out=aim)
     usable &= aim < half[:, None] + EPS
     rows = usable.any(axis=1)
     if not rows.any():
-        return np.zeros(npts, dtype=bool)
+        return fail
     if not rows.all():
         dx, dy, usable = dx[rows], dy[rows], usable[rows]
 
-    toward = _wrap_negative(np.arctan2(-dy, -dx))  # bearing point -> camera
-    stack = [np.where(usable, toward, np.nan)]
-    if axis is not None:
-        a0 = normalize_bearing(axis)
-        a1 = normalize_bearing(axis + math.pi)
-        stack.append(np.full((1, npts), a0))
-        stack.append(np.full((1, npts), a1))
-    bearings = np.vstack(stack)
-
-    counts = np.count_nonzero(~np.isnan(bearings), axis=0)
-    ordered = np.sort(bearings, axis=0)  # NaNs sort to the end
-    diffs = np.diff(ordered, axis=0)
-    if diffs.shape[0]:
-        inner = np.where(np.isnan(diffs), -np.inf, diffs).max(axis=0)
-    else:
-        inner = np.full(npts, -np.inf)
-    last = np.take_along_axis(ordered, np.maximum(counts - 1, 0)[None, :], axis=0)[0]
-    wrap = ordered[0] + TAU - last
-    gap = np.maximum(inner, wrap)
-    gap = np.where(counts <= 1, TAU, gap)
+    # Bearings point -> camera, then the two free bearings along the axis.
+    free = () if axis is None else (normalize_bearing(axis), normalize_bearing(axis + math.pi))
+    k = usable.shape[0]
+    bearings = np.empty((k + len(free), npts))
+    np.arctan2(np.negative(dy, out=dy), np.negative(dx, out=dx), out=bearings[:k])
+    bearings[:k] += np.where(bearings[:k] < 0.0, TAU, 0.0)  # _wrap_negative
+    bearings[k:] = np.array(free)[:, None]
+    # An unusable bearing becomes a copy of its point's smallest bearing:
+    # that adds only zero gaps and keeps the first and last sorted
+    # bearings and the largest gap, so no NaN has to be swept around.
+    unusable = ~usable
+    np.copyto(bearings[:k], np.inf, where=unusable)
+    low = bearings.min(axis=0)
+    low[low == np.inf] = 0.0  # no bearing at all; the point fails below
+    np.copyto(bearings[:k], low, where=unusable)
+    bearings.sort(axis=0)
+    gap = bearings[0] + TAU - bearings[-1]
+    if bearings.shape[0] > 1:
+        np.maximum(gap, (bearings[1:] - bearings[:-1]).max(axis=0), out=gap)
+    if axis is None:
+        gap[np.count_nonzero(usable, axis=0) <= 1] = TAU
     return usable.any(axis=0) & (gap <= 2.0 * theta + EPS)
 
 

@@ -56,6 +56,11 @@ MODES = ("static", "mobile")
 #: not fit in memory.
 MAX_CAMERAS = 1_000_000
 
+#: Largest number of samples per cell a scenario may test.  It is about
+#: 20 times the largest value the tests use (1001); each full test holds
+#: arrays of cameras times samples.
+MAX_SAMPLES = 20_000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -95,6 +100,8 @@ class ScenarioConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_integer("samples", self.samples, 2)
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples {self.samples} exceeds {MAX_SAMPLES}")
 
     def camera_params(self) -> CameraParams:
         return CameraParams(r=self.r, phi=self.phi, theta=self.theta)
@@ -216,29 +223,56 @@ def _drawn_view(config: ScenarioConfig, count: int, seed) -> CameraCull:
     return CameraCull(xs, ys, r, half, normalize_bearings(facings))
 
 
-def _static_barrier(cameras: CameraCull, config: ScenarioConfig) -> bool:
-    d = grid_length_bound(config.r)
-    m, n = grid_shape(config.width, config.height, d)
-    t = np.linspace(0.0, 1.0, config.samples)
-    last = config.samples - 1
-    coarse = t[sorted({round(k * last / (_COARSE_SAMPLES - 1)) for k in range(_COARSE_SAMPLES)})]
-    candidates = np.zeros((m, n), dtype=bool)
-    columns = []
-    for j in range(n):
-        segs = [cell_mid_segment((i + 1, j + 1), d) for i in range(m)]
-        column = cameras.within(segs[0].a.x, segs[0].b.x, segs[0].a.y, segs[-1].a.y)
-        points = [segment_points(seg, coarse) for seg in segs]
-        xs = np.concatenate([x for x, _ in points])
-        ys = np.concatenate([y for _, y in points])
-        passed = _full_view_mask(xs, ys, column, config.theta, 0.0).reshape(m, coarse.size).all(axis=1)
+class _StaticLayout:
+    """What a static trial reads of ``config``'s grid besides the cameras:
+    the grid shape, the coarse fractions and, per column, the cells'
+    mid-segments, the column's box and the coarse points of its cells.
+    A sweep builds one and shares it across its trials; a column is laid
+    out when a trial first reaches it, so a sweep that always stops at the
+    first column lays out only that one."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.d = grid_length_bound(config.r)
+        self.m, self.n = grid_shape(config.width, config.height, self.d)
+        last = config.samples - 1
+        picks = sorted({round(k * last / (_COARSE_SAMPLES - 1)) for k in range(_COARSE_SAMPLES)})
+        self.coarse = np.linspace(0.0, 1.0, config.samples)[picks]
+        # With every sample among the coarse ones the coarse check is the
+        # full test.
+        self.exhaustive = len(picks) == config.samples
+        self._columns = {}
+
+    def column(self, j: int):
+        """``(segs, box, xs, ys)`` of 0-based column ``j``."""
+        if j not in self._columns:
+            segs = [cell_mid_segment((i + 1, j + 1), self.d) for i in range(self.m)]
+            box = (segs[0].a.x, segs[0].b.x, segs[0].a.y, segs[-1].a.y)
+            points = [segment_points(seg, self.coarse) for seg in segs]
+            xs = np.concatenate([x for x, _ in points])
+            ys = np.concatenate([y for _, y in points])
+            self._columns[j] = (segs, box, xs, ys)
+        return self._columns[j]
+
+
+def _static_barrier(cameras: CameraCull, layout: _StaticLayout) -> bool:
+    theta, samples = layout.config.theta, layout.config.samples
+    candidates = np.zeros((layout.m, layout.n), dtype=bool)
+    culls = []
+    for j in range(layout.n):
+        _, box, xs, ys = layout.column(j)
+        column = cameras.within(*box)
+        passed = _full_view_mask(xs, ys, column, theta, 0.0).reshape(layout.m, -1).all(axis=1)
         if not passed.any():
             return False
         candidates[:, j] = passed
-        columns.append((segs, column))
+        culls.append(column)
+    if layout.exhaustive:
+        return barrier_exists(candidates)
 
     def covered(i, j):
-        segs, column = columns[j]
-        return full_view_covered_segment(segs[i], column.near(segs[i]), config.theta, samples=config.samples)
+        seg = layout.column(j)[0][i]
+        return full_view_covered_segment(seg, culls[j].near(seg), theta, samples=samples)
 
     return barrier_exists(candidates, covered)
 
@@ -257,10 +291,12 @@ def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
     pass go to one flood fill (:func:`barrier_exists`), which runs the
     full test on a cell only when it reaches it, on the cameras
     :class:`CameraCull` keeps near the cell's mid-segment, and stops at
-    the first covered cell of the last column.  Every cut leaves out only
-    cameras too far away to cover a sample.
+    the first covered cell of the last column.  When the coarse samples
+    are every sample (``samples`` up to 6) the coarse verdicts are final
+    and no full test runs.  Every cut leaves out only cameras that cannot
+    cover a sample: too far away, or facing away from the segment.
     """
-    return _static_barrier(CameraCull.of(cameras), config)
+    return _static_barrier(CameraCull.of(cameras), _StaticLayout(config))
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
@@ -289,9 +325,10 @@ def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
             return _mobile_barrier(xs, ys, d, shape)
 
     else:
+        layout = _StaticLayout(config)
 
         def check(count, seed):
-            return _static_barrier(_drawn_view(config, count, seed), config)
+            return _static_barrier(_drawn_view(config, count, seed), layout)
 
     rows = []
     for count in config.counts:

@@ -6,7 +6,7 @@ import pytest
 
 from cambarrier.cli import main
 from cambarrier.serialize import camera_to_dict
-from cambarrier.simulate import random_deploy
+from cambarrier.simulate import MAX_SAMPLES, random_deploy
 from cambarrier.geometry import CameraParams
 
 
@@ -318,6 +318,23 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_samples_over_the_cap_exit_2_without_traceback(self, tmp_path, capsys, config_file, how):
+        huge = 1_000_000_000_000_000
+        cfg = json.loads(config_file.read_text())
+        cfg["mode"] = "static"
+        if how == "config":
+            cfg["samples"] = huge
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(path)] + (["--samples", str(huge)] if how == "flag" else [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert str(MAX_SAMPLES) in captured.err
+        assert captured.out == ""
+
     # Outputs taken before the static path was culled and cut short, and
     # before the config checks were tightened.
     PINNED = [
@@ -351,9 +368,28 @@ class TestSimulate:
             "20,0.5,6,3,0.204124145\n25,0.5,6,3,0.204124145\n30,0.833333333,6,5,0.152145155\n"
             "40,1,6,6,0\n",
         ),
+        # Static sweeps where the segment cull drops cameras by facing
+        # (phi = pi/3) and by distance to the segment (phi = 2*pi), taken
+        # before it did.
+        (
+            {"width": 40.0, "height": 30.0, "r": 12.0, "theta": math.pi / 2, "phi": math.pi / 3,
+             "counts": [0, 50, 75, 100, 200], "trials": 6, "seed": 3, "mode": "static", "samples": 101},
+            "x,estimate,trials,successes,stderr\n0,0,6,0,0\n50,0.666666667,6,4,0.19245009\n"
+            "75,0.833333333,6,5,0.152145155\n100,0.833333333,6,5,0.152145155\n200,1,6,6,0\n",
+        ),
+        (
+            {"width": 48.0, "height": 24.0, "r": 9.0, "theta": math.pi / 3, "phi": 2 * math.pi,
+             "counts": [0, 30, 50, 70, 100], "trials": 5, "seed": 4, "mode": "static", "samples": 101},
+            "x,estimate,trials,successes,stderr\n0,0,5,0,0\n30,0,5,0,0\n50,0,5,0,0\n"
+            "70,0.2,5,1,0.178885438\n100,0.8,5,4,0.178885438\n",
+        ),
     ]
 
-    @pytest.mark.parametrize("cfg, expected", PINNED, ids=["mobile", "static", "mobile-7x7", "static-3x7"])
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        PINNED,
+        ids=["mobile", "static", "mobile-7x7", "static-3x7", "static-narrow-fov", "static-full-circle"],
+    )
     def test_integer_configs_keep_their_bytes(self, tmp_path, capsys, cfg, expected):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cambarrier.geometry as geometry_module
 from cambarrier.geometry import (
+    CULL_ANGLE,
+    CULL_LINE,
     CULL_MARGIN,
+    CULL_SCALE,
     EPS,
     TAU,
     CameraCull,
@@ -15,6 +19,7 @@ from cambarrier.geometry import (
     Point2D,
     Segment,
     _full_view_mask,
+    _in_range,
     _mod_tau,
     _wrap_negative,
     bearing_between,
@@ -27,6 +32,7 @@ from cambarrier.geometry import (
     midpoint_shortcut_covered,
     normalize_bearing,
     normalize_bearings,
+    segment_points,
 )
 from cambarrier.line_model import place_line_deployment
 
@@ -455,6 +461,293 @@ class TestCameraCull:
 
     def test_no_cameras(self):
         assert len(CameraCull.of([]).near(self.SEG)) == 0
+
+
+def hypot_in_range(dx, dy, r):
+    """The range test as the kernel first wrote it, on ``np.hypot``."""
+    dist = np.hypot(dx, dy)
+    return (dist > EPS) & (dist < r[:, None] + EPS)
+
+
+def around(v, steps=3):
+    """``v`` and its ``steps`` float neighbours on either side."""
+    out, lo, hi = [v], v, v
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestInRange:
+    RADII = (1e-300, 1e-9, 0.5, 1.0, 30.0, 1e6, 1e150, 1e154, 1.3407807929942596e154, 1.4e154, 1e300)
+
+    def offsets(self, r, rng):
+        """Offsets for one row of radius ``r``: at and next to both
+        thresholds along an axis and at random angles, offsets where
+        ``dx*dx + dy*dy`` overflows or underflows, and random ones."""
+        reach = r + EPS
+        along = around(reach, 4) + around(EPS, 4) + [0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+        along += [1e150, 1e154, 1.3407807929942596e154, 1.35e154, 1e200, 1.7976931348623157e308]
+        pairs = [(v, 0.0) for v in along] + [(0.0, -v) for v in along]
+        for target in (reach, EPS):
+            for a in rng.uniform(0.0, TAU, 6):
+                x, y = target * math.cos(a), target * math.sin(a)
+                pairs += [(xx, yy) for xx in around(x, 2) for yy in around(y, 2)]
+        pairs += [(5e-324, 1e-310), (1e-310, -1e-320), (1e150, 1e150), (-1e154, 1e154), (1e300, -1e300)]
+        pairs += list(zip(rng.normal(scale=reach, size=40), rng.normal(scale=reach, size=40)))
+        return pairs
+
+    def test_matches_hypot_bit_for_bit_on_adversarial_pairs(self):
+        rng = np.random.default_rng(3)
+        rows = [self.offsets(r, rng) for r in self.RADII]
+        width = max(len(p) for p in rows)
+        # Each row also gets the other rows' offsets, so radii mix per row.
+        everyone = [pair for p in rows for pair in p]
+        picks = [p + [everyone[k] for k in rng.integers(0, len(everyone), width - len(p) + 200)] for p in rows]
+        dx = np.array([[x for x, _ in p] for p in picks])
+        dy = np.array([[y for _, y in p] for p in picks])
+        r = np.array(self.RADII)
+        with np.errstate(over="ignore"):
+            got = _in_range(dx, dy, r)
+        want = hypot_in_range(dx, dy, r)
+        assert np.array_equal(got, want)
+        assert want.any() and not want.all()
+        # And one row at a time, each row with its own radius.
+        for k in range(len(r)):
+            with np.errstate(over="ignore"):
+                assert np.array_equal(_in_range(dx[k : k + 1], dy[k : k + 1], r[k : k + 1]), want[k : k + 1])
+
+    def test_random_scenes_match_hypot(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            k, npts = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            scale = 10.0 ** rng.uniform(-10, 6)
+            dx, dy = rng.normal(scale=scale, size=(2, k, npts))
+            r = scale * rng.choice([0.5, 1.0, 2.0], k)
+            assert np.array_equal(_in_range(dx, dy, r), hypot_in_range(dx, dy, r))
+
+
+class TestChunking:
+    def scene(self, rng, k=70, npts=120):
+        cams = [
+            cam(
+                float(rng.uniform(-3, 3)),
+                float(rng.uniform(-3, 3)),
+                float(rng.uniform(0, TAU)),
+                r=float(rng.choice([1.0, 2.5, 4.0])),
+                phi=float(rng.choice([math.pi / 2, math.pi, TAU])),
+                cid=j,
+            )
+            for j in range(k)
+        ]
+        return CameraCull.of(cams), rng.uniform(-2, 2, npts), rng.uniform(-2, 2, npts)
+
+    def test_chunks_stay_within_the_budget_and_match_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        view, xs, ys = self.scene(rng)
+        whole = {axis: _full_view_mask(xs, ys, view, math.pi / 3, axis) for axis in (0.0, None)}
+        assert whole[0.0].any() and not whole[0.0].all()
+        sizes = []
+        real = geometry_module._full_view_chunk
+
+        def spy(cx, cy, cameras, *args):
+            sizes.append(len(cameras) * cx.size)
+            return real(cx, cy, cameras, *args)
+
+        monkeypatch.setattr(geometry_module, "_full_view_chunk", spy)
+        for budget in (1, 69, 70, 71, 500, 70 * 119):
+            monkeypatch.setattr(geometry_module, "KERNEL_BUDGET", budget)
+            for axis in (0.0, None):
+                sizes.clear()
+                assert np.array_equal(_full_view_mask(xs, ys, view, math.pi / 3, axis), whole[axis])
+                assert len(sizes) > 1
+                assert all(size <= max(budget, 70) for size in sizes)
+                assert sum(sizes) == 70 * 120
+
+    def test_benchmark_sized_calls_run_in_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        view, xs, ys = self.scene(rng, k=300, npts=101)
+        calls = []
+        real = geometry_module._full_view_chunk
+        monkeypatch.setattr(geometry_module, "_full_view_chunk", lambda *a: calls.append(1) or real(*a))
+        _full_view_mask(xs, ys, view, math.pi / 3, 0.0)
+        assert calls == [1]
+
+
+def kernel_usable(xs, ys, view):
+    """The (camera, point) pairs the kernel counts as usable, in its own
+    arithmetic: :func:`_in_range`, then the aim angle within half the
+    field of view.  The kernel drops rows between the two, which leaves
+    every surviving value as it is."""
+    dx = xs[None, :] - view.x[:, None]
+    dy = ys[None, :] - view.y[:, None]
+    aim = np.arctan2(dy, dx)
+    aim -= view.facing[:, None]
+    aim += math.pi
+    aim = np.abs(_mod_tau(aim) - math.pi)
+    return _in_range(dx, dy, view.r) & (aim < view.half[:, None] + EPS)
+
+
+def dropped(view, kept):
+    """Rows of ``view`` that ``kept``, a subset in input order, leaves out."""
+    rows = camera_rows(kept)
+    mask, at = [], 0
+    for row in camera_rows(view):
+        hit = at < len(rows) and rows[at] == row
+        mask.append(not hit)
+        at += hit
+    assert at == len(rows)
+    return np.array(mask, dtype=bool)
+
+
+def box_near(view, seg):
+    """The cull :meth:`CameraCull.near` used before it looked at facings:
+    every camera within the segment's bounding box grown by the largest
+    radius plus CULL_MARGIN."""
+    x0, x1 = sorted((seg.a.x, seg.b.x))
+    y0, y1 = sorted((seg.a.y, seg.b.y))
+    return view.within(x0, x1, y0, y1)
+
+
+class TestSectorCull:
+    SEGMENTS = (
+        Segment(Point2D(2.0, 3.0), Point2D(4.0, 3.0)),
+        Segment(Point2D(-1.0, 0.5), Point2D(2.5, 4.0)),
+        Segment(Point2D(0.3, 5.0), Point2D(0.3, 1.0)),
+        Segment(Point2D(26.832815729997478, 93.91485505499116), Point2D(53.665631459994955, 93.91485505499116)),
+    )
+
+    def check(self, seg, cams, samples=(2, 7, 101)):
+        """Every camera ``near`` drops has no usable pair on the segment's
+        samples, and the verdicts match all cameras and the box cull.
+        Returns how many cameras were dropped."""
+        view = CameraCull.of(cams)
+        kept = view.near(seg)
+        gone = dropped(view, kept)
+        for n in samples:
+            xs, ys = segment_points(seg, np.linspace(0.0, 1.0, n))
+            assert not kernel_usable(xs, ys, view)[gone].any()
+            for theta in (math.pi / 4, math.pi / 2):
+                verdict = full_view_covered_segment(seg, kept, theta, samples=n)
+                assert verdict == full_view_covered_segment(seg, view, theta, samples=n)
+                assert verdict == full_view_covered_segment(seg, box_near(view, seg), theta, samples=n)
+        return int(gone.sum())
+
+    def edge_cameras(self, seg, r=3.0, phi=math.pi / 2, heights=(0.2, 1.0, 2.5, -0.7, -2.0), nudges=()):
+        """Cameras around the segment facing the edges of their arc of
+        bearings to it, give or take half the field of view and 1e-12 (with
+        and without EPS), and some just past the cull's angle margin and
+        well past it."""
+        ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
+        ux, uy = bx - ax, by - ay
+        length = math.hypot(ux, uy)
+        nx, ny = -uy / length, ux / length
+        nudges = (-1e-12, 0.0, 1e-12, EPS - 1e-12, EPS, EPS + 1e-12, 2 * CULL_ANGLE, 0.3) + nudges
+        out = []
+        for t in (-0.4, 0.0, 0.3, 0.5, 1.0, 1.3):
+            for h in heights:
+                cx, cy = ax + t * ux + h * nx, ay + t * uy + h * ny
+                to_a, to_b = math.atan2(ay - cy, ax - cx), math.atan2(by - cy, bx - cx)
+                for edge in (to_a, to_b):
+                    for side in (-1.0, 1.0):
+                        for nudge in nudges:
+                            out.append((cx, cy, edge + side * (phi / 2 + nudge)))
+        return [cam(x, y, f, r=r, phi=phi, cid=k) for k, (x, y, f) in enumerate(out)]
+
+    def test_facings_at_the_arc_edges(self):
+        for seg in self.SEGMENTS[:3]:
+            cams = self.edge_cameras(seg)
+            assert self.check(seg, cams) > 0
+
+    def test_facings_at_the_arc_edges_at_the_coordinate_scale(self):
+        # Offsets round to about 1e-10 here, so a bearing from a camera
+        # just past CULL_LINE can be off by 1e-7.
+        big = CULL_SCALE - 10.0
+        seg = Segment(Point2D(big - 3.0, big - 2.0), Point2D(big, big))
+        lines = (1.1 * CULL_LINE, 2 * CULL_LINE, -1.5 * CULL_LINE, 0.01, -0.5)
+        nudges = tuple(EPS + k * 1e-7 for k in (-20, -5, -1, 1, 5, 20))
+        cams = self.edge_cameras(seg, heights=lines, nudges=nudges)
+        assert self.check(seg, cams) > 0
+
+    def test_cameras_on_and_near_the_line(self):
+        for seg in self.SEGMENTS[:3]:
+            ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
+            ux, uy = bx - ax, by - ay
+            length = math.hypot(ux, uy)
+            nx, ny = -uy / length, ux / length
+            cams, on_line = [], []
+            for t in (0.0, 0.25, 0.5, 1.0, -0.3, 1.2, 1.9):  # on the segment and beyond its ends
+                for h in (0.0, 1e-12, -1e-12, CULL_LINE / 2, 2 * CULL_LINE):
+                    for f in np.linspace(0.0, TAU, 12, endpoint=False):
+                        cams.append(cam(ax + t * ux + h * nx, ay + t * uy + h * ny, float(f), r=2.5, cid=len(cams)))
+                        on_line.append(abs(h) < CULL_LINE and min(abs(t), abs(t - 1)) * length < 2.4)
+            view = CameraCull.of(cams)
+            gone = dropped(view, view.near(seg))
+            assert not gone[np.array(on_line)].any()  # kept whatever their facing
+            assert gone.any()
+            self.check(seg, cams)
+
+    def test_cameras_at_the_range_boundary_of_an_endpoint(self):
+        for seg in self.SEGMENTS[:3]:
+            cams = []
+            for end, away in ((seg.a, -1.0), (seg.b, 1.0)):
+                ux, uy = (seg.b.x - seg.a.x) * away, (seg.b.y - seg.a.y) * away
+                length = math.hypot(ux, uy)
+                for r in (1.0, 2.0):
+                    for dist in around(r + EPS, 2) + [r, r + CULL_MARGIN, r + 2 * CULL_MARGIN]:
+                        x, y = end.x + dist * ux / length, end.y + dist * uy / length
+                        facing = math.atan2(-uy, -ux)
+                        for phi in (math.pi / 3, TAU):
+                            cams.append(cam(x, y, facing, r=r, phi=phi, cid=len(cams)))
+            assert self.check(seg, cams) > 0
+
+    def test_a_full_circle_of_view_keeps_every_camera_in_range(self):
+        rng = np.random.default_rng(12)
+        seg = self.SEGMENTS[1]
+        cams = [
+            cam(float(rng.uniform(-4, 6)), float(rng.uniform(-3, 7)), float(rng.uniform(0, TAU)), r=2.0, phi=TAU, cid=k)
+            for k in range(300)
+        ]
+        view = CameraCull.of(cams)
+        kept = view.near(seg)
+        xs, ys = segment_points(seg, np.linspace(0.0, 1.0, 2001))
+        reaches = (np.hypot(xs[None, :] - view.x[:, None], ys[None, :] - view.y[:, None]) < 2.0 - 1e-3).any(axis=1)
+        assert reaches.sum() > 20
+        assert set(camera_rows(kept)) >= {row for row, hit in zip(camera_rows(view), reaches) if hit}
+        assert len(kept) < len(view)
+        self.check(seg, cams)
+
+    def test_random_scenes(self):
+        rng = np.random.default_rng(13)
+        outcomes, gone = set(), 0
+        for trial in range(120):
+            seg = self.SEGMENTS[trial % len(self.SEGMENTS)]
+            cx, cy = (seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2
+            span = max(abs(seg.b.x - seg.a.x), abs(seg.b.y - seg.a.y))
+            r = span * float(rng.choice([0.5, 1.0, 1.5]))
+            cams = [
+                cam(
+                    float(cx + rng.uniform(-1.5, 1.5) * (span + r)),
+                    float(cy + rng.uniform(-1.5, 1.5) * (span + r)),
+                    float(rng.uniform(0, TAU)),
+                    r=r * float(rng.choice([0.7, 1.0])),
+                    phi=float(rng.choice([math.pi / 3, 2 * math.pi / 3, math.pi, TAU])),
+                    cid=k,
+                )
+                for k in range(int(rng.integers(0, 80)))
+            ]
+            gone += self.check(seg, cams, samples=(11,))
+            outcomes.add(full_view_covered_segment(seg, cams, math.pi / 2, samples=11))
+        assert outcomes == {True, False} and gone > 0
+
+    def test_keeps_every_camera_past_the_coordinate_scale(self):
+        far = CULL_SCALE * 2
+        cams = [cam(far + 5.0, 3.0, 0.0, cid=0), cam(0.0, 3.0, 0.0, cid=1)]  # far from both segments
+        assert len(CameraCull.of(cams).near(Segment(Point2D(far, 0.0), Point2D(far + 1.0, 0.0)))) == 2
+        seg = Segment(Point2D(0.0, 0.0), Point2D(1.0, 0.0))
+        assert len(CameraCull.of(cams).near(seg)) == 0
+        cams.append(cam(-far, 0.0, math.pi, r=far, cid=2))  # a radius past the scale, facing away
+        assert len(CameraCull.of(cams).near(seg)) == 3
 
 
 class TestSegment:

@@ -11,6 +11,7 @@ from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
 from cambarrier.simulate import (
     MAX_CAMERAS,
+    MAX_SAMPLES,
     ScenarioConfig,
     barrier_camera_count_sweep,
     barrier_exists_mobile,
@@ -98,6 +99,11 @@ class TestConfig:
         assert small_config(counts=(MAX_CAMERAS,)).counts == (MAX_CAMERAS,)
         with pytest.raises(ValueError, match="exceeds"):
             small_config(counts=(0, MAX_CAMERAS + 1))
+
+    def test_rejects_samples_over_the_cap(self):
+        assert small_config(samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        with pytest.raises(ValueError, match="exceeds"):
+            small_config(samples=MAX_SAMPLES + 1)
 
     def test_integer_counts_of_any_integer_type_are_kept_as_int(self):
         cfg = small_config(counts=np.arange(0, 60, 20))
@@ -415,6 +421,54 @@ class TestStaticMatchesUnculledOracle:
         # full test per column, none twice.
         assert sorted(round(x / d) for x, _ in full) == list(range(n))
         assert len(set(full)) == n
+
+
+    # Taken before sample counts of 6 or fewer skipped the full test.
+    FEW_SAMPLES_CSV = (
+        "x,estimate,trials,successes,stderr\n0,0,4,0,0\n50,0,4,0,0\n100,0.5,4,2,0.25\n150,1,4,4,0\n300,1,4,4,0\n"
+    )
+
+    @pytest.mark.parametrize("samples", [2, 3, 6])
+    def test_coarse_check_on_every_sample_is_final(self, monkeypatch, samples):
+        cfg = small_config(
+            width=50.0, height=100.0, r=30.0, counts=(0, 50, 100, 150, 300), trials=4, seed=1,
+            mode="static", samples=samples,
+        )
+        full = []
+        real_segment = simulate_module.full_view_covered_segment
+
+        def segment_spy(*args, **kwargs):
+            full.append(1)
+            return real_segment(*args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "full_view_covered_segment", segment_spy)
+        assert sweep_csv_text(coverage_probability_sweep(cfg)) == self.FEW_SAMPLES_CSV
+        assert full == []
+
+    def test_columns_are_laid_out_once_per_sweep_and_only_when_reached(self, monkeypatch):
+        laid = []
+        real = simulate_module.cell_mid_segment
+
+        def spy(cell, d):
+            laid.append(cell)
+            return real(cell, d)
+
+        monkeypatch.setattr(simulate_module, "cell_mid_segment", spy)
+        # Few cameras on a wide grid: every trial stops at column 1.
+        cfg = small_config(width=80.0, counts=(0, 1, 2), trials=5, mode="static")
+        assert all(row.successes == 0 for row in coverage_probability_sweep(cfg).rows)
+        m = math.ceil(cfg.height / grid_length_bound(cfg.r) - 1e-9)
+        assert sorted(laid) == [(i, 1) for i in range(1, m + 1)]
+        # Dense cameras reach every column; each is laid out once.
+        laid.clear()
+        cfg = small_config(
+            width=40.0, height=20.0, r=8.0, theta=math.pi / 2, phi=2 * math.pi, counts=(30,), trials=6,
+            mode="static", samples=31,
+        )
+        assert coverage_probability_sweep(cfg).rows[0].successes == 6
+        d = grid_length_bound(cfg.r)
+        m, n = math.ceil(cfg.height / d - 1e-9), math.ceil(cfg.width / d - 1e-9)
+        assert sorted(laid) == [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
 
 
 class TestSweeps:
