@@ -128,6 +128,20 @@ def prune_degree_one(g: CoverageGraph) -> CoverageGraph:
     return CoverageGraph(m=g.m, n=g.n, cells=cells, adj=adj)
 
 
+def _framed(mask):
+    """``(free, m, n)`` of the (m, n) boolean ``mask``: ``free`` lists the
+    cells of the mask with a border of uncovered cells around it, row by
+    row, so that cell (i, j) (1-based) is item ``i * (n + 2) + j`` and no
+    step to a neighbour leaves the grid or wraps."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or 0 in mask.shape:
+        raise ValueError(f"mask must be a non-empty (m, n) array, got shape {mask.shape}")
+    m, n = mask.shape
+    framed = np.zeros((m + 2, n + 2), dtype=bool)
+    framed[1:-1, 1:-1] = mask
+    return framed.ravel().tolist(), m, n
+
+
 def barrier_exists(mask, covered=None) -> bool:
     """True iff the covered cells of the (m, n) boolean ``mask`` hold a
     chain of 8-adjacent cells from column 1 to column n.
@@ -146,15 +160,8 @@ def barrier_exists(mask, covered=None) -> bool:
     mask cells the fill reaches, at most once each, so an expensive test
     runs only where it can change the answer.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or 0 in mask.shape:
-        raise ValueError(f"mask must be a non-empty (m, n) array, got shape {mask.shape}")
-    m, n = mask.shape
-    # A border of uncovered cells, so that no step leaves the grid or wraps.
+    free, m, n = _framed(mask)
     w = n + 2
-    framed = np.zeros((m + 2, w), dtype=bool)
-    framed[1:-1, 1:-1] = mask
-    free = framed.ravel().tolist()
     stack = [k for k in range(w + 1, (m + 1) * w, w) if free[k]]
     for k in stack:
         free[k] = False
@@ -216,6 +223,66 @@ def shortest_barrier(g: CoverageGraph) -> BarrierResult:
     return BarrierResult(exists=False, path=(), total_weight=None)
 
 
+def extract_barrier(mask) -> BarrierResult:
+    """The barrier :func:`shortest_barrier` finds in the graph
+    :func:`build_graph` makes of the covered cells of the (m, n) boolean
+    ``mask``, pruned or not: the same path and weight, with no graph.
+
+    Distances to ``t`` come from a bucket queue (Dial's algorithm, four
+    buckets in a ring, since a step costs at most 3): column-n cells are
+    at 0, a side step costs 2 and a diagonal step 3.  The path starts at
+    the column-1 cell nearest ``t``, the smallest row on a tie, and then
+    steps to the smallest (row, col) neighbour that stays on a shortest
+    path, until it reaches distance 0.  Each choice is the smallest that
+    can still end at minimum weight, so the path is the lexicographically
+    smallest minimum-weight one; no such path is a prefix of another, as
+    every extra step costs at least 2.  The search stops at the first
+    distance that holds a column-1 cell: the walk reads only smaller ones.
+    """
+    free, m, n = _framed(mask)
+    w = n + 2
+    steps = ((-w - 1, 3), (-w, 2), (-w + 1, 3), (-1, 2), (1, 2), (w - 1, 3), (w, 2), (w + 1, 3))
+    # Border and uncovered cells at -1 are never relaxed.
+    unreached = 3 * len(free)
+    dist = [unreached if f else -1 for f in free]
+    buckets = [[k for k in range(w + n, (m + 1) * w, w) if free[k]], [], [], []]
+    for k in buckets[0]:
+        dist[k] = 0
+    d = 0
+    while any(buckets):
+        level = [k for k in buckets[d % 4] if dist[k] == d]
+        buckets[d % 4] = []
+        starts = [k for k in level if k % w == 1]
+        if starts:
+            k = min(starts)
+            path = [k]
+            while dist[k]:
+                k = next(k + s for s, c in steps if free[k + s] and dist[k + s] + c == dist[k])
+                path.append(k)
+            return BarrierResult(exists=True, path=tuple(divmod(k, w) for k in path), total_weight=WEIGHT_SOURCE + d)
+        for k in level:
+            for s, c in steps:
+                if dist[k + s] > d + c:
+                    dist[k + s] = d + c
+                    buckets[(d + c) % 4].append(k + s)
+        d += 1
+    return BarrierResult(exists=False, path=(), total_weight=None)
+
+
+def duty_slots(path) -> tuple[set, set]:
+    """The vertices whose "down" duty and whose "up" duty serve the cells
+    of ``path``: each cell's two top and its two bottom vertices.
+
+    In a plan :func:`run_algorithm1` makes, a camera serves one duty at
+    one vertex, so a staffed path has as many distinct cameras as slots:
+    :func:`distinct_cameras` is ``len(down) + len(up)``."""
+    down, up = set(), set()
+    for i, j in path:
+        down.update(((i, j), (i, j + 1)))
+        up.update(((i + 1, j), (i + 1, j + 1)))
+    return down, up
+
+
 def distinct_cameras(result: BarrierResult, plan: DeploymentPlan) -> int:
     """Distinct active cameras serving the path cells.
 
@@ -253,3 +320,70 @@ def k_barrier_count(covered, m: int, n: int) -> int:
     """Barrier multiplicity estimate: the minimum, over columns, of the
     number of covered cells in that column."""
     return min(column_counts(covered, m, n))
+
+
+# Pieces of the barrier document, indented as `serialize.dumps` indents them.
+_BARRIER_DOC = (
+    '{\n  "camera_count": %s,\n  "exists": %s,\n  "graph": {\n    "edges": %s,\n    "m": %d,\n    "n": %d,\n'
+    '    "nodes": [\n      "s",\n%s      "t"\n    ]\n  },\n  "path": %s,\n  "total_weight": %s\n}\n'
+)
+_NODE = "      [\n        %d,\n        %d\n      ],\n"
+_PATH_CELL = "    [\n      %d,\n      %d\n    ]"
+_CELL_EDGE = (
+    '      {\n        "kind": "%s",\n        "u": [\n          %d,\n          %d\n        ],\n'
+    '        "v": [\n          %d,\n          %d\n        ],\n        "weight": %d\n      }'
+)
+_SOURCE_EDGE = (
+    '      {\n        "kind": "source",\n        "u": "s",\n'
+    '        "v": [\n          %d,\n          %d\n        ],\n        "weight": %d\n      }'
+)
+_SINK_EDGE = (
+    '      {\n        "kind": "sink",\n        "u": [\n          %d,\n          %d\n        ],\n'
+    '        "v": "t",\n        "weight": %d\n      }'
+)
+
+
+def _null_or_int(value) -> str:
+    return "null" if value is None else "%d" % value
+
+
+def barrier_json(result: BarrierResult, mask) -> str:
+    """The ``barrier`` command's JSON: the text
+    :func:`~cambarrier.serialize.dumps` writes of
+    :func:`~cambarrier.serialize.barrier_to_dict` of ``result`` with
+    ``"graph"`` set to :func:`~cambarrier.serialize.graph_to_dict` of the
+    graph :func:`build_graph` makes of the covered cells of the (m, n)
+    boolean ``mask``, written from the mask with no graph and no dict tree.
+
+    Edges come in the order :meth:`CoverageGraph.edges` gives: the ``s``
+    edges, then per cell in row-major order its edges to (i, j+1),
+    (i+1, j-1), (i+1, j) and (i+1, j+1), then to ``t`` when j == n."""
+    free, m, n = _framed(mask)
+    w = n + 2
+    forward = (
+        (1, "side", WEIGHT_SIDE),
+        (w - 1, "diagonal", WEIGHT_DIAGONAL),
+        (w, "side", WEIGHT_SIDE),
+        (w + 1, "diagonal", WEIGHT_DIAGONAL),
+    )
+    edges = [_SOURCE_EDGE % (i, 1, WEIGHT_SOURCE) for i in range(1, m + 1) if free[i * w + 1]]
+    nodes = []
+    for k in [k for k, f in enumerate(free) if f]:
+        i, j = divmod(k, w)
+        nodes.append(_NODE % (i, j))
+        for step, kind, weight in forward:
+            if free[k + step]:
+                edges.append(_CELL_EDGE % ((kind, i, j) + divmod(k + step, w) + (weight,)))
+        if j == n:
+            edges.append(_SINK_EDGE % (i, j, WEIGHT_SINK))
+    path = [_PATH_CELL % cell for cell in result.path]
+    return _BARRIER_DOC % (
+        _null_or_int(result.camera_count),
+        "true" if result.exists else "false",
+        "[\n" + ",\n".join(edges) + "\n    ]" if edges else "[]",
+        m,
+        n,
+        "".join(nodes),
+        "[\n" + ",\n".join(path) + "\n  ]" if path else "[]",
+        _null_or_int(result.total_weight),
+    )

@@ -12,22 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .barrier_graph import (
-    build_graph,
-    column_counts,
-    distinct_cameras,
-    k_barrier_count,
-    prune_degree_one,
-    shortest_barrier,
-)
+from .barrier_graph import barrier_json, duty_slots, extract_barrier
 from .geometry import EPS, Point2D, Segment
-from .grid_deploy import CameraOutsideRegionError, grid_length_bound, run_algorithm1, staffed_cells
+from .grid_deploy import CameraOutsideRegionError, grid_length_bound, plan_staffed_mask, run_algorithm1
 from .line_model import place_line_deployment
 from .serialize import (
-    barrier_to_dict,
     cameras_from_list,
     dumps,
-    graph_to_dict,
     line_deployment_to_dict,
     plan_from_dict,
     plan_to_dict,
@@ -39,6 +30,17 @@ from .simulate import (
     fig3_sweep,
     with_overrides,
 )
+
+# Not called here; bench/spans.py wraps these names in this module (ROADMAP item 5).
+from .barrier_graph import (  # noqa: F401
+    build_graph,
+    distinct_cameras,
+    k_barrier_count,
+    prune_degree_one,
+    shortest_barrier,
+)
+from .grid_deploy import staffed_cells  # noqa: F401
+from .serialize import graph_to_dict  # noqa: F401
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -74,22 +76,23 @@ def _cmd_deploy_grid(args) -> int:
 
 def _cmd_barrier(args) -> int:
     plan = plan_from_dict(_load_json(args.plan))
-    covered = staffed_cells(plan)
-    graph = build_graph(covered, plan.grid.m, plan.grid.n)
-    result = shortest_barrier(prune_degree_one(graph))
+    mask = plan_staffed_mask(plan)
+    result = extract_barrier(mask)
     if result.exists:
-        result = replace(result, camera_count=distinct_cameras(result, plan))
-    payload = barrier_to_dict(result)
-    payload["graph"] = graph_to_dict(graph)
-    _emit(dumps(payload), args.out)
+        # The distinct ids at the path's duty slots: a loaded plan may name
+        # one camera at two slots.
+        down, up = duty_slots(result.path)
+        asg = plan.assignments
+        result = replace(result, camera_count=len({asg[v].down for v in down} | {asg[v].up for v in up}))
+    _emit(barrier_json(result, mask), args.out)
     return 0
 
 
 def _cmd_k_barrier(args) -> int:
-    plan = plan_from_dict(_load_json(args.plan))
-    covered = staffed_cells(plan)
-    m, n = plan.grid.m, plan.grid.n
-    _emit(dumps({"k": k_barrier_count(covered, m, n), "column_counts": column_counts(covered, m, n)}), args.out)
+    mask = plan_staffed_mask(plan_from_dict(_load_json(args.plan)))
+    # Summed in Python: a first numpy reduction costs ~0.2 MiB of peak RSS.
+    counts = [sum(column) for column in zip(*mask.tolist())]
+    _emit(dumps({"k": min(counts), "column_counts": counts}), args.out)
     return 0
 
 

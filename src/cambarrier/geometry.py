@@ -87,7 +87,6 @@ class CameraParams:
     r is the sensing radius in meters, phi the field-of-view angle and
     theta the recognition half-window, both in radians.  A subject facing
     within theta of the bearing toward a covering camera is recognized.
-    Communication range is fixed at twice the sensing radius.
     """
 
     r: float
@@ -101,10 +100,6 @@ class CameraParams:
             raise ValueError(f"field of view must be in (0, 2*pi], got {self.phi}")
         if not 0.0 < self.theta <= math.pi / 2 + EPS:
             raise ValueError(f"effective angle must be in (0, pi/2], got {self.theta}")
-
-    @property
-    def comm_range(self) -> float:
-        return 2.0 * self.r
 
 
 @dataclass(frozen=True)

@@ -381,7 +381,8 @@ def staffed_mask(counts) -> np.ndarray:
       holds at least 1; an interior vertex serves "down" with at least 1
       and "up" with at least 2.
     * By :func:`cell_fully_staffed`, a cell is staffed when both its top
-      vertices serve "down" and both its bottom vertices serve "up".
+      vertices serve "down" and both its bottom vertices serve "up"
+      (:func:`_staffed`).
     """
     c = np.asarray(counts)
     if c.ndim != 2 or 0 in c.shape or (c < 0).any():
@@ -392,10 +393,30 @@ def staffed_mask(counts) -> np.ndarray:
     held[:-1, 1:] += (c + 2) // 4
     held[1:, :-1] += (c + 1) // 4
     held[1:, 1:] += c // 4
-    down = held[:-1] >= 1  # vertex rows 1..m
-    up = held[1:] >= 2  # vertex rows 2..m+1
-    up[-1] = held[-1] >= 1
-    return down[:, :-1] & down[:, 1:] & up[:, :-1] & up[:, 1:]
+    down = held >= 1
+    up = held >= 2
+    up[-1] = down[-1]
+    return _staffed(down, up)
+
+
+def plan_staffed_mask(plan: DeploymentPlan) -> np.ndarray:
+    """:func:`staffed_cells` of ``plan`` as an (m, n) boolean mask, read
+    from the duties of its assignments, whose vertices must lie on the
+    (m+1) x (n+1) lattice."""
+    shape = (plan.grid.m + 1, plan.grid.n + 1)
+    down = np.zeros(shape, dtype=bool)
+    up = np.zeros(shape, dtype=bool)
+    for (i, j), a in plan.assignments.items():
+        down[i - 1, j - 1] = a.down is not None
+        up[i - 1, j - 1] = a.up is not None
+    return _staffed(down, up)
+
+
+def _staffed(down, up) -> np.ndarray:
+    """Cells whose two top vertices serve "down" and whose two bottom
+    vertices serve "up", from (m+1, n+1) boolean arrays of the lattice
+    vertices that serve each duty."""
+    return down[:-1, :-1] & down[:-1, 1:] & up[1:, :-1] & up[1:, 1:]
 
 
 def cell_full_view_verified(cell, plan: DeploymentPlan, theta: float, samples: int = 101) -> bool:

@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .barrier_graph import BarrierResult, CoverageGraph
 from .geometry import CameraParams, CameraPose, Point2D
-from .grid_deploy import ORIENT_DOWN, ORIENT_UP, CameraRecord, DeploymentPlan, GridModel, VertexAssignment
+from .grid_deploy import MAX_CELLS, ORIENT_DOWN, ORIENT_UP, CameraRecord, DeploymentPlan, GridModel, VertexAssignment
 from .line_model import LineDeployment
 from .simulate import SweepResult
 
@@ -280,10 +280,13 @@ def _plan_ids(value, key: str) -> tuple[int, ...]:
     raise _plan_error(key, "a list of non-negative integers", value)
 
 
-def _plan_pair(value, key: str) -> tuple[int, int]:
-    if type(value) is not list or len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int:
-        raise _plan_error(key, "a pair of integers", value)
-    return (value[0], value[1])
+def _plan_pair(value, key: str, rows: int, cols: int) -> tuple[int, int]:
+    """A ``[i, j]`` pair with ``1 <= i <= rows`` and ``1 <= j <= cols``."""
+    if type(value) is list and len(value) == 2:
+        i, j = value
+        if type(i) is int and type(j) is int and 0 < i <= rows and 0 < j <= cols:
+            return (i, j)
+    raise _plan_error(key, f"a pair of integers in [1, {rows}] x [1, {cols}]", value)
 
 
 def _plan_orientation(value, key: str):
@@ -306,16 +309,21 @@ def _unknown_camera(cell_members, heads, assignments, poses) -> ValueError:
 def plan_from_dict(data: dict) -> DeploymentPlan:
     """The plan a plan JSON describes.  Every field must have its exact
     JSON type, or ``ValueError`` is raised: ``m`` and ``n`` integers
-    >= 1, ``width``, ``height``, ``d`` and ``distance`` finite numbers,
-    ids non-negative integers (``down`` and ``up`` may be null), ``cell``
-    and ``vertex`` pairs of integers, ``orientation`` ``"down"``, ``"up"``
-    or null, and ``d_within_bound`` a bool.  Camera fields are checked
-    as in :func:`camera_from_dict`.  Every id in ``cells``, ``heads`` and
-    ``assignments`` must name a camera in ``cameras``."""
+    >= 1 with at most :data:`MAX_CELLS` cells, ``width``, ``height``,
+    ``d`` and ``distance`` finite numbers, ids non-negative integers
+    (``down`` and ``up`` may be null), ``cell`` pairs of integers in
+    [1, m] x [1, n] and ``vertex`` pairs in [1, m+1] x [1, n+1],
+    ``orientation`` ``"down"``, ``"up"`` or null, and ``d_within_bound``
+    a bool.  Camera fields are checked as in :func:`camera_from_dict`.
+    Every id in ``cells``, ``heads`` and ``assignments`` must name a
+    camera in ``cameras``."""
     gd = data["grid"]
     for key in ("m", "n"):
         if type(gd[key]) is not int or gd[key] < 1:
             raise _plan_error(key, "an integer >= 1", gd[key])
+    m, n = gd["m"], gd["n"]
+    if m * n > MAX_CELLS:
+        raise ValueError(f"a {m} x {n} plan grid exceeds {MAX_CELLS} cells")
     params = {}
     poses = {}
     records = {}
@@ -325,7 +333,7 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
         records[pose.id] = CameraRecord(
             camera_id=pose.id,
             origin=pose.position,
-            vertex=_plan_pair(c["vertex"], "vertex"),
+            vertex=_plan_pair(c["vertex"], "vertex", m + 1, n + 1),
             distance=_plan_number(c["distance"], "distance"),
             orientation=_plan_orientation(c["orientation"], "orientation"),
         )
@@ -333,16 +341,16 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
         width=_plan_number(gd["width"], "width"),
         height=_plan_number(gd["height"], "height"),
         d=_plan_number(gd["d"], "d"),
-        m=gd["m"],
-        n=gd["n"],
+        m=m,
+        n=n,
         cell_members={
-            _plan_pair(entry["cell"], "cell"): _plan_ids(entry["cameras"], "cameras") for entry in data["cells"]
+            _plan_pair(entry["cell"], "cell", m, n): _plan_ids(entry["cameras"], "cameras") for entry in data["cells"]
         },
         poses=poses,
     )
     assignments = {}
     for entry in data["assignments"]:
-        v = _plan_pair(entry["vertex"], "vertex")
+        v = _plan_pair(entry["vertex"], "vertex", m + 1, n + 1)
         assignments[v] = VertexAssignment(
             vertex=v,
             stationed=_plan_ids(entry["stationed"], "stationed"),
@@ -350,7 +358,7 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
             up=_plan_duty(entry["up"], "up"),
             silent=_plan_ids(entry["silent"], "silent"),
         )
-    heads = {_plan_pair(entry["cell"], "cell"): _plan_id(entry["id"], "id") for entry in data["heads"]}
+    heads = {_plan_pair(entry["cell"], "cell", m, n): _plan_id(entry["id"], "id") for entry in data["heads"]}
     named = set(heads.values())
     named.update(*grid.cell_members.values())
     for a in assignments.values():
@@ -366,7 +374,10 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
         assignments=assignments,
         records=records,
         deficits=tuple(
-            (_plan_pair(entry["vertex"], "vertex"), _plan_orientation(entry["orientation"], "orientation"))
+            (
+                _plan_pair(entry["vertex"], "vertex", m + 1, n + 1),
+                _plan_orientation(entry["orientation"], "orientation"),
+            )
             for entry in data["deficits"]
         ),
         d_within_bound=data["d_within_bound"],

@@ -15,7 +15,9 @@ and the sweep hands the drawn arrays to the kernel as a
 :class:`~cambarrier.geometry.CameraCull`.  The mobile pipeline
 covers the cells relocation staffs, which follow from the number of
 cameras in each cell alone (:func:`~cambarrier.grid_deploy.staffed_mask`),
-so its sweep bins the drawn position arrays.  Neither sweep builds
+so its sweep bins the drawn position arrays.  The camera-count sweep
+takes its barrier from the same mobile mask
+(:func:`~cambarrier.barrier_graph.extract_barrier`).  No sweep builds
 camera, plan or graph objects.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barrier_graph import barrier_exists, build_graph, distinct_cameras, prune_degree_one, shortest_barrier
+from .barrier_graph import barrier_exists, duty_slots, extract_barrier
 from .geometry import (
     TAU,
     CameraCull,
@@ -43,10 +45,12 @@ from .grid_deploy import (
     cell_mid_segment,
     grid_length_bound,
     grid_shape,
-    run_algorithm1,
-    staffed_cells,
     staffed_mask,
 )
+
+# Not called here; bench/spans.py wraps these names in this module (ROADMAP item 5).
+from .barrier_graph import build_graph, prune_degree_one, shortest_barrier  # noqa: F401
+from .grid_deploy import run_algorithm1, staffed_cells  # noqa: F401
 
 MODES = ("static", "mobile")
 
@@ -184,8 +188,8 @@ def random_deploy(width: float, height: float, count: int, seed, params: CameraP
     ]
 
 
-def _mobile_barrier(xs, ys, d: float, shape: tuple[int, int]) -> bool:
-    return barrier_exists(staffed_mask(cell_counts(xs, ys, d, shape)))
+def _mobile_mask(xs, ys, d: float, shape: tuple[int, int]) -> np.ndarray:
+    return staffed_mask(cell_counts(xs, ys, d, shape))
 
 
 def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
@@ -201,7 +205,7 @@ def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
     d = grid_length_bound(config.r)
     shape = grid_shape(config.width, config.height, d)
     xs, ys = camera_positions(config.width, config.height, list(cameras))
-    return _mobile_barrier(xs, ys, d, shape)
+    return barrier_exists(_mobile_mask(xs, ys, d, shape))
 
 
 #: Samples per cell, evenly spaced with both endpoints, that the static
@@ -322,7 +326,7 @@ def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
 
         def check(count, seed):
             xs, ys, _ = draw_cameras(config.width, config.height, count, seed)
-            return _mobile_barrier(xs, ys, d, shape)
+            return barrier_exists(_mobile_mask(xs, ys, d, shape))
 
     else:
         layout = _StaticLayout(config)
@@ -352,24 +356,24 @@ def barrier_camera_count_sweep(config: ScenarioConfig) -> SweepResult:
 
     Trials without a barrier are excluded from the mean and show up only
     through ``successes``; estimate is NaN when no trial found a barrier.
+
+    A trial takes :func:`extract_barrier` of the mobile mask and counts
+    the path's :func:`duty_slots`, which is :func:`distinct_cameras` on
+    the plan :func:`run_algorithm1` would make.
     """
     if config.mode != "mobile":
         raise ValueError("camera-count sweep requires mobile mode")
-    params = config.camera_params()
     d = grid_length_bound(config.r)
+    shape = grid_shape(config.width, config.height, d)
     rows = []
     for count in config.counts:
         found = []
         for t in range(config.trials):
-            cams = random_deploy(
-                config.width, config.height, count, trial_seed(config.seed, count, t), params
-            )
-            plan = run_algorithm1(config.width, config.height, cams, d)
-            covered = staffed_cells(plan)
-            g = prune_degree_one(build_graph(covered, plan.grid.m, plan.grid.n))
-            result = shortest_barrier(g)
+            xs, ys, _ = draw_cameras(config.width, config.height, count, trial_seed(config.seed, count, t))
+            result = extract_barrier(_mobile_mask(xs, ys, d, shape))
             if result.exists:
-                found.append(distinct_cameras(result, plan))
+                down, up = duty_slots(result.path)
+                found.append(len(down) + len(up))
         successes = len(found)
         if successes == 0:
             estimate = float("nan")

@@ -10,12 +10,14 @@ from cambarrier.barrier_graph import (
     build_graph,
     column_counts,
     distinct_cameras,
+    duty_slots,
+    extract_barrier,
     k_barrier_count,
     prune_degree_one,
     shortest_barrier,
 )
 from cambarrier.geometry import CameraParams, CameraPose, Point2D
-from cambarrier.grid_deploy import grid_length_bound, run_algorithm1
+from cambarrier.grid_deploy import grid_length_bound, run_algorithm1, staffed_cells
 
 from helpers import brute_force_lex_best_path, brute_force_min_weight
 
@@ -269,6 +271,128 @@ class TestBarrierExistsOnDemand:
 
             assert barrier_exists(np.ones((m, n), dtype=bool), covered)
             assert sorted(j for _, j in asked) == list(range(n))
+
+
+def object_barrier(mask):
+    m, n = mask.shape
+    covered = {(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(mask))}
+    return shortest_barrier(prune_degree_one(build_graph(covered, m, n)))
+
+
+class TestExtractBarrier:
+    def test_matches_the_graph_search_on_random_masks(self):
+        rng = np.random.default_rng(61)
+        seen = {"found": 0, "none": 0, "1 x n": 0, "m x 1": 0, "empty": 0, "full": 0}
+        for t in range(10_000):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            if t % 50 == 0:
+                mask = np.full((m, n), t % 100 == 0)
+            else:
+                mask = rng.random((m, n)) < rng.uniform(0.2, 0.95)
+            got = extract_barrier(mask)
+            assert got == object_barrier(mask)
+            seen["found" if got.exists else "none"] += 1
+            seen["1 x n"] += m == 1
+            seen["m x 1"] += n == 1
+            seen["empty"] += not mask.any()
+            seen["full"] += mask.all()
+        assert min(seen.values()) >= 100, seen
+
+    def test_ties_between_equal_weights_go_to_the_smallest_cells(self):
+        # Every cell covered: each row is a path of the same weight, and
+        # row 1 is the smallest.
+        assert extract_barrier(np.ones((3, 4), dtype=bool)).path == ((1, 1), (1, 2), (1, 3), (1, 4))
+        # From (2, 1), over (1, 2) or over (3, 2), both of weight 10.
+        mask = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+        res = extract_barrier(mask)
+        assert res.path == ((2, 1), (1, 2), (2, 3)) and res.total_weight == 4 + 3 + 3
+        assert res == object_barrier(mask)
+
+    def test_a_path_that_turns_back_takes_the_up_left_step(self):
+        # From (5, 5), (4, 4) and (4, 5) both stay on a shortest path: the
+        # diagonal to the smaller column wins over the vertical step.
+        mask = np.array(
+            [
+                [1, 0, 1, 1, 1, 0],
+                [1, 0, 0, 1, 0, 1],
+                [1, 0, 0, 1, 0, 0],
+                [0, 0, 1, 1, 1, 0],
+                [0, 0, 0, 0, 1, 0],
+                [1, 1, 1, 1, 0, 0],
+            ],
+            dtype=bool,
+        )
+        res = extract_barrier(mask)
+        assert res.path == ((6, 1), (6, 2), (6, 3), (6, 4), (5, 5), (4, 4), (3, 4), (2, 4), (1, 5), (2, 6))
+        assert res == object_barrier(mask)
+
+    def test_smallest_start_row_among_nearest_column_one_cells(self):
+        # (1, 1) reaches t only by a detour; (3, 1) goes straight across.
+        mask = np.array([[1, 0, 0], [0, 0, 0], [1, 1, 1]], dtype=bool)
+        assert extract_barrier(mask).path == ((3, 1), (3, 2), (3, 3))
+        mask[1, :] = True
+        assert extract_barrier(mask).path == ((2, 1), (2, 2), (2, 3))
+
+    @pytest.mark.parametrize(
+        "mask, path, weight",
+        [
+            ([[1]], ((1, 1),), 4),
+            ([[0]], (), None),
+            ([[0], [1], [1]], ((2, 1),), 4),
+            ([[1, 1, 1, 1]], ((1, 1), (1, 2), (1, 3), (1, 4)), 10),
+            ([[1, 1, 0, 1]], (), None),
+            ([[1, 0], [0, 1]], ((1, 1), (2, 2)), 7),
+        ],
+    )
+    def test_small_grids(self, mask, path, weight):
+        res = extract_barrier(np.array(mask, dtype=bool))
+        assert (res.exists, res.path, res.total_weight, res.camera_count) == (bool(path), path, weight, None)
+
+    def test_matches_exhaustive_enumeration(self):
+        rng = np.random.default_rng(67)
+        found = 0
+        for _ in range(300):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            covered = random_covered(rng, m, n, p=float(rng.uniform(0.4, 0.9)))
+            g = build_graph(covered, m, n)
+            res = extract_barrier(as_mask(covered, m, n))
+            weight = brute_force_min_weight(g)
+            assert res.total_weight == weight
+            if m * n <= 9:
+                assert res.path == (brute_force_lex_best_path(g) or ())
+            found += res.exists
+        assert found > 50
+
+    @pytest.mark.parametrize("mask", [[1, 0], [[[1]]], np.zeros((0, 3))])
+    def test_rejects_masks_that_are_not_a_grid(self, mask):
+        with pytest.raises(ValueError, match="mask"):
+            extract_barrier(mask)
+
+
+class TestDutySlots:
+    def test_slots_of_one_cell_and_of_a_diagonal_step(self):
+        assert duty_slots([(1, 1)]) == ({(1, 1), (1, 2)}, {(2, 1), (2, 2)})
+        down, up = duty_slots([(1, 1), (2, 2)])
+        assert down == {(1, 1), (1, 2), (2, 2), (2, 3)}
+        assert up == {(2, 1), (2, 2), (3, 2), (3, 3)}
+
+    def test_slot_count_is_the_distinct_camera_count_of_relocated_plans(self):
+        rng = np.random.default_rng(71)
+        d = grid_length_bound(5.0)
+        barriers = 0
+        for _ in range(500):
+            width, height = float(rng.uniform(0.5, 5) * d), float(rng.uniform(0.5, 5) * d)
+            count = int(rng.integers(0, 60))
+            cams = [
+                CameraPose(k, Point2D(float(rng.uniform(0, width)), float(rng.uniform(0, height))), 0.0, PARAMS)
+                for k in range(count)
+            ]
+            plan = run_algorithm1(width, height, cams, d)
+            res = shortest_barrier(build_graph(staffed_cells(plan), plan.grid.m, plan.grid.n))
+            down, up = duty_slots(res.path)
+            assert len(down) + len(up) == distinct_cameras(res, plan)
+            barriers += res.exists
+        assert barriers > 100
 
 
 class TestDistinctCameras:

@@ -1,13 +1,34 @@
 import hashlib
+import importlib
 import json
 import math
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from cambarrier import barrier_graph, cli, grid_deploy, serialize
 from cambarrier.cli import main
+from cambarrier.grid_deploy import MAX_CELLS
 from cambarrier.serialize import camera_to_dict
 from cambarrier.simulate import MAX_SAMPLES, random_deploy
 from cambarrier.geometry import CameraParams
+
+
+#: The functions of the graph-object barrier pipeline, which stay as the
+#: paper's named steps and as test oracles.
+OBJECT_PIPELINE = (
+    "staffed_cells",
+    "cell_fully_staffed",
+    "build_graph",
+    "prune_degree_one",
+    "shortest_barrier",
+    "distinct_cameras",
+    "column_counts",
+    "k_barrier_count",
+    "graph_to_dict",
+)
 
 
 def run(capsys, *argv):
@@ -234,6 +255,101 @@ class TestGridPipeline:
         assert captured.err == "error: plan field 'down' must be the id of a camera in 'cameras', got 999999\n"
         assert captured.out == ""
 
+    @pytest.fixture()
+    def plan_file(self, tmp_path, capsys, camera_file):
+        plan_path = tmp_path / "plan.json"
+        assert run(capsys, "deploy-grid", "--cameras", str(camera_file), "--width", "20", "--height", "10",
+                   "--out", str(plan_path))[0] == 0
+        return plan_path
+
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    def test_plan_grid_over_the_cell_limit_exits_2(self, capsys, plan_file, command):
+        plan = json.loads(plan_file.read_text())
+        plan["grid"]["m"] = plan["grid"]["n"] = 100_000
+        plan_file.write_text(json.dumps(plan))
+        start = time.perf_counter()
+        code = main([command, "--plan", str(plan_file)])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert captured.err == f"error: a 100000 x 100000 plan grid exceeds {MAX_CELLS} cells\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    @pytest.mark.parametrize(
+        "section, key, pair",
+        [
+            ("cells", "cell", [0, 1]),
+            ("cells", "cell", ["m+1", 1]),
+            ("heads", "cell", [1, "n+1"]),
+            ("heads", "cell", [1, -1]),
+            ("assignments", "vertex", [0, 0]),
+            ("assignments", "vertex", ["m+2", 1]),
+            ("assignments", "vertex", [1, "n+2"]),
+            ("cameras", "vertex", [-1, 1]),
+            ("cameras", "vertex", ["m+2", "n+1"]),
+            ("deficits", "vertex", [1, 0]),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, str) else v,
+    )
+    def test_plan_pair_off_the_grid_exits_2(self, capsys, plan_file, command, section, key, pair):
+        plan = json.loads(plan_file.read_text())
+        m, n = plan["grid"]["m"], plan["grid"]["n"]
+        sizes = {"m+1": m + 1, "m+2": m + 2, "n+1": n + 1, "n+2": n + 2}
+        plan[section][0][key] = [sizes.get(v, v) for v in pair]
+        plan_file.write_text(json.dumps(plan))
+        code = main([command, "--plan", str(plan_file)])
+        captured = capsys.readouterr()
+        rows, cols = (m, n) if key == "cell" else (m + 1, n + 1)
+        assert code == 2
+        assert captured.err.startswith(
+            f"error: plan field {key!r} must be a pair of integers in [1, {rows}] x [1, {cols}], got "
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    def test_plan_pairs_on_the_grid_edges_load(self, capsys, plan_file, command):
+        plan = json.loads(plan_file.read_text())
+        m, n = plan["grid"]["m"], plan["grid"]["n"]
+        plan["heads"][0]["cell"] = [m, n]
+        plan["cameras"][0]["vertex"] = [m + 1, n + 1]
+        plan["deficits"][0]["vertex"] = [m + 1, 1]
+        plan_file.write_text(json.dumps(plan))
+        assert run(capsys, command, "--plan", str(plan_file))[0] == 0
+
+    def test_camera_count_is_of_distinct_ids_when_a_plan_names_one_twice(self, capsys, plan_file):
+        barrier = json.loads(run(capsys, "barrier", "--plan", str(plan_file))[1])
+        assert barrier["camera_count"] == 12
+        # Give the first path cell's top-right "down" duty to the camera
+        # serving its top-left one.
+        plan = json.loads(plan_file.read_text())
+        i, j = barrier["path"][0]
+        duties = {tuple(e["vertex"]): e for e in plan["assignments"]}
+        duties[(i, j + 1)]["down"] = duties[(i, j)]["down"]
+        plan_file.write_text(json.dumps(plan))
+        again = json.loads(run(capsys, "barrier", "--plan", str(plan_file))[1])
+        assert again["path"] == barrier["path"]
+        assert again["camera_count"] == 11
+
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    def test_plan_commands_build_no_graph_objects(self, monkeypatch, capsys, plan_file, command):
+        before = run(capsys, command, "--plan", str(plan_file))
+        assert json.loads(before[1])["camera_count" if command == "barrier" else "k"] > 0
+
+        def forbid(name):
+            def fail(*args, **kwargs):
+                pytest.fail(f"{command} called {name}")
+
+            return fail
+
+        names = OBJECT_PIPELINE + (("dumps",) if command == "barrier" else ())
+        for module in (barrier_graph, grid_deploy, serialize, cli):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbid(name))
+        monkeypatch.setattr(barrier_graph.CoverageGraph, "__init__", forbid("CoverageGraph"))
+        assert run(capsys, command, "--plan", str(plan_file)) == before
+
     def test_outside_camera_exits_3(self, tmp_path, capsys, camera_file):
         code, _ = run(
             capsys,
@@ -433,3 +549,14 @@ class TestFig3:
         code, out = run(capsys, "fig3", "--length", "100", "--r-min", "2", "--r-max", "3.2", "--step", "0.3")
         assert code == 0
         assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["2", "2.3", "2.6", "2.9", "3.2"]
+
+
+def test_every_benchmark_trace_target_resolves(monkeypatch):
+    # The trace wraps each (module, name) pair; a name missing from its
+    # module makes every traced benchmark run fail.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    spans = importlib.import_module("spans")
+    assert spans.TARGETS
+    for module, name, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"cambarrier.{module}"), name)), (module, name)

@@ -61,9 +61,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             CameraParams(r=1.0, phi=1.0, theta=math.pi)
 
-    def test_comm_range_is_twice_radius(self):
-        assert CameraParams(r=7.5, phi=1.0, theta=0.5).comm_range == 15.0
-
     def test_pose_normalizes_facing(self):
         assert cam(0, 0, -math.pi / 2).facing == pytest.approx(1.5 * math.pi)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cambarrier.geometry import EPS, CameraParams, CameraPose, Point2D
 from cambarrier.grid_deploy import (
     MAX_CELLS,
     CameraOutsideRegionError,
+    VertexAssignment,
     assign_orientations,
     assign_to_vertices,
     camera_positions,
@@ -17,6 +19,7 @@ from cambarrier.grid_deploy import (
     grid_length_bound,
     grid_shape,
     partition,
+    plan_staffed_mask,
     run_algorithm1,
     staffed_cells,
     staffed_mask,
@@ -162,6 +165,35 @@ class TestStaffedMask:
             assert (got == staffed_from_plan(width, height, cams, d)).all()
             outcomes.add(bool(got.any()))
         assert outcomes == {True, False}
+
+    def test_plan_mask_matches_staffed_cells(self):
+        rng = np.random.default_rng(79)
+        d = grid_length_bound(5.0)
+        staffed = 0
+        for _ in range(150):
+            width, height = float(rng.uniform(0.5, 6) * d), float(rng.uniform(0.5, 6) * d)
+            m, n = grid_shape(width, height, d)
+            cams = random_cameras(rng, int(rng.integers(0, 10 * m * n)), width, height)
+            got = plan_staffed_mask(run_algorithm1(width, height, cams, d))
+            assert got.shape == (m, n)
+            assert (got == staffed_from_plan(width, height, cams, d)).all()
+            staffed += int(got.sum())
+        assert staffed > 0
+
+    def test_plan_mask_reads_only_the_duties_a_cell_needs(self):
+        # One cell staffed by four cameras; a "down" duty on the bottom row
+        # and an "up" duty on the top row, as a loaded plan may hold them,
+        # staff nothing more.
+        d = grid_length_bound(5.0)
+        plan = run_algorithm1(2 * d, d, [cam(k, 0.4 + 0.1 * k, 0.4) for k in range(4)], d)
+        assert plan_staffed_mask(plan).tolist() == [[True, False]]
+        extra = {
+            (1, 3): VertexAssignment((1, 3), (9,), None, 9, ()),
+            (2, 3): VertexAssignment((2, 3), (8,), 8, None, ()),
+        }
+        odd = replace(plan, assignments={**plan.assignments, **extra})
+        assert plan_staffed_mask(odd).tolist() == [[True, False]]
+        assert staffed_cells(odd) == {(1, 1)}
 
     def test_no_cameras_staff_nothing(self):
         for m, n in ((1, 1), (3, 2)):

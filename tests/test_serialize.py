@@ -1,18 +1,22 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cambarrier.barrier_graph import barrier_json, build_graph, extract_barrier
 from cambarrier.geometry import CameraParams
 from cambarrier.grid_deploy import run_algorithm1
 from cambarrier.serialize import (
+    barrier_to_dict,
     camera_from_dict,
     camera_to_dict,
     cameras_from_list,
     dumps,
+    graph_to_dict,
     plan_from_dict,
     plan_to_dict,
 )
@@ -131,6 +135,53 @@ class TestDumps:
         text = dumps(plan_to_dict(plan))
         assert text == ref_dumps(plan_to_dict(plan))
         assert dumps(plan_to_dict(plan_from_dict(json.loads(text)))) == text
+
+
+def barrier_document(result, mask):
+    """The barrier document as the graph objects write it."""
+    m, n = mask.shape
+    covered = {(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(mask))}
+    payload = barrier_to_dict(result)
+    payload["graph"] = graph_to_dict(build_graph(covered, m, n))
+    return payload
+
+
+class TestBarrierJson:
+    def test_matches_the_graph_objects_byte_for_byte(self):
+        rng = np.random.default_rng(73)
+        seen = {"empty": 0, "n == 1": 0, "found": 0, "none": 0}
+        for t in range(1000):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            mask = rng.random((m, n)) < (0.0 if t % 20 == 0 else rng.uniform(0.2, 1.0))
+            result = extract_barrier(mask)
+            if result.exists:
+                result = replace(result, camera_count=int(rng.integers(4, 200)))
+            text = barrier_json(result, mask)
+            payload = barrier_document(result, mask)
+            assert text == dumps(payload)
+            if t % 10 == 0:
+                assert text == ref_dumps(payload)
+            seen["empty"] += not mask.any()
+            seen["n == 1"] += n == 1
+            seen["found" if result.exists else "none"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_empty_mask_has_no_edges(self):
+        text = barrier_json(extract_barrier(np.zeros((2, 3), dtype=bool)), np.zeros((2, 3), dtype=bool))
+        doc = json.loads(text)
+        assert doc["graph"] == {"edges": [], "m": 2, "n": 3, "nodes": ["s", "t"]}
+        assert '"edges": [],' in text and '"path": [],' in text
+
+    def test_a_single_column_cell_has_an_s_and_a_t_edge(self):
+        mask = np.array([[False], [True]])
+        result = replace(extract_barrier(mask), camera_count=4)
+        doc = json.loads(barrier_json(result, mask))
+        assert doc["graph"]["edges"] == [
+            {"kind": "source", "u": "s", "v": [2, 1], "weight": 4},
+            {"kind": "sink", "u": [2, 1], "v": "t", "weight": 0},
+        ]
+        assert (doc["path"], doc["total_weight"], doc["camera_count"]) == ([[2, 1]], 4, 4)
+        assert barrier_json(result, mask) == dumps(barrier_document(result, mask))
 
 
 def entry(cid, r=5.0, phi=2.0, theta=1.0, **fields):

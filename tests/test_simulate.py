@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import cambarrier.barrier_graph as barrier_graph_module
+import cambarrier.grid_deploy as grid_deploy_module
 import cambarrier.simulate as simulate_module
 from cambarrier.barrier_graph import build_graph, prune_degree_one, shortest_barrier
 from cambarrier.geometry import CULL_MARGIN, EPS, CameraCull, CameraParams, CameraPose, Point2D
@@ -589,6 +591,55 @@ class TestCameraCountSweep:
     def test_deterministic(self):
         cfg = small_config(counts=(40,), trials=8)
         assert barrier_camera_count_sweep(cfg) == barrier_camera_count_sweep(cfg)
+
+    def test_builds_no_camera_plan_or_graph_objects(self, monkeypatch):
+        cfg = small_config(counts=(0, 20, 40), trials=6)
+        before = barrier_camera_count_sweep(cfg)
+        assert sum(row.successes for row in before.rows) > 0
+        before = sweep_csv_text(before)
+
+        def forbid(name):
+            def fail(*args, **kwargs):
+                pytest.fail(f"the count sweep called {name}")
+
+            return fail
+
+        names = (
+            "random_deploy", "run_algorithm1", "staffed_cells", "cell_fully_staffed", "build_graph",
+            "prune_degree_one", "shortest_barrier", "distinct_cameras",
+        )
+        for module in (barrier_graph_module, grid_deploy_module, simulate_module):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbid(name))
+        monkeypatch.setattr(CameraPose, "__post_init__", forbid("CameraPose"))
+        monkeypatch.setattr(barrier_graph_module.CoverageGraph, "__init__", forbid("CoverageGraph"))
+        assert sweep_csv_text(barrier_camera_count_sweep(cfg)) == before
+
+    # CSVs taken while the sweep still built a plan and a graph per trial:
+    # rows with no barrier (NaN), with one barrier and with several.
+    PINNED = [
+        (
+            dict(counts=(0, 10, 16, 20, 30), trials=6),
+            "x,estimate,trials,successes,stderr\n0,nan,6,0,nan\n10,8,6,1,0\n16,8,6,1,0\n"
+            "20,6,6,5,0\n30,6,6,6,0\n",
+        ),
+        (
+            dict(width=30.0, height=27.0, r=5.0, counts=(80, 110, 120, 140, 200), trials=8, seed=11),
+            "x,estimate,trials,successes,stderr\n80,nan,8,0,nan\n110,18.6666667,8,3,1.33333333\n"
+            "120,17,8,4,0.577350269\n140,17.5,8,4,0.957427108\n200,16,8,8,0\n",
+        ),
+        (
+            dict(width=40.0, height=10.0, r=5.0, theta=math.pi / 4, counts=(60, 70, 80, 90, 100, 120), trials=5,
+                 seed=3),
+            "x,estimate,trials,successes,stderr\n60,nan,5,0,nan\n70,nan,5,0,nan\n80,nan,5,0,nan\n"
+            "90,20.6666667,5,3,0.666666667\n100,20,5,3,0\n120,20,5,4,0\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("overrides, expected", PINNED, ids=["2x2", "7x7", "3x9"])
+    def test_pinned_csvs(self, overrides, expected):
+        assert sweep_csv_text(barrier_camera_count_sweep(small_config(**overrides))) == expected
 
 
 class TestFig3:
