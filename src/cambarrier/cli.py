@@ -21,7 +21,7 @@ from .serialize import (
     dumps,
     line_deployment_to_dict,
     plan_from_dict,
-    plan_to_dict,
+    plan_json,
     sweep_csv_text,
 )
 from .simulate import (
@@ -40,7 +40,7 @@ from .barrier_graph import (  # noqa: F401
     shortest_barrier,
 )
 from .grid_deploy import staffed_cells  # noqa: F401
-from .serialize import graph_to_dict  # noqa: F401
+from .serialize import graph_to_dict, plan_to_dict  # noqa: F401
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -55,6 +55,8 @@ def _load_json(path: str):
 
 
 def _cmd_plan_line(args) -> int:
+    if not args.length > 0:
+        raise ValueError(f"barrier length must be positive, got {args.length}")
     barrier = Segment(Point2D(0.0, 0.0), Point2D(args.length, 0.0))
     dep = place_line_deployment(barrier, args.r, theta=args.theta)
     _emit(dumps(line_deployment_to_dict(dep)), args.out)
@@ -70,7 +72,7 @@ def _cmd_deploy_grid(args) -> int:
             raise ValueError("--d is required when the camera file is empty")
         d = grid_length_bound(min(c.params.r for c in cameras))
     plan = run_algorithm1(args.width, args.height, cameras, d)
-    _emit(dumps(plan_to_dict(plan)), args.out)
+    _emit(plan_json(plan), args.out)
     return 0
 
 

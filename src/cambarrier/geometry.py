@@ -366,6 +366,12 @@ def _in_range(dx, dy, r):
     return usable
 
 
+#: Most cameras a scenario may sweep or a line deployment may place.  It
+#: is about 20 times the largest count the tests, demos and benchmark use;
+#: each trial holds arrays of this length, so a larger count mostly means
+#: a run that does not fit in memory.
+MAX_CAMERAS = 1_000_000
+
 #: Most camera rows times points one kernel pass evaluates at a time:
 #: larger batches are split by points.  One point of ``MAX_CAMERAS``
 #: cameras fits, and the benchmark's calls are far below it.

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .geometry import (
     EPS,
+    MAX_CAMERAS,
     TAU,
     CameraParams,
     CameraPose,
@@ -162,7 +163,8 @@ def place_line_deployment(
     straight down, lower-row straight up, each with field of view alpha.
     ``params`` defaults to :func:`optimal_params`; pass explicit values to
     study off-optimal spacings.  ``theta`` is carried onto the cameras for
-    later verification.
+    later verification.  More than :data:`MAX_CAMERAS` cameras raise
+    ``ValueError`` before any is placed.
     """
     if abs(barrier.a.y - barrier.b.y) > EPS:
         raise ValueError("canonical model requires horizontal barrier")
@@ -172,7 +174,12 @@ def place_line_deployment(
     left = min(barrier.a.x, barrier.b.x)
     right = max(barrier.a.x, barrier.b.x)
     y0 = barrier.a.y
-    spots = slack_ceil((right - left) / p.delta) + 1
+    # 2 * (slack_ceil(span) + 1) cameras, counted on the float span so
+    # that an infinite one is refused too.
+    span = (right - left) / p.delta
+    if span - EPS > MAX_CAMERAS // 2 - 1:
+        raise ValueError(f"the deployment needs more than {MAX_CAMERAS} cameras")
+    spots = slack_ceil(span) + 1
     hardware = CameraParams(r=r, phi=p.alpha, theta=theta)
     cameras = []
     for k in range(spots):

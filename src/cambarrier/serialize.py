@@ -55,13 +55,7 @@ def _write(value, head: str, newline: str, chunks: list) -> None:
     elif kind is int:
         chunks.append(head + int.__repr__(value))
     elif kind is float:
-        # The value written is float(text), in float.__repr__'s form.  When
-        # text is plain notation with a point (exponents -4 to 8), it is
-        # that form already: repr picks the fewest digits that name the
-        # double, and no two decimals of at most 15 significant digits
-        # name the same normal double, so those are text's own digits.
-        text = f"{value:.9g}"
-        chunks.append(head + (text if "." in text and "e" not in text else _float(float(text))))
+        chunks.append(head + _number(value))
     elif kind is dict:
         if not value:
             chunks.append(head + "{}")
@@ -95,6 +89,22 @@ def _json_base(value) -> type:
         if isinstance(value, base):
             return base
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _number(value) -> str:
+    """The JSON text of a float rounded to 9 significant digits, as
+    :func:`dumps` and :func:`plan_json` write it.  An exact ``int`` is
+    written as :func:`dumps` writes ints, so that a plan built from
+    integer coordinates keeps the bytes of its dict view."""
+    # The value written is float(text), in float.__repr__'s form.  When
+    # text is plain notation with a point (exponents -4 to 8), it is that
+    # form already: repr picks the fewest digits that name the double, and
+    # no two decimals of at most 15 significant digits name the same
+    # normal double, so those are text's own digits.
+    text = f"{value:.9g}"
+    if "." in text and "e" not in text:
+        return text
+    return int.__repr__(value) if type(value) is int else _float(float(text))
 
 
 def _float(value) -> str:
@@ -247,6 +257,82 @@ def plan_to_dict(plan: DeploymentPlan) -> dict:
         "deficits": [{"vertex": list(v), "orientation": role} for v, role in plan.deficits],
         "d_within_bound": plan.d_within_bound,
     }
+
+
+def _id_list(ids) -> str:
+    """A list of camera ids at the depth of a plan record's fields."""
+    return "[\n        " + ",\n        ".join(map(int.__repr__, ids)) + "\n      ]" if ids else "[]"
+
+
+def _duty(cid) -> str:
+    return "null" if cid is None else int.__repr__(cid)
+
+
+def _role(role) -> str:
+    return "null" if role is None else _quote(role)
+
+
+def _section(items: list) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def plan_json(plan: DeploymentPlan) -> str:
+    """The text :func:`dumps` writes of :func:`plan_to_dict` of ``plan``,
+    written in one pass with no dict tree: one f-string per record kind,
+    its keys in sorted order.  Floats go through :func:`_number` and ids
+    through ``int.__repr__``; the ``phi``, ``r`` and ``theta`` text is
+    made once per :class:`CameraParams` of the plan.
+
+    The plan's fields must hold the types :func:`run_algorithm1
+    <cambarrier.grid_deploy.run_algorithm1>` and :func:`plan_from_dict`
+    give them: ``int`` or ``float`` lengths and coordinates, ``int`` ids
+    and pairs, a ``bool`` flag."""
+    g = plan.grid
+    poses = g.poses
+    cells = [
+        f'    {{\n      "cameras": {_id_list(ids)},\n      "cell": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), ids in sorted(g.cell_members.items())
+    ]
+    heads = [
+        f'    {{\n      "cell": [\n        {i},\n        {j}\n      ],\n      "id": {int.__repr__(cid)}\n    }}'
+        for (i, j), cid in sorted(plan.heads.items())
+    ]
+    assignments = [
+        f'    {{\n      "down": {_duty(a.down)},\n      "silent": {_id_list(a.silent)},\n'
+        f'      "stationed": {_id_list(a.stationed)},\n      "up": {_duty(a.up)},\n'
+        f'      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), a in sorted(plan.assignments.items())
+    ]
+    hardware = {}  # id(CameraParams) -> its "phi", "r" and "theta" lines
+    cameras = []
+    for key in sorted(plan.records):
+        rec = plan.records[key]
+        pose = poses[rec.camera_id]
+        params = pose.params
+        lines = hardware.get(id(params))
+        if lines is None:
+            lines = hardware[id(params)] = (
+                f'"phi": {_number(params.phi)},\n      "r": {_number(params.r)},\n'
+                f'      "theta": {_number(params.theta)}'
+            )
+        i, j = rec.vertex
+        cameras.append(
+            f'    {{\n      "distance": {_number(rec.distance)},\n      "facing": {_number(pose.facing)},\n'
+            f'      "id": {int.__repr__(rec.camera_id)},\n      "orientation": {_role(rec.orientation)},\n'
+            f'      {lines},\n      "vertex": [\n        {i},\n        {j}\n      ],\n'
+            f'      "x": {_number(rec.origin.x)},\n      "y": {_number(rec.origin.y)}\n    }}'
+        )
+    deficits = [
+        f'    {{\n      "orientation": {_role(role)},\n      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), role in plan.deficits
+    ]
+    return (
+        f'{{\n  "assignments": {_section(assignments)},\n  "cameras": {_section(cameras)},\n'
+        f'  "cells": {_section(cells)},\n  "d_within_bound": {"true" if plan.d_within_bound else "false"},\n'
+        f'  "deficits": {_section(deficits)},\n  "grid": {{\n    "d": {_number(g.d)},\n'
+        f'    "height": {_number(g.height)},\n    "m": {int.__repr__(g.m)},\n    "n": {int.__repr__(g.n)},\n'
+        f'    "width": {_number(g.width)}\n  }},\n  "heads": {_section(heads)}\n}}\n'
+    )
 
 
 def _plan_error(key: str, expected: str, value) -> ValueError:
@@ -419,6 +505,7 @@ __all__ = [
     "cameras_from_list",
     "line_deployment_to_dict",
     "plan_to_dict",
+    "plan_json",
     "plan_from_dict",
     "graph_to_dict",
     "barrier_to_dict",

@@ -28,6 +28,7 @@ import numpy as np
 
 from .barrier_graph import barrier_exists, duty_slots, extract_barrier
 from .geometry import (
+    MAX_CAMERAS,
     TAU,
     CameraCull,
     CameraParams,
@@ -53,12 +54,6 @@ from .barrier_graph import build_graph, prune_degree_one, shortest_barrier  # no
 from .grid_deploy import run_algorithm1, staffed_cells  # noqa: F401
 
 MODES = ("static", "mobile")
-
-#: Largest camera count a scenario may sweep.  It is about 20 times the
-#: largest count the tests, demos and benchmark use; each trial holds
-#: arrays of this length, so a larger count mostly means a run that does
-#: not fit in memory.
-MAX_CAMERAS = 1_000_000
 
 #: Largest number of samples per cell a scenario may test.  It is about
 #: 20 times the largest value the tests use (1001); each full test holds

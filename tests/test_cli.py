@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -56,6 +58,24 @@ class TestPlanLine:
     def test_bad_radius_exits_2(self, capsys):
         code, _ = run(capsys, "plan-line", "--length", "10", "--r", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("length", ["-5", "0", "-0.0"])
+    def test_non_positive_length_exits_2_as_fig3_does(self, capsys, length):
+        code = main(["plan-line", f"--length={length}", "--r", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: barrier length must be positive, got {float(length)}\n"
+        code = main(["fig3", f"--length={length}", "--r-min", "3", "--r-max", "3"])
+        assert (code, capsys.readouterr().err) == (2, captured.err)
+
+    @pytest.mark.parametrize("length, r", [("1e12", "3"), ("100", "1e-12"), ("1e308", "1e-300")])
+    def test_deployment_over_the_camera_cap_exits_2_at_once(self, capsys, length, r):
+        start = time.perf_counter()
+        code = main(["plan-line", "--length", length, "--r", r])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: the deployment needs more than 1000000 cameras\n"
 
 
 class TestGridPipeline:
@@ -164,6 +184,33 @@ class TestGridPipeline:
                 plan_path.write_text(out)
             digests[command] = hashlib.sha256(out.encode()).hexdigest()
         assert digests == self.PINNED_SHA256
+
+    # SHA-256 of the grid-cap plan below, taken before deploy-grid wrote
+    # its plan from per-record templates.
+    GRID_CAP_SHA256 = "fc20777fbc6e728134c6a221a69f7e4bf7fe1f74a874d677b2e7900d5907b76f"
+
+    def test_grid_cap_plan_keeps_its_bytes_in_bounded_memory(self, tmp_path):
+        # One camera on 500 x 500 cells: a 46 MB plan, almost all of it
+        # deficits.  The write took the run to ~486 MiB of peak RSS when it
+        # went through the dict view; a fresh process measures only this run.
+        cameras = tmp_path / "cams.json"
+        cameras.write_text('[{"id": 0, "x": 1.0, "y": 1.0, "facing": 0.0, "r": 5.0, "phi": 2.0, "theta": 0.7}]')
+        plan = tmp_path / "plan.json"
+        child = (
+            "import resource, sys\n"
+            "from cambarrier.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        argv = ["deploy-grid", "--cameras", str(cameras), "--width", "500", "--height", "500", "--d", "1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", child, *argv, "--out", str(plan)], capture_output=True, text=True, env=env, check=True
+        )
+        code, max_rss_kib = map(int, done.stdout.split())
+        assert code == 0
+        assert hashlib.sha256(plan.read_bytes()).hexdigest() == self.GRID_CAP_SHA256
+        assert max_rss_kib < 400 * 1024
 
     @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
     @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cambarrier.geometry import Point2D, Segment, full_view_covered_segment
+from cambarrier import line_model
+from cambarrier.geometry import MAX_CAMERAS, Point2D, Segment, full_view_covered_segment
 from cambarrier.line_model import (
     SWING_FOV,
     LineDeploymentParams,
@@ -163,3 +164,26 @@ class TestPlacement:
         barrier = Segment(Point2D(0, 0), Point2D(100, 0))
         dep = place_line_deployment(barrier, r)
         assert full_view_covered_segment(barrier, list(dep.cameras), math.pi / 4, samples=1001)
+
+    def test_a_barrier_just_over_the_camera_cap_places_nothing(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("a camera was placed")
+
+        monkeypatch.setattr(line_model, "CameraPose", fail)
+        # 500,000 spans: two rows of 500,001 spots, two cameras over the cap.
+        length = (MAX_CAMERAS // 2) * optimal_params(5.0).delta
+        for barrier, r in (
+            (Segment(Point2D(0, 0), Point2D(length, 0)), 5.0),
+            (Segment(Point2D(0, 0), Point2D(100, 0)), 1e-12),
+            (Segment(Point2D(-1e308, 0), Point2D(1e308, 0)), 1.0),  # the span overflows to inf
+        ):
+            with pytest.raises(ValueError, match=f"more than {MAX_CAMERAS} cameras"):
+                place_line_deployment(barrier, r)
+
+    def test_the_cap_admits_exactly_its_count(self, monkeypatch):
+        monkeypatch.setattr(line_model, "MAX_CAMERAS", 10)
+        delta = optimal_params(5.0).delta
+        dep = place_line_deployment(Segment(Point2D(0, 0), Point2D(4 * delta, 0)), 5.0)
+        assert len(dep.cameras) == 10
+        with pytest.raises(ValueError, match="more than 10 cameras"):
+            place_line_deployment(Segment(Point2D(0, 0), Point2D(4 * delta + 1e-6, 0)), 5.0)

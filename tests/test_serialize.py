@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cambarrier.barrier_graph import barrier_json, build_graph, extract_barrier
-from cambarrier.geometry import CameraParams
+from cambarrier.geometry import CameraParams, CameraPose, Point2D
 from cambarrier.grid_deploy import run_algorithm1
 from cambarrier.serialize import (
     barrier_to_dict,
@@ -18,6 +19,7 @@ from cambarrier.serialize import (
     dumps,
     graph_to_dict,
     plan_from_dict,
+    plan_json,
     plan_to_dict,
 )
 from cambarrier.simulate import random_deploy
@@ -135,6 +137,121 @@ class TestDumps:
         text = dumps(plan_to_dict(plan))
         assert text == ref_dumps(plan_to_dict(plan))
         assert dumps(plan_to_dict(plan_from_dict(json.loads(text)))) == text
+
+
+#: Hardware triples a random plan mixes: integer fields, tiny and huge
+#: radii, and a field of view whose text takes the exponent path.
+HARDWARE = (
+    CameraParams(r=5.0, phi=2 * math.pi / 3, theta=math.pi / 4),
+    CameraParams(r=3, phi=2, theta=1),
+    CameraParams(r=1e-5, phi=1e-10, theta=0.5),
+    CameraParams(r=1e9, phi=math.pi, theta=1e-5),
+)
+
+#: Coordinates whose 9-digit text is written in exponent form or as an
+#: integer, -1e-10 and 1e-10 lying within EPS of the region's edge.
+EDGE_COORDS = (1e-5, -1e-10, -0.0, 0.0, 1e-10)
+
+
+def random_plan(rng: random.Random, t: int):
+    """A run_algorithm1 plan: every 10th with no cameras, every 7th on a
+    1 x 1 grid, every 5th with integer lengths and coordinates, every 6th
+    over 1e9 m wide; ids up to 10**30, some cameras exactly on a vertex
+    and some at EDGE_COORDS or x = 1e9."""
+    d = rng.uniform(0.5, 4.0)
+    cols, rows = rng.uniform(1.0, 6.0), rng.uniform(1.0, 5.0)
+    if t % 7 == 0:
+        cols, rows = rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)
+    if t % 5 == 0:
+        d, cols, rows = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 5)
+    elif t % 6 == 0:
+        d, cols = 2.5e8, rng.uniform(4.0, 6.0)
+    width, height = cols * d, rows * d
+    count = 0 if t % 10 == 0 else rng.randint(1, 40)
+    ids = set()
+    while len(ids) < count:
+        ids.add(rng.randrange(10**30 if t % 2 else 10**3))
+    cameras = []
+    for cid in ids:
+        pick = rng.random()
+        if pick < 0.2:  # on a vertex: travel distance 0.0
+            x, y = d * rng.randint(0, int(cols)), d * rng.randint(0, int(rows))
+        elif pick < 0.35:
+            x, y = rng.choice(EDGE_COORDS + (min(1e9, width),)), rng.choice(EDGE_COORDS + (height,))
+        elif t % 5 == 0:
+            x, y = rng.randint(0, int(width)), rng.randint(0, int(height))
+        else:
+            x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
+        facing = rng.choice((0.0, -0.0, 1e-5, 4, rng.uniform(0.0, 7.0)))
+        cameras.append(CameraPose(cid, Point2D(x, y), facing, rng.choice(HARDWARE)))
+    return run_algorithm1(width, height, cameras, d)
+
+
+def shuffled(data, rng: random.Random):
+    """``data`` with every list, and every dict's key order, shuffled."""
+    if isinstance(data, dict):
+        items = list(data.items())
+        rng.shuffle(items)
+        return {key: shuffled(value, rng) for key, value in items}
+    if isinstance(data, list):
+        items = [shuffled(value, rng) for value in data]
+        if len(items) != 2 or not all(type(v) is int for v in items):  # keep [i, j] pairs
+            rng.shuffle(items)
+        return items
+    return data
+
+
+class TestPlanJson:
+    def test_matches_the_dict_view_on_random_plans(self):
+        rng = random.Random(29)
+        seen = dict.fromkeys(
+            ("no cameras", "1 x 1", "id > 2**64", "on a vertex", "exponent x", "x = 1e9", "int x",
+             "orientation null", "silent empty", "mixed hardware"),
+            0,
+        )
+        for t in range(400):
+            plan = random_plan(rng, t)
+            text = plan_json(plan)
+            assert text == dumps(plan_to_dict(plan))
+            if t % 20 == 0:
+                assert text == ref_dumps(plan_to_dict(plan))
+            records = plan.records.values()
+            seen["no cameras"] += not records
+            seen["1 x 1"] += plan.grid.m == plan.grid.n == 1
+            seen["id > 2**64"] += any(cid > 2**64 for cid in plan.records)
+            seen["on a vertex"] += any(rec.distance == 0.0 for rec in records)
+            seen["exponent x"] += any("e" in f"{rec.origin.x:.9g}" for rec in records)
+            seen["x = 1e9"] += '"x": 1000000000.0,' in text
+            seen["int x"] += any(type(rec.origin.x) is int for rec in records)
+            seen["orientation null"] += any(rec.orientation is None for rec in records)
+            seen["silent empty"] += any(not a.silent for a in plan.assignments.values())
+            seen["mixed hardware"] += len({plan.grid.poses[cid].params for cid in plan.records}) > 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_loaded_plans_with_lists_out_of_order(self):
+        rng = random.Random(31)
+        for t in range(150):
+            data = plan_to_dict(random_plan(rng, t))
+            plan = plan_from_dict(json.loads(json.dumps(shuffled(data, rng))))
+            assert plan_json(plan) == dumps(plan_to_dict(plan))
+
+    def test_is_keyed_by_the_params_object_not_its_value(self):
+        # Equal triples of different types must not share their text.
+        cameras = [
+            CameraPose(0, Point2D(1.0, 1.0), 0.0, CameraParams(r=3.0, phi=2.0, theta=1.0)),
+            CameraPose(1, Point2D(2.0, 1.0), 0.0, CameraParams(r=3, phi=2, theta=1)),
+        ]
+        plan = run_algorithm1(4.0, 2.0, cameras, 2.0)
+        text = plan_json(plan)
+        assert text == dumps(plan_to_dict(plan))
+        assert '"r": 3.0,' in text and '"r": 3,' in text
+
+    def test_a_plan_with_a_null_deficit_role(self):
+        data = plan_to_dict(run_algorithm1(4.0, 4.0, [], 2.0))
+        data["deficits"][0]["orientation"] = None
+        plan = plan_from_dict(data)
+        assert plan_json(plan) == dumps(plan_to_dict(plan))
+        assert '"orientation": null,' in plan_json(plan)
 
 
 def barrier_document(result, mask):
