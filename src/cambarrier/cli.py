@@ -14,13 +14,13 @@ from pathlib import Path
 
 from .barrier_graph import barrier_json, duty_slots, extract_barrier
 from .geometry import EPS, Point2D, Segment
-from .grid_deploy import CameraOutsideRegionError, grid_length_bound, plan_staffed_mask, run_algorithm1
+from .grid_deploy import CameraOutsideRegionError, duty_mask, grid_length_bound, run_algorithm1
 from .line_model import place_line_deployment
 from .serialize import (
     cameras_from_list,
     dumps,
     line_deployment_to_dict,
-    plan_from_dict,
+    plan_duties,
     plan_json,
     sweep_csv_text,
 )
@@ -40,7 +40,7 @@ from .barrier_graph import (  # noqa: F401
     shortest_barrier,
 )
 from .grid_deploy import staffed_cells  # noqa: F401
-from .serialize import graph_to_dict, plan_to_dict  # noqa: F401
+from .serialize import graph_to_dict, plan_from_dict, plan_to_dict  # noqa: F401
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -51,7 +51,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to load") from None
 
 
 def _cmd_plan_line(args) -> int:
@@ -77,21 +80,20 @@ def _cmd_deploy_grid(args) -> int:
 
 
 def _cmd_barrier(args) -> int:
-    plan = plan_from_dict(_load_json(args.plan))
-    mask = plan_staffed_mask(plan)
+    m, n, duties = plan_duties(_load_json(args.plan))
+    mask = duty_mask(m, n, duties)
     result = extract_barrier(mask)
     if result.exists:
         # The distinct ids at the path's duty slots: a loaded plan may name
         # one camera at two slots.
         down, up = duty_slots(result.path)
-        asg = plan.assignments
-        result = replace(result, camera_count=len({asg[v].down for v in down} | {asg[v].up for v in up}))
+        result = replace(result, camera_count=len({duties[v][0] for v in down} | {duties[v][1] for v in up}))
     _emit(barrier_json(result, mask), args.out)
     return 0
 
 
 def _cmd_k_barrier(args) -> int:
-    mask = plan_staffed_mask(plan_from_dict(_load_json(args.plan)))
+    mask = duty_mask(*plan_duties(_load_json(args.plan)))
     # Summed in Python: a first numpy reduction costs ~0.2 MiB of peak RSS.
     counts = [sum(column) for column in zip(*mask.tolist())]
     _emit(dumps({"k": min(counts), "column_counts": counts}), args.out)

@@ -17,6 +17,7 @@ call concurrently.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,9 @@ class CameraParams:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
+        # A range test, not math.isfinite: an int too large for a float
+        # fails it rather than raising OverflowError.
+        if not 0.0 < self.r <= sys.float_info.max:
             raise ValueError(f"sensing radius must be positive and finite, got {self.r}")
         if not 0.0 < self.phi <= TAU + EPS:
             raise ValueError(f"field of view must be in (0, 2*pi], got {self.phi}")

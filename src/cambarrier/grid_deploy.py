@@ -403,13 +403,20 @@ def plan_staffed_mask(plan: DeploymentPlan) -> np.ndarray:
     """:func:`staffed_cells` of ``plan`` as an (m, n) boolean mask, read
     from the duties of its assignments, whose vertices must lie on the
     (m+1) x (n+1) lattice."""
-    shape = (plan.grid.m + 1, plan.grid.n + 1)
-    down = np.zeros(shape, dtype=bool)
-    up = np.zeros(shape, dtype=bool)
-    for (i, j), a in plan.assignments.items():
-        down[i - 1, j - 1] = a.down is not None
-        up[i - 1, j - 1] = a.up is not None
-    return _staffed(down, up)
+    return duty_mask(plan.grid.m, plan.grid.n, {v: (a.down, a.up) for v, a in plan.assignments.items()})
+
+
+def duty_mask(m: int, n: int, duties: dict) -> np.ndarray:
+    """The staffed cells of an m x n grid as an (m, n) boolean mask, from
+    the duties of its (m+1) x (n+1) lattice: ``duties`` maps a vertex
+    ``(i, j)`` to its ``(down, up)`` camera ids, None for an unfilled
+    duty, and a vertex it leaves out serves neither."""
+    cols = n + 1
+    down = np.zeros((m + 1) * cols, dtype=bool)
+    up = np.zeros((m + 1) * cols, dtype=bool)
+    down[[(i - 1) * cols + j - 1 for (i, j), (d, _) in duties.items() if d is not None]] = True
+    up[[(i - 1) * cols + j - 1 for (i, j), (_, u) in duties.items() if u is not None]] = True
+    return _staffed(down.reshape(m + 1, cols), up.reshape(m + 1, cols))
 
 
 def _staffed(down, up) -> np.ndarray:

@@ -12,6 +12,7 @@ scope; transform inputs instead of generalizing the placement.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .geometry import (
@@ -140,14 +141,19 @@ def cameras_for_barrier(length: float, r: float) -> int:
     Spots sit at 0, delta, 2*delta, ... with one spot at or beyond the far
     endpoint, so each row needs ceil(length/delta) + 1 cameras; two rows
     double that.  Endpoints get spots so the whole segment, ends included,
-    verifies geometrically.
+    verifies geometrically.  A count larger than a float can hold raises
+    ``ValueError``, so that every count can be reported as a float.
     """
     if length <= 0:
         raise ValueError(f"barrier length must be positive, got {length}")
     if r <= 0:
         raise ValueError(f"sensing radius must be positive, got {r}")
-    spots = slack_ceil(length / optimal_params(r).delta) + 1
-    return 2 * spots
+    span = length / optimal_params(r).delta
+    if math.isfinite(span):
+        count = 2 * (slack_ceil(span) + 1)
+        if count <= sys.float_info.max:
+            return count
+    raise ValueError(f"a barrier of length {length} at radius {r} needs more cameras than a float can hold")
 
 
 def place_line_deployment(

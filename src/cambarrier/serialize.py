@@ -10,7 +10,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .barrier_graph import BarrierResult, CoverageGraph
-from .geometry import CameraParams, CameraPose, Point2D
+from .geometry import CameraParams, CameraPose, Point2D, check_integer
 from .grid_deploy import MAX_CELLS, ORIENT_DOWN, ORIENT_UP, CameraRecord, DeploymentPlan, GridModel, VertexAssignment
 from .line_model import LineDeployment
 from .simulate import SweepResult
@@ -171,11 +171,17 @@ def camera_to_dict(camera: CameraPose) -> dict:
 _CAMERA_NUMBERS = ("x", "y", "facing", "r", "phi", "theta")
 
 
-def _is_finite_number(value) -> bool:
-    # Exact types: JSON numbers load as int or float, and bool is
-    # neither.  The range test rejects NaN, infinities and ints too large
-    # for a float.
-    return (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+def _non_finite(data: dict, keys) -> str | None:
+    """The first of ``keys`` whose value in ``data`` is not a finite JSON
+    number, or None; the values are read in the order of ``keys``."""
+    for key in keys:
+        value = data[key]
+        # Exact types: JSON numbers load as int or float, and bool is
+        # neither.  The range test rejects NaN, infinities and ints too
+        # large for a float.
+        if (type(value) is not float and type(value) is not int) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return key
+    return None
 
 
 def camera_from_dict(data: dict, params: dict | None = None) -> CameraPose:
@@ -187,24 +193,38 @@ def camera_from_dict(data: dict, params: dict | None = None) -> CameraPose:
     load to its :class:`CameraParams`, so the cameras of a file share
     them; a triple's checks do not depend on which camera carries it.
     """
-    for key in _CAMERA_NUMBERS:
-        value = data[key]
-        if not _is_finite_number(value):
-            raise ValueError(f"camera field {key!r} must be a finite number, got {value!r}")
-    position = Point2D(float(data["x"]), float(data["y"]))
-    if params is None:
-        params = {}
+    return _pose(data, _camera_params(data, {} if params is None else params))
+
+
+def _camera_params(data: dict, params: dict) -> CameraParams:
+    """Check the fields of a camera-file entry, for :func:`camera_from_dict`
+    and :func:`plan_duties` alike: the six numbers, then the
+    ``(r, phi, theta)`` triple (once per distinct triple, through
+    ``params``), then the id, so that an entry with several faults always
+    gets the same error.  Returns the triple's shared
+    :class:`CameraParams`."""
+    key = _non_finite(data, _CAMERA_NUMBERS)
+    if key is not None:
+        raise ValueError(f"camera field {key!r} must be a finite number, got {data[key]!r}")
     triple = (data["r"], data["phi"], data["theta"])
     shared = params.get(triple)
     if shared is None:
         shared = params[triple] = CameraParams(r=float(triple[0]), phi=float(triple[1]), theta=float(triple[2]))
-    return CameraPose(id=data["id"], position=position, facing=float(data["facing"]), params=shared)
+    check_integer("camera id", data["id"], 0)
+    return shared
+
+
+def _pose(data: dict, params: CameraParams) -> CameraPose:
+    """The pose of a camera-file entry :func:`_camera_params` passed."""
+    return CameraPose(
+        id=data["id"], position=Point2D(float(data["x"]), float(data["y"])), facing=float(data["facing"]), params=params
+    )
 
 
 def cameras_from_list(entries) -> list[CameraPose]:
     """The cameras of a camera file, in file order."""
     params = {}
-    return [camera_from_dict(entry, params) for entry in entries]
+    return [_pose(entry, _camera_params(entry, params)) for entry in entries]
 
 
 def line_deployment_to_dict(dep: LineDeployment) -> dict:
@@ -339,10 +359,10 @@ def _plan_error(key: str, expected: str, value) -> ValueError:
     return ValueError(f"plan field {key!r} must be {expected}, got {value!r}")
 
 
-def _plan_number(value, key: str) -> float:
-    if not _is_finite_number(value):
-        raise _plan_error(key, "a finite number", value)
-    return float(value)
+def _plan_numbers(data: dict, keys) -> None:
+    key = _non_finite(data, keys)
+    if key is not None:
+        raise _plan_error(key, "a finite number", data[key])
 
 
 def _plan_id(value, key: str) -> int:
@@ -356,13 +376,13 @@ def _plan_duty(value, key: str):
     return None if value is None else _plan_id(value, key)
 
 
-def _plan_ids(value, key: str) -> tuple[int, ...]:
+def _plan_ids(value, key: str) -> list[int]:
     if type(value) is list:
         for cid in value:
             if type(cid) is not int or cid < 0:
                 break
         else:
-            return tuple(value)
+            return value
     raise _plan_error(key, "a list of non-negative integers", value)
 
 
@@ -375,34 +395,41 @@ def _plan_pair(value, key: str, rows: int, cols: int) -> tuple[int, int]:
     raise _plan_error(key, f"a pair of integers in [1, {rows}] x [1, {cols}]", value)
 
 
-def _plan_orientation(value, key: str):
+def _plan_orientation(value, key: str) -> None:
     if value is not None and value != ORIENT_DOWN and value != ORIENT_UP:
         raise _plan_error(key, f"{ORIENT_DOWN!r}, {ORIENT_UP!r} or null", value)
-    return value
 
 
-def _unknown_camera(cell_members, heads, assignments, poses) -> ValueError:
-    """The error for the first id, taking cells, heads and assignments in
-    turn, that names no camera of the plan; one must exist."""
-    fields = [("cameras", ids) for ids in cell_members.values()]
+def _unknown_camera(cells: dict, heads: dict, assignments: dict, cameras: set) -> ValueError:
+    """The error for the first id, taking cells, heads and assignments
+    (``(stationed, down, up, silent)`` per vertex) in turn, that names no
+    camera of the plan; one must exist."""
+    fields = [("cameras", ids) for ids in cells.values()]
     fields.append(("id", heads.values()))
-    for a in assignments.values():
-        fields += [("stationed", a.stationed), ("down", (a.down,)), ("up", (a.up,)), ("silent", a.silent)]
-    key, cid = next((key, cid) for key, ids in fields for cid in ids if cid is not None and cid not in poses)
+    for stationed, down, up, silent in assignments.values():
+        fields += [("stationed", stationed), ("down", (down,)), ("up", (up,)), ("silent", silent)]
+    key, cid = next((key, cid) for key, ids in fields for cid in ids if cid is not None and cid not in cameras)
     return _plan_error(key, "the id of a camera in 'cameras'", cid)
 
 
-def plan_from_dict(data: dict) -> DeploymentPlan:
-    """The plan a plan JSON describes.  Every field must have its exact
-    JSON type, or ``ValueError`` is raised: ``m`` and ``n`` integers
-    >= 1 with at most :data:`MAX_CELLS` cells, ``width``, ``height``,
-    ``d`` and ``distance`` finite numbers, ids non-negative integers
-    (``down`` and ``up`` may be null), ``cell`` pairs of integers in
-    [1, m] x [1, n] and ``vertex`` pairs in [1, m+1] x [1, n+1],
-    ``orientation`` ``"down"``, ``"up"`` or null, and ``d_within_bound``
-    a bool.  Camera fields are checked as in :func:`camera_from_dict`.
-    Every id in ``cells``, ``heads`` and ``assignments`` must name a
-    camera in ``cameras``."""
+def plan_duties(data: dict, params: dict | None = None) -> tuple[int, int, dict]:
+    """Check a plan JSON and return its grid's ``m`` and ``n`` and the
+    duties of its lattice: each assigned vertex ``(i, j)`` mapped to its
+    ``(down, up)`` camera ids, None for an unfilled duty.  Builds no
+    pose, record, assignment, grid or plan object.
+
+    Every field must have its exact JSON type, or ``ValueError`` is
+    raised: ``m`` and ``n`` integers >= 1 with at most :data:`MAX_CELLS`
+    cells, ``width``, ``height``, ``d`` and ``distance`` finite numbers,
+    ids non-negative integers (``down`` and ``up`` may be null), ``cell``
+    pairs of integers in [1, m] x [1, n] and ``vertex`` pairs in
+    [1, m+1] x [1, n+1], ``orientation`` ``"down"``, ``"up"`` or null, and
+    ``d_within_bound`` a bool.  Camera fields are checked as in
+    :func:`camera_from_dict`, sharing ``params`` as it does.  A repeated
+    ``cell`` or ``vertex`` entry replaces the earlier one, and every id in
+    the ``cells``, ``heads`` and ``assignments`` entries that remain must
+    name a camera in ``cameras``.  The fields are checked in a fixed
+    order, so a plan with several faults always gets the same error."""
     gd = data["grid"]
     for key in ("m", "n"):
         if type(gd[key]) is not int or gd[key] < 1:
@@ -410,62 +437,85 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
     m, n = gd["m"], gd["n"]
     if m * n > MAX_CELLS:
         raise ValueError(f"a {m} x {n} plan grid exceeds {MAX_CELLS} cells")
+    rows, cols = m + 1, n + 1
+    if params is None:
+        params = {}
+    cameras = set()
+    for c in data["cameras"]:
+        _camera_params(c, params)
+        cameras.add(c["id"])
+        _plan_pair(c["vertex"], "vertex", rows, cols)
+        _plan_numbers(c, ("distance",))
+        _plan_orientation(c["orientation"], "orientation")
+    _plan_numbers(gd, ("width", "height", "d"))
+    cells = {_plan_pair(entry["cell"], "cell", m, n): _plan_ids(entry["cameras"], "cameras") for entry in data["cells"]}
+    assignments = {}
+    for entry in data["assignments"]:
+        v = _plan_pair(entry["vertex"], "vertex", rows, cols)
+        assignments[v] = (
+            _plan_ids(entry["stationed"], "stationed"),
+            _plan_duty(entry["down"], "down"),
+            _plan_duty(entry["up"], "up"),
+            _plan_ids(entry["silent"], "silent"),
+        )
+    heads = {_plan_pair(entry["cell"], "cell", m, n): _plan_id(entry["id"], "id") for entry in data["heads"]}
+    named = set(heads.values())
+    named.update(*cells.values())
+    for stationed, down, up, silent in assignments.values():
+        named.update(stationed, silent, (down, up))
+    named.discard(None)
+    if not named.issubset(cameras):
+        raise _unknown_camera(cells, heads, assignments, cameras)
+    if type(data["d_within_bound"]) is not bool:
+        raise _plan_error("d_within_bound", "true or false", data["d_within_bound"])
+    for entry in data["deficits"]:
+        _plan_pair(entry["vertex"], "vertex", rows, cols)
+        _plan_orientation(entry["orientation"], "orientation")
+    return m, n, {v: (down, up) for v, (_, down, up, _) in assignments.items()}
+
+
+def plan_from_dict(data: dict) -> DeploymentPlan:
+    """The plan a plan JSON describes, once :func:`plan_duties` has
+    checked it; raises what that raises."""
     params = {}
+    m, n, _ = plan_duties(data, params)
     poses = {}
     records = {}
     for c in data["cameras"]:
-        pose = camera_from_dict(c, params)
-        poses[pose.id] = pose
+        pose = poses[c["id"]] = _pose(c, params[c["r"], c["phi"], c["theta"]])
         records[pose.id] = CameraRecord(
             camera_id=pose.id,
             origin=pose.position,
-            vertex=_plan_pair(c["vertex"], "vertex", m + 1, n + 1),
-            distance=_plan_number(c["distance"], "distance"),
-            orientation=_plan_orientation(c["orientation"], "orientation"),
+            vertex=tuple(c["vertex"]),
+            distance=float(c["distance"]),
+            orientation=c["orientation"],
         )
+    gd = data["grid"]
     grid = GridModel(
-        width=_plan_number(gd["width"], "width"),
-        height=_plan_number(gd["height"], "height"),
-        d=_plan_number(gd["d"], "d"),
+        width=float(gd["width"]),
+        height=float(gd["height"]),
+        d=float(gd["d"]),
         m=m,
         n=n,
-        cell_members={
-            _plan_pair(entry["cell"], "cell", m, n): _plan_ids(entry["cameras"], "cameras") for entry in data["cells"]
-        },
+        cell_members={tuple(entry["cell"]): tuple(entry["cameras"]) for entry in data["cells"]},
         poses=poses,
     )
     assignments = {}
     for entry in data["assignments"]:
-        v = _plan_pair(entry["vertex"], "vertex", m + 1, n + 1)
+        v = tuple(entry["vertex"])
         assignments[v] = VertexAssignment(
             vertex=v,
-            stationed=_plan_ids(entry["stationed"], "stationed"),
-            down=_plan_duty(entry["down"], "down"),
-            up=_plan_duty(entry["up"], "up"),
-            silent=_plan_ids(entry["silent"], "silent"),
+            stationed=tuple(entry["stationed"]),
+            down=entry["down"],
+            up=entry["up"],
+            silent=tuple(entry["silent"]),
         )
-    heads = {_plan_pair(entry["cell"], "cell", m, n): _plan_id(entry["id"], "id") for entry in data["heads"]}
-    named = set(heads.values())
-    named.update(*grid.cell_members.values())
-    for a in assignments.values():
-        named.update(a.stationed, a.silent, (a.down, a.up))
-    named.discard(None)
-    if not named.issubset(poses):
-        raise _unknown_camera(grid.cell_members, heads, assignments, poses)
-    if type(data["d_within_bound"]) is not bool:
-        raise _plan_error("d_within_bound", "true or false", data["d_within_bound"])
     return DeploymentPlan(
         grid=grid,
-        heads=heads,
+        heads={tuple(entry["cell"]): entry["id"] for entry in data["heads"]},
         assignments=assignments,
         records=records,
-        deficits=tuple(
-            (
-                _plan_pair(entry["vertex"], "vertex", m + 1, n + 1),
-                _plan_orientation(entry["orientation"], "orientation"),
-            )
-            for entry in data["deficits"]
-        ),
+        deficits=tuple((tuple(entry["vertex"]), entry["orientation"]) for entry in data["deficits"]),
         d_within_bound=data["d_within_bound"],
     )
 
@@ -506,6 +556,7 @@ __all__ = [
     "line_deployment_to_dict",
     "plan_to_dict",
     "plan_json",
+    "plan_duties",
     "plan_from_dict",
     "graph_to_dict",
     "barrier_to_dict",

@@ -22,6 +22,7 @@ camera, plan or graph objects.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,7 +84,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for side in (self.width, self.height):
-            if isinstance(side, bool) or not (math.isfinite(side) and side > 0):
+            # A range test, as for the radius: an int too large for a
+            # float fails it rather than raising OverflowError.
+            if isinstance(side, bool) or not 0.0 < side <= sys.float_info.max:
                 raise ValueError(
                     f"region dimensions must be positive and finite, got {self.width} x {self.height}"
                 )

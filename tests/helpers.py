@@ -1,15 +1,27 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's vectorized kernel, graph search
-and JSON writer so they can cross-check them: plain-math full-view
-evaluation, exhaustive s-t path enumeration and the standard library's
-JSON encoder.
+These deliberately avoid the library's vectorized kernel, graph search,
+JSON writer and plan check so they can cross-check them: plain-math
+full-view evaluation, exhaustive s-t path enumeration, the standard
+library's JSON encoder and a frozen copy of the object-building plan
+loader.
 """
 
 import json
 import math
+import sys
 
 from cambarrier.barrier_graph import SINK, SOURCE
+from cambarrier.geometry import CameraParams, CameraPose, Point2D
+from cambarrier.grid_deploy import (
+    MAX_CELLS,
+    ORIENT_DOWN,
+    ORIENT_UP,
+    CameraRecord,
+    DeploymentPlan,
+    GridModel,
+    VertexAssignment,
+)
 
 TAU = 2.0 * math.pi
 EPS = 1e-9
@@ -128,3 +140,145 @@ def ref_dumps(obj):
     with every float rounded to 9 significant digits, through
     ``json.dumps`` with a two-space indent and sorted keys."""
     return json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"
+
+
+# A frozen copy of ``serialize.plan_from_dict`` and the camera loader it
+# calls, as they were before the plan check was split from the object
+# building: the reference for which first error each malformed plan gets.
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _ref_finite(value):
+    return (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _ref_camera(data, params):
+    for key in ("x", "y", "facing", "r", "phi", "theta"):
+        value = data[key]
+        if not _ref_finite(value):
+            raise ValueError(f"camera field {key!r} must be a finite number, got {value!r}")
+    position = Point2D(float(data["x"]), float(data["y"]))
+    triple = (data["r"], data["phi"], data["theta"])
+    shared = params.get(triple)
+    if shared is None:
+        shared = params[triple] = CameraParams(r=float(triple[0]), phi=float(triple[1]), theta=float(triple[2]))
+    return CameraPose(id=data["id"], position=position, facing=float(data["facing"]), params=shared)
+
+
+def _ref_error(key, expected, value):
+    return ValueError(f"plan field {key!r} must be {expected}, got {value!r}")
+
+
+def _ref_number(value, key):
+    if not _ref_finite(value):
+        raise _ref_error(key, "a finite number", value)
+    return float(value)
+
+
+def _ref_id(value, key):
+    if type(value) is not int or value < 0:
+        raise _ref_error(key, "a non-negative integer", value)
+    return value
+
+
+def _ref_duty(value, key):
+    return None if value is None else _ref_id(value, key)
+
+
+def _ref_ids(value, key):
+    if type(value) is list:
+        for cid in value:
+            if type(cid) is not int or cid < 0:
+                break
+        else:
+            return tuple(value)
+    raise _ref_error(key, "a list of non-negative integers", value)
+
+
+def _ref_pair(value, key, rows, cols):
+    if type(value) is list and len(value) == 2:
+        i, j = value
+        if type(i) is int and type(j) is int and 0 < i <= rows and 0 < j <= cols:
+            return (i, j)
+    raise _ref_error(key, f"a pair of integers in [1, {rows}] x [1, {cols}]", value)
+
+
+def _ref_orientation(value, key):
+    if value is not None and value != ORIENT_DOWN and value != ORIENT_UP:
+        raise _ref_error(key, f"{ORIENT_DOWN!r}, {ORIENT_UP!r} or null", value)
+    return value
+
+
+def _ref_unknown_camera(cell_members, heads, assignments, poses):
+    fields = [("cameras", ids) for ids in cell_members.values()]
+    fields.append(("id", heads.values()))
+    for a in assignments.values():
+        fields += [("stationed", a.stationed), ("down", (a.down,)), ("up", (a.up,)), ("silent", a.silent)]
+    key, cid = next((key, cid) for key, ids in fields for cid in ids if cid is not None and cid not in poses)
+    return _ref_error(key, "the id of a camera in 'cameras'", cid)
+
+
+def ref_plan_from_dict(data):
+    """The plan a plan JSON describes, or the error it raises, as the
+    library loaded plans before it checked them without building them."""
+    gd = data["grid"]
+    for key in ("m", "n"):
+        if type(gd[key]) is not int or gd[key] < 1:
+            raise _ref_error(key, "an integer >= 1", gd[key])
+    m, n = gd["m"], gd["n"]
+    if m * n > MAX_CELLS:
+        raise ValueError(f"a {m} x {n} plan grid exceeds {MAX_CELLS} cells")
+    params = {}
+    poses = {}
+    records = {}
+    for c in data["cameras"]:
+        pose = _ref_camera(c, params)
+        poses[pose.id] = pose
+        records[pose.id] = CameraRecord(
+            camera_id=pose.id,
+            origin=pose.position,
+            vertex=_ref_pair(c["vertex"], "vertex", m + 1, n + 1),
+            distance=_ref_number(c["distance"], "distance"),
+            orientation=_ref_orientation(c["orientation"], "orientation"),
+        )
+    grid = GridModel(
+        width=_ref_number(gd["width"], "width"),
+        height=_ref_number(gd["height"], "height"),
+        d=_ref_number(gd["d"], "d"),
+        m=m,
+        n=n,
+        cell_members={_ref_pair(entry["cell"], "cell", m, n): _ref_ids(entry["cameras"], "cameras") for entry in data["cells"]},
+        poses=poses,
+    )
+    assignments = {}
+    for entry in data["assignments"]:
+        v = _ref_pair(entry["vertex"], "vertex", m + 1, n + 1)
+        assignments[v] = VertexAssignment(
+            vertex=v,
+            stationed=_ref_ids(entry["stationed"], "stationed"),
+            down=_ref_duty(entry["down"], "down"),
+            up=_ref_duty(entry["up"], "up"),
+            silent=_ref_ids(entry["silent"], "silent"),
+        )
+    heads = {_ref_pair(entry["cell"], "cell", m, n): _ref_id(entry["id"], "id") for entry in data["heads"]}
+    named = set(heads.values())
+    named.update(*grid.cell_members.values())
+    for a in assignments.values():
+        named.update(a.stationed, a.silent, (a.down, a.up))
+    named.discard(None)
+    if not named.issubset(poses):
+        raise _ref_unknown_camera(grid.cell_members, heads, assignments, poses)
+    if type(data["d_within_bound"]) is not bool:
+        raise _ref_error("d_within_bound", "true or false", data["d_within_bound"])
+    return DeploymentPlan(
+        grid=grid,
+        heads=heads,
+        assignments=assignments,
+        records=records,
+        deficits=tuple(
+            (_ref_pair(entry["vertex"], "vertex", m + 1, n + 1), _ref_orientation(entry["orientation"], "orientation"))
+            for entry in data["deficits"]
+        ),
+        d_within_bound=data["d_within_bound"],
+    )

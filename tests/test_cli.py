@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -9,8 +12,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cambarrier import barrier_graph, cli, grid_deploy, serialize
+from cambarrier import barrier_graph, cli, geometry, grid_deploy, serialize
 from cambarrier.cli import main
 from cambarrier.grid_deploy import MAX_CELLS
 from cambarrier.serialize import camera_to_dict
@@ -397,6 +402,25 @@ class TestGridPipeline:
         monkeypatch.setattr(barrier_graph.CoverageGraph, "__init__", forbid("CoverageGraph"))
         assert run(capsys, command, "--plan", str(plan_file)) == before
 
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    def test_plan_commands_build_no_plan_objects(self, monkeypatch, capsys, plan_file, command):
+        before = run(capsys, command, "--plan", str(plan_file))
+
+        def forbid(name):
+            def fail(*args, **kwargs):
+                pytest.fail(f"{command} called {name}")
+
+            return fail
+
+        for module in (serialize, cli):
+            for name in ("plan_from_dict", "camera_from_dict", "cameras_from_list"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbid(name))
+        for cls in (grid_deploy.DeploymentPlan, grid_deploy.CameraRecord, grid_deploy.VertexAssignment,
+                    grid_deploy.GridModel, geometry.CameraPose):
+            monkeypatch.setattr(cls, "__init__", forbid(cls.__name__))
+        assert run(capsys, command, "--plan", str(plan_file)) == before
+
     def test_outside_camera_exits_3(self, tmp_path, capsys, camera_file):
         code, _ = run(
             capsys,
@@ -468,6 +492,8 @@ class TestSimulate:
             ("counts", [1.7]),
             ("width", 1e300),
             ("counts", [1_000_000_000_000_000]),
+            ("height", 10**400),  # an int too large for a float
+            ("r", 10**400),
         ],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, capsys, config_file, field, value):
@@ -592,10 +618,125 @@ class TestFig3:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("r", ["1e-300", "1"])
+    def test_a_count_past_the_largest_float_exits_2(self, capsys, r):
+        code = main(["fig3", "--length", "1e308", "--r-min", r, "--r-max", r])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: a barrier of length 1e+308 at radius {float(r)} needs more cameras than a float can hold\n"
+        assert captured.out == ""
+
+    def test_a_count_near_the_largest_float_keeps_its_row(self, capsys):
+        code, out = run(capsys, "fig3", "--length", "1e307", "--r-min", "1", "--r-max", "1")
+        assert code == 0
+        assert out.startswith("x,estimate,trials,successes,stderr\n1,2.23606798e+307,1,2236067977499789617")
+        assert out.endswith(",0\n") and out.count("\n") == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == "f5b067eae23eee7f866ff32858562017623705269f0d532b395ff8d3192e88cd"
+
     def test_radius_count_worked_out_before_the_loop_keeps_the_table(self, capsys):
         code, out = run(capsys, "fig3", "--length", "100", "--r-min", "2", "--r-max", "3.2", "--step", "0.3")
         assert code == 0
         assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["2", "2.3", "2.6", "2.9", "3.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["barrier", "--plan"],
+        ["k-barrier", "--plan"],
+        ["deploy-grid", "--width", "10", "--height", "10", "--cameras"],
+        ["simulate", "--config"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {path}: JSON nested too deeply to load\n"
+    assert captured.out == ""
+
+
+#: Stands in for a 5,000-deep ``[[[...]]]`` in a fuzzed file's text.
+DEEP = "deeply nested"
+
+#: What the CLI fuzz test puts in place of a field: every JSON type,
+#: huge and non-finite numbers, and shallow nesting.
+FUZZ_VALUES = (
+    True, "1", "static", None, 0, -1, 2.0, 10**400, -(10**400), 2**64, 1e308, -1e308,
+    math.nan, math.inf, [], {}, [[[1]]],
+)
+
+
+@st.composite
+def fuzzed(draw, tree):
+    """``tree`` as JSON text with one to three fields replaced, deleted,
+    wrapped in a list or nested 5,000 deep."""
+    tree = copy.deepcopy(tree)
+    for _ in range(draw(st.integers(1, 3))):
+        parents = [tree] if isinstance(tree, (dict, list)) else []
+        k = 0
+        while k < len(parents):  # every dict and list of the tree
+            children = parents[k].values() if isinstance(parents[k], dict) else parents[k]
+            parents += [c for c in children if isinstance(c, (dict, list))]
+            k += 1
+        keyed = [(p, key) for p in parents for key in (p if isinstance(p, dict) else range(len(p)))]
+        if not keyed:
+            break
+        parent, key = draw(st.sampled_from(keyed))
+        kind = draw(st.sampled_from(("replace", "delete", "wrap", "nest")))
+        if kind == "delete" and isinstance(parent, dict):
+            del parent[key]
+        elif kind == "wrap":
+            parent[key] = [parent[key]]
+        elif kind == "nest":
+            parent[key] = DEEP
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return json.dumps(tree).replace(json.dumps(DEEP), "[" * 5000 + "]" * 5000)
+
+
+def _fuzz_inputs():
+    poses = random_deploy(10.0, 10.0, 12, 3, CameraParams(r=5.0, phi=2 * math.pi / 3, theta=math.pi / 4))
+    cameras = [camera_to_dict(c) for c in poses]
+    plan = json.loads(serialize.plan_json(grid_deploy.run_algorithm1(10.0, 10.0, poses, 4.0)))
+    config = {"width": 10.0, "height": 10.0, "r": 5.0, "theta": 1.0, "phi": 2.0, "counts": [0, 12], "trials": 2,
+              "seed": 7, "mode": "static", "samples": 11}
+    return {"plan": plan, "cameras": cameras, "config": config}
+
+
+FUZZ_INPUTS = _fuzz_inputs()
+
+#: The commands run on each fuzzed file.  ``simulate`` runs 2 trials
+#: whatever the file says: its ``trials`` field is still checked, but a
+#: valid huge count is a long run by request, not a fault.
+FUZZ_COMMANDS = {
+    "plan": (["barrier", "--plan"], ["k-barrier", "--plan"]),
+    "cameras": (["deploy-grid", "--width", "10", "--height", "10", "--cameras"],),
+    "config": (["simulate", "--trials", "2", "--config"],),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_INPUTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_exit_2_or_3_without_a_traceback(fuzz_dir, kind, data):
+    path = fuzz_dir / f"{kind}.json"
+    path.write_text(data.draw(fuzzed(FUZZ_INPUTS[kind])))
+    for argv in FUZZ_COMMANDS[kind]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, str(path), "--out", str(fuzz_dir / "out")])
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or err.getvalue().startswith("error: ")
 
 
 def test_every_benchmark_trace_target_resolves(monkeypatch):

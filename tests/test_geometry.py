@@ -61,6 +61,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             CameraParams(r=1.0, phi=1.0, theta=math.pi)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 10**400, -(10**400)])
+    def test_params_reject_a_radius_no_float_holds(self, r):
+        with pytest.raises(ValueError, match="sensing radius must be positive and finite"):
+            CameraParams(r=r, phi=1.0, theta=0.5)
+
     def test_pose_normalizes_facing(self):
         assert cam(0, 0, -math.pi / 2).facing == pytest.approx(1.5 * math.pi)
 

@@ -125,6 +125,22 @@ class TestCameraCounts:
         counts = [cameras_for_barrier(100.0, r) for r in range(2, 11)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize(
+        "length, r",
+        [
+            (1e308, 1e-300),  # length / delta overflows to inf
+            (1e308, 1.0),  # a finite span, but a count past the largest float
+        ],
+    )
+    def test_a_count_no_float_can_hold_is_refused(self, length, r):
+        with pytest.raises(ValueError, match="more cameras than a float can hold"):
+            cameras_for_barrier(length, r)
+
+    def test_a_count_near_the_float_limit_still_counts(self):
+        count = cameras_for_barrier(1e307, 1.0)
+        assert count == 2 * (math.ceil(1e307 / optimal_params(1.0).delta) + 1)
+        assert float(count) == pytest.approx(2e307 * math.sqrt(5) / 2)
+
 
 class TestPlacement:
     def test_hundred_meter_barrier_at_r5(self):

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import json
 import math
 import random
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from cambarrier.barrier_graph import barrier_json, build_graph, extract_barrier
 from cambarrier.geometry import CameraParams, CameraPose, Point2D
-from cambarrier.grid_deploy import run_algorithm1
+from cambarrier.grid_deploy import duty_mask, plan_staffed_mask, run_algorithm1
 from cambarrier.serialize import (
     barrier_to_dict,
     camera_from_dict,
@@ -18,13 +20,14 @@ from cambarrier.serialize import (
     cameras_from_list,
     dumps,
     graph_to_dict,
+    plan_duties,
     plan_from_dict,
     plan_json,
     plan_to_dict,
 )
 from cambarrier.simulate import random_deploy
 
-from helpers import ref_dumps
+from helpers import ref_dumps, ref_plan_from_dict
 
 
 def outcome(write, obj):
@@ -252,6 +255,163 @@ class TestPlanJson:
         plan = plan_from_dict(data)
         assert plan_json(plan) == dumps(plan_to_dict(plan))
         assert '"orientation": null,' in plan_json(plan)
+
+
+#: Valid plan JSON trees the differential test mutates: ids up to 10**30,
+#: mixed hardware, 1 x 1 grids and plans with no cameras among them.
+BASE_PLANS = tuple(json.loads(plan_json(random_plan(random.Random(t), t))) for t in range(1, 15))
+
+#: What a mutation puts in place of a field: every JSON type, ints and
+#: floats off their ranges, ids no camera has, and malformed pairs.
+REPLACEMENTS = (
+    True, False, "7", "down", None, 0, -1, 2.0, 10**400, -(10**400), 2**64, math.nan, math.inf, -math.inf,
+    999999, [], {}, [999999], [0, 1], [1, 0], [1], [1, 1, 1], [1.0, 1], [True, 1], {"x": 1},
+)
+
+
+def tree_paths(tree, prefix=()):
+    """The path of every node of a JSON tree, the root's ``()`` first."""
+    yield prefix
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from tree_paths(value, prefix + (key,))
+    elif isinstance(tree, list):
+        for k, value in enumerate(tree):
+            yield from tree_paths(value, prefix + (k,))
+
+
+def node(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+@st.composite
+def mutated_plans(draw):
+    """A copy of a base plan with one to three faults: a field replaced,
+    a key deleted, a pair pushed off the grid, a camera id duplicated, or
+    an entry repeated, its other copy naming a camera the plan lacks."""
+    data = copy.deepcopy(draw(st.sampled_from(BASE_PLANS)))
+    last = None
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(data, dict):
+            break
+        # The section first, so that the few grid fields are hit about as
+        # often as the many camera fields; or the entry the last fault hit,
+        # so that one entry gets two faults.
+        if last is not None and len(last) >= 2 and draw(st.booleans()):
+            prefix = last[:2]
+        else:
+            prefix = draw(st.sampled_from([(), *((key,) for key in data)]))
+        try:
+            paths = list(tree_paths(node(data, prefix), prefix)) if prefix else [()]
+        except (KeyError, IndexError, TypeError):
+            continue
+        path = last = draw(st.sampled_from(paths))
+        kind = draw(st.sampled_from(("replace", "delete", "off grid", "duplicate id", "repeat")))
+        if kind == "delete" and path and isinstance(node(data, path[:-1]), dict):
+            del node(data, path[:-1])[path[-1]]
+        elif kind == "off grid" and isinstance(data.get("grid"), dict):
+            m, n = data["grid"].get("m"), data["grid"].get("n")
+            if type(m) is int and type(n) is int and path:
+                value = draw(st.sampled_from([[m + 1, 1], [1, n + 1], [m + 2, 1], [1, n + 2], [m + 1, n + 1]]))
+                node(data, path[:-1])[path[-1]] = value
+        elif kind == "duplicate id" and type(data.get("cameras")) is list and len(data["cameras"]) > 1:
+            cams = data["cameras"]
+            a, b = draw(st.integers(0, len(cams) - 1)), draw(st.integers(0, len(cams) - 1))
+            if isinstance(cams[a], dict) and isinstance(cams[b], dict) and "id" in cams[b]:
+                cams[a]["id"] = cams[b]["id"]
+        elif kind == "repeat" and len(path) >= 2 and type(data.get(path[0])) is list:
+            entries = data[path[0]]
+            k = path[1]
+            if isinstance(entries[k], dict):
+                copied = copy.deepcopy(entries[k])
+                for key in ("cameras", "stationed", "silent", "down", "up", "id"):
+                    if key in copied:
+                        copied[key] = [999999] if isinstance(copied[key], list) else 999999
+                        break
+                entries.insert(k + draw(st.integers(0, 1)), copied)
+        elif path:
+            node(data, path[:-1])[path[-1]] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        else:
+            data = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return data
+
+
+def load_outcome(load, data):
+    """What a plan loader does with ``data``: its result, or the type and
+    message of what it raises."""
+    try:
+        return load(data)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return (type(exc), str(exc))
+
+
+class TestPlanCheck:
+    def test_base_plans_cover_the_edge_cases(self):
+        assert any(not plan["cameras"] for plan in BASE_PLANS)
+        assert any(plan["grid"]["m"] == plan["grid"]["n"] == 1 for plan in BASE_PLANS)
+        assert any(cam["id"] > 2**64 for plan in BASE_PLANS for cam in plan["cameras"])
+        assert any(plan["cameras"] and plan["deficits"] for plan in BASE_PLANS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_plans())
+    def test_raises_what_the_object_loader_raised(self, data):
+        expected = load_outcome(ref_plan_from_dict, data)
+        duties = load_outcome(plan_duties, data)
+        plan = load_outcome(plan_from_dict, data)
+        if isinstance(expected, tuple):
+            assert duties == expected
+            assert plan == expected
+            return
+        m, n, by_vertex = duties
+        assert (m, n) == (expected.grid.m, expected.grid.n)
+        assert by_vertex == {v: (a.down, a.up) for v, a in expected.assignments.items()}
+        assert np.array_equal(duty_mask(m, n, by_vertex), plan_staffed_mask(expected))
+        assert plan == expected
+        assert plan_json(plan) == plan_json(expected)
+
+    def test_every_two_faults_get_the_error_the_object_loader_raised(self):
+        # One fault per check step (a wrong type, a value off its range, an
+        # id no camera has, a missing key) on the first entry of each
+        # section, applied two at a time: swapping any two steps of the
+        # check changes which error some pair gets.
+        base = min((plan for plan in BASE_PLANS if plan["deficits"] and plan["cameras"]), key=lambda p: len(p["cameras"]))
+        sites = [(("grid", key), "1") for key in ("m", "n", "width", "height", "d")]
+        sites += [(("cameras", 0, key), "1") for key in base["cameras"][0]]
+        sites += [(("cameras", 0, "r"), -1.0), (("cameras", 0, "id"), None)]
+        for section in ("cells", "heads", "assignments", "deficits"):
+            for key, value in base[section][0].items():
+                sites.append(((section, 0, key), "1"))
+                if key in ("cameras", "stationed", "silent", "id", "down", "up"):
+                    sites.append(((section, 0, key), [999999] if isinstance(value, list) else 999999))
+        sites += [(("d_within_bound",), "1"), (("cameras", 0, "id"), KeyError), (("heads", 0, "id"), KeyError)]
+        outcomes = set()
+        for (path_a, value_a), (path_b, value_b) in itertools.combinations(sites, 2):
+            data = copy.deepcopy(base)
+            for path, value in ((path_a, value_a), (path_b, value_b)):
+                if value is KeyError:
+                    node(data, path[:-1]).pop(path[-1], None)
+                else:
+                    node(data, path[:-1])[path[-1]] = value
+            expected = load_outcome(ref_plan_from_dict, data)
+            assert isinstance(expected, tuple)
+            assert load_outcome(plan_duties, data) == expected
+            assert load_outcome(plan_from_dict, data) == expected
+            outcomes.add(expected)
+        assert len(outcomes) > 30
+
+    def test_a_repeated_vertex_keeps_its_last_entry(self):
+        data = copy.deepcopy(next(plan for plan in BASE_PLANS if plan["assignments"]))
+        first = data["assignments"][0]
+        stale = dict(first, down=999999, up=999999, stationed=[999999], silent=[999999])
+        data["assignments"].insert(0, stale)
+        m, n, duties = plan_duties(data)
+        assert duties[tuple(first["vertex"])] == (first["down"], first["up"])
+        assert plan_from_dict(data) == ref_plan_from_dict(data)
+        data["assignments"].append(stale)
+        with pytest.raises(ValueError, match="plan field 'stationed' must be the id of a camera"):
+            plan_duties(data)
 
 
 def barrier_document(result, mask):
