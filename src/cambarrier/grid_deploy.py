@@ -218,12 +218,18 @@ def partition(width: float, height: float, d: float, cameras) -> GridModel:
     )
 
 
-def cell_counts(xs, ys, d: float, shape: tuple[int, int]) -> np.ndarray:
+def cell_counts(xs, ys, d: float, shape: tuple, trial=None) -> np.ndarray:
     """Number of cameras in each cell of the (m, n) grid ``shape``, for
-    cameras at ``xs``, ``ys``, binned as :func:`partition` bins them."""
-    m, n = shape
+    cameras at ``xs``, ``ys``, binned as :func:`partition` bins them.
+
+    With a ``(T, m, n)`` shape the cameras come from T trials, camera k
+    from trial ``trial[k]`` (0-based), and the counts are per trial: one
+    ``bincount`` over ``trial * m * n + cell``."""
+    m, n = shape[-2:]
     flat = (cell_index(ys, d, m) - 1) * n + (cell_index(xs, d, n) - 1)
-    return np.bincount(flat, minlength=m * n).reshape(m, n)
+    if trial is not None:
+        flat += trial * (m * n)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
 def elect_grid_heads(grid: GridModel) -> dict[tuple[int, int], int]:
@@ -383,19 +389,22 @@ def staffed_mask(counts) -> np.ndarray:
     * By :func:`cell_fully_staffed`, a cell is staffed when both its top
       vertices serve "down" and both its bottom vertices serve "up"
       (:func:`_staffed`).
+
+    A ``(..., m, n)`` stack of grids gives the stack of their masks.
     """
     c = np.asarray(counts)
-    if c.ndim != 2 or 0 in c.shape or (c < 0).any():
-        raise ValueError(f"counts must be a non-empty (m, n) array of non-negative integers, got shape {c.shape}")
-    m, n = c.shape
-    held = np.zeros((m + 1, n + 1), dtype=np.int64)
-    held[:-1, :-1] += (c + 3) // 4
-    held[:-1, 1:] += (c + 2) // 4
-    held[1:, :-1] += (c + 1) // 4
-    held[1:, 1:] += c // 4
+    if c.ndim < 2 or 0 in c.shape or (c < 0).any():
+        raise ValueError(
+            f"counts must be a non-empty (..., m, n) array of non-negative integers, got shape {c.shape}"
+        )
+    held = np.zeros((*c.shape[:-2], c.shape[-2] + 1, c.shape[-1] + 1), dtype=np.int64)
+    held[..., :-1, :-1] += (c + 3) // 4
+    held[..., :-1, 1:] += (c + 2) // 4
+    held[..., 1:, :-1] += (c + 1) // 4
+    held[..., 1:, 1:] += c // 4
     down = held >= 1
     up = held >= 2
-    up[-1] = down[-1]
+    up[..., -1, :] = down[..., -1, :]
     return _staffed(down, up)
 
 
@@ -421,9 +430,9 @@ def duty_mask(m: int, n: int, duties: dict) -> np.ndarray:
 
 def _staffed(down, up) -> np.ndarray:
     """Cells whose two top vertices serve "down" and whose two bottom
-    vertices serve "up", from (m+1, n+1) boolean arrays of the lattice
-    vertices that serve each duty."""
-    return down[:-1, :-1] & down[:-1, 1:] & up[1:, :-1] & up[1:, 1:]
+    vertices serve "up", from (..., m+1, n+1) boolean arrays of the
+    lattice vertices that serve each duty."""
+    return down[..., :-1, :-1] & down[..., :-1, 1:] & up[..., 1:, :-1] & up[..., 1:, 1:]
 
 
 def cell_full_view_verified(cell, plan: DeploymentPlan, theta: float, samples: int = 101) -> bool:

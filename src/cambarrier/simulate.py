@@ -19,6 +19,12 @@ so its sweep bins the drawn position arrays.  The camera-count sweep
 takes its barrier from the same mobile mask
 (:func:`~cambarrier.barrier_graph.extract_barrier`).  No sweep builds
 camera, plan or graph objects.
+
+Every sweep runs on one trial driver, :func:`_run_trials`, which walks
+(count, trial) in row order and hands the trials to a per-sweep decider
+in batches.  The mobile deciders draw, bin and staff a whole batch at
+once, on a (T, m, n) stack of masks; the static decider takes its trials
+one at a time.
 """
 
 import math
@@ -61,6 +67,24 @@ MODES = ("static", "mobile")
 #: arrays of cameras times samples.
 MAX_SAMPLES = 20_000
 
+#: Most cameras a scenario may draw over its whole sweep: ``trials``
+#: times the sum of ``counts``, with a count of 0 taken as 1, since every
+#: trial costs at least a draw.  It is the default 100 trials at
+#: :data:`MAX_CAMERAS`, so a one-count sweep at the camera limit stays
+#: allowed, while a sweep that would not end in any useful time does not.
+WORK_BUDGET = 100 * MAX_CAMERAS
+
+#: A batch of trials handed to a decider holds at most this many cameras
+#: plus lattice vertices, each trial counted as its cameras plus the
+#: ``(m + 1) * (n + 1)`` vertices of its grid; a trial larger than the
+#: budget runs alone.  The mobile decider's arrays are about that long,
+#: so a batch needs no more memory than one trial at the camera limit,
+#: and it holds at most ``2**14`` trials, each with a few Python objects.
+#: Batches of a few dozen trials already amortize the per-batch numpy
+#: calls; 2**16 and 2**20 ran a 1,300-trial sweep equally fast, and
+#: 2**20 took 60 MiB more at 1,000 cameras per trial.
+BATCH_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -92,12 +116,23 @@ class ScenarioConfig:
                 )
         self.camera_params()
         grid_shape(self.width, self.height, grid_length_bound(self.r))
+        # A string or a dict would be taken apart into its items.
+        counts = self.counts
+        if not (isinstance(counts, (list, tuple)) or isinstance(counts, np.ndarray) and counts.ndim == 1):
+            raise ValueError(f"counts must be a list of camera counts, got {type(counts).__name__}")
         for c in self.counts:
             check_integer("camera count", c, 0)
             if c > MAX_CAMERAS:
                 raise ValueError(f"camera count {c} exceeds {MAX_CAMERAS}")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         check_integer("trials", self.trials, 1)
+        # As a Python int: a numpy integer product could wrap around.
+        work = int(self.trials) * sum(max(c, 1) for c in self.counts)
+        if work > WORK_BUDGET:
+            raise ValueError(
+                f"the sweep draws {work} cameras ({self.trials} trials per count, a count of 0 taken as 1), "
+                f"more than {WORK_BUDGET}"
+            )
         check_integer("seed", self.seed, 0)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -170,10 +205,14 @@ def draw_cameras(width: float, height: float, count: int, seed):
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, width, count)
-    ys = rng.uniform(0.0, height, count)
+    xs, ys = _draw_positions(rng, width, height, count)
     facings = rng.uniform(0.0, TAU, count)
     return xs, ys, facings
+
+
+def _draw_positions(rng, width: float, height: float, count: int):
+    """The first two draws of :func:`draw_cameras`: ``xs``, ``ys``."""
+    return rng.uniform(0.0, width, count), rng.uniform(0.0, height, count)
 
 
 def random_deploy(width: float, height: float, count: int, seed, params: CameraParams):
@@ -311,30 +350,75 @@ def _base_metadata(config: ScenarioConfig) -> dict:
     }
 
 
+def _run_trials(config: ScenarioConfig, decide) -> list[list]:
+    """Outcomes of every trial of ``config``: one list per count, in
+    ``config.counts`` order, of its trials' outcomes in trial order.
+
+    The one driver of the Monte Carlo sweeps.  It walks (count, trial) in
+    row order, derives each trial's substream with :func:`trial_seed`
+    once, and hands consecutive ``(count, seed)`` pairs, across count
+    boundaries, to ``decide`` in batches within :data:`BATCH_BUDGET`.
+    ``decide`` returns one outcome per pair, in order."""
+    m, n = grid_shape(config.width, config.height, grid_length_bound(config.r))
+    vertices = (m + 1) * (n + 1)
+    outcomes, batch, size = [], [], 0
+    for count in config.counts:
+        for t in range(config.trials):
+            if batch and size + count + vertices > BATCH_BUDGET:
+                outcomes += decide(batch)
+                batch, size = [], 0
+            batch.append((count, trial_seed(config.seed, count, t)))
+            size += count + vertices
+    if batch:
+        outcomes += decide(batch)
+    trials = config.trials
+    return [outcomes[k * trials : (k + 1) * trials] for k in range(len(config.counts))]
+
+
+def _mobile_masks(config: ScenarioConfig, batch) -> np.ndarray:
+    """The (T, m, n) stack of the staffed masks of the T trials of
+    ``batch``, a list of ``(count, seed)`` pairs: each the mask
+    :func:`barrier_exists_mobile` takes of the trial's
+    :func:`random_deploy` cameras.
+
+    Each trial draws ``xs`` and ``ys`` as :func:`draw_cameras` does,
+    without the facings it draws last; then one :func:`cell_counts` bins
+    the whole batch and one :func:`staffed_mask` staffs it."""
+    d = grid_length_bound(config.r)
+    m, n = grid_shape(config.width, config.height, d)
+    sizes = [count for count, _ in batch]
+    xs, ys = np.empty(sum(sizes)), np.empty(sum(sizes))
+    start = 0
+    for count, seed in batch:
+        end = start + count
+        xs[start:end], ys[start:end] = _draw_positions(np.random.default_rng(seed), config.width, config.height, count)
+        start = end
+    trial = np.repeat(np.arange(len(batch)), sizes)
+    return staffed_mask(cell_counts(xs, ys, d, (len(batch), m, n), trial))
+
+
 def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
     """Barrier-existence probability per deployed count, for the mode
     selected in the config.  estimate = successes / trials exactly.
 
     Trials are decided on the drawn arrays, with the verdict
     :func:`barrier_exists_mobile` or :func:`barrier_exists_static` gives
-    on the same cameras."""
+    on the same cameras: a batch of mobile trials at once, static trials
+    one by one."""
     if config.mode == "mobile":
-        d = grid_length_bound(config.r)
-        shape = grid_shape(config.width, config.height, d)
 
-        def check(count, seed):
-            xs, ys, _ = draw_cameras(config.width, config.height, count, seed)
-            return barrier_exists(_mobile_mask(xs, ys, d, shape))
+        def decide(batch):
+            return [barrier_exists(mask) for mask in _mobile_masks(config, batch)]
 
     else:
         layout = _StaticLayout(config)
 
-        def check(count, seed):
-            return _static_barrier(_drawn_view(config, count, seed), layout)
+        def decide(batch):
+            return [_static_barrier(_drawn_view(config, count, seed), layout) for count, seed in batch]
 
     rows = []
-    for count in config.counts:
-        successes = sum(check(count, trial_seed(config.seed, count, t)) for t in range(config.trials))
+    for count, verdicts in zip(config.counts, _run_trials(config, decide)):
+        successes = sum(verdicts)
         p = successes / config.trials
         rows.append(
             SweepRow(
@@ -361,17 +445,20 @@ def barrier_camera_count_sweep(config: ScenarioConfig) -> SweepResult:
     """
     if config.mode != "mobile":
         raise ValueError("camera-count sweep requires mobile mode")
-    d = grid_length_bound(config.r)
-    shape = grid_shape(config.width, config.height, d)
+
+    def slots(mask):
+        result = extract_barrier(mask)
+        if not result.exists:
+            return None
+        down, up = duty_slots(result.path)
+        return len(down) + len(up)
+
+    def decide(batch):
+        return [slots(mask) for mask in _mobile_masks(config, batch)]
+
     rows = []
-    for count in config.counts:
-        found = []
-        for t in range(config.trials):
-            xs, ys, _ = draw_cameras(config.width, config.height, count, trial_seed(config.seed, count, t))
-            result = extract_barrier(_mobile_mask(xs, ys, d, shape))
-            if result.exists:
-                down, up = duty_slots(result.path)
-                found.append(len(down) + len(up))
+    for count, slots in zip(config.counts, _run_trials(config, decide)):
+        found = [k for k in slots if k is not None]
         successes = len(found)
         if successes == 0:
             estimate = float("nan")

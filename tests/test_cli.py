@@ -19,7 +19,7 @@ from cambarrier import barrier_graph, cli, geometry, grid_deploy, serialize
 from cambarrier.cli import main
 from cambarrier.grid_deploy import MAX_CELLS
 from cambarrier.serialize import camera_to_dict
-from cambarrier.simulate import MAX_SAMPLES, random_deploy
+from cambarrier.simulate import MAX_SAMPLES, WORK_BUDGET, random_deploy
 from cambarrier.geometry import CameraParams
 
 
@@ -505,6 +505,34 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("counts", ["12", {"a": 1}], ids=["string", "object"])
+    def test_counts_that_are_not_a_list_exit_2_naming_counts(self, tmp_path, capsys, config_file, counts):
+        cfg = json.loads(config_file.read_text())
+        cfg["counts"] = counts
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["simulate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: counts must be a list") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_trials_over_the_work_budget_exit_2_without_running(self, tmp_path, capsys, config_file, how):
+        cfg = json.loads(config_file.read_text())
+        cfg["counts"] = [12]
+        if how == "config":
+            cfg["trials"] = 10**18
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(path)] + (["--trials", str(10**18)] if how == "flag" else [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert str(WORK_BUDGET) in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("how", ["config", "flag"])

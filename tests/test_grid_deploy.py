@@ -210,7 +210,30 @@ class TestStaffedMask:
         assert staffed_mask([[4], [0]]).tolist() == [[False], [False]]
         assert staffed_mask([[6], [4]]).tolist() == [[True], [True]]
 
-    @pytest.mark.parametrize("counts", [[1, 2], [[-1]], np.zeros((0, 3))])
+    def test_a_stack_of_grids_gives_the_stack_of_their_masks(self):
+        rng = np.random.default_rng(83)
+        for shape in ((5, 1, 1), (3, 1, 4), (4, 3, 1), (6, 3, 5), (2, 2, 3, 2)):
+            counts = rng.integers(0, 9, shape)
+            got = staffed_mask(counts)
+            assert got.shape == shape and got.dtype == bool
+            for index in np.ndindex(shape[:-2]):
+                assert np.array_equal(got[index], staffed_mask(counts[index]))
+
+    def test_counts_of_a_batch_of_trials_are_each_trials_counts(self):
+        rng = np.random.default_rng(89)
+        d, (m, n) = 5.0, (3, 4)
+        sizes = [0, 7, 0, 20, 1, 0]
+        xs = [rng.uniform(0.0, n * d, k) for k in sizes]
+        ys = [rng.uniform(0.0, m * d, k) for k in sizes]
+        trial = np.repeat(np.arange(len(sizes)), sizes)
+        got = cell_counts(np.concatenate(xs), np.concatenate(ys), d, (len(sizes), m, n), trial)
+        assert got.shape == (len(sizes), m, n)
+        for t in range(len(sizes)):
+            assert np.array_equal(got[t], cell_counts(xs[t], ys[t], d, (m, n)))
+
+    @pytest.mark.parametrize(
+        "counts", [[1, 2], [[-1]], np.zeros((0, 3)), np.zeros((2, 0, 3)), np.zeros((0, 2, 3)), [[[1]], [[-1]]], 4]
+    )
     def test_rejects_bad_counts(self, counts):
         with pytest.raises(ValueError, match="counts"):
             staffed_mask(counts)

@@ -6,15 +6,18 @@ import pytest
 import cambarrier.barrier_graph as barrier_graph_module
 import cambarrier.grid_deploy as grid_deploy_module
 import cambarrier.simulate as simulate_module
-from cambarrier.barrier_graph import build_graph, prune_degree_one, shortest_barrier
+from cambarrier.barrier_graph import build_graph, duty_slots, extract_barrier, prune_degree_one, shortest_barrier
 from cambarrier.geometry import CULL_MARGIN, EPS, CameraCull, CameraParams, CameraPose, Point2D
-from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound, run_algorithm1, staffed_cells
+from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound, grid_shape, run_algorithm1, staffed_cells
 from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
 from cambarrier.simulate import (
     MAX_CAMERAS,
     MAX_SAMPLES,
+    WORK_BUDGET,
     ScenarioConfig,
+    SweepResult,
+    SweepRow,
     barrier_camera_count_sweep,
     barrier_exists_mobile,
     barrier_exists_static,
@@ -23,6 +26,7 @@ from cambarrier.simulate import (
     fig3_sweep,
     random_deploy,
     trial_seed,
+    with_overrides,
 )
 
 from helpers import ref_full_view_point
@@ -110,6 +114,33 @@ class TestConfig:
     def test_integer_counts_of_any_integer_type_are_kept_as_int(self):
         cfg = small_config(counts=np.arange(0, 60, 20))
         assert cfg.counts == (0, 20, 40) and all(type(c) is int for c in cfg.counts)
+
+    @pytest.mark.parametrize("counts", ["12", {"a": 1}, 12, np.zeros((2, 2), dtype=int), None])
+    def test_counts_that_are_not_a_list_are_named(self, counts):
+        with pytest.raises(ValueError, match="^counts must be a list"):
+            small_config(counts=counts)
+
+    def test_work_budget_bounds_counts_times_trials(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "WORK_BUDGET", 120)
+        # 10 trials of 0 + 5 + 7 cameras, a count of 0 taken as 1.
+        assert small_config(counts=(0, 5, 6), trials=10).trials == 10
+        with pytest.raises(ValueError, match="draws 130 cameras.*more than 120"):
+            small_config(counts=(0, 5, 7), trials=10)
+        with pytest.raises(ValueError, match="draws 121 cameras"):
+            small_config(counts=(0,), trials=121)
+        # Overrides pass the same check.
+        cfg = small_config(counts=(0, 5, 6), trials=10)
+        with pytest.raises(ValueError, match="more than 120"):
+            with_overrides(cfg, trials=11)
+
+    def test_work_budget_admits_the_default_trials_at_the_camera_limit(self):
+        assert WORK_BUDGET == 100 * MAX_CAMERAS
+        assert small_config(counts=(MAX_CAMERAS,), trials=100).trials == 100
+        with pytest.raises(ValueError, match="more than"):
+            small_config(counts=(MAX_CAMERAS, 0), trials=100)
+        for trials in (10**18, np.int64(10**18)):
+            with pytest.raises(ValueError, match="more than"):
+                small_config(counts=(12,), trials=trials)
 
 
 class TestRandomDeploy:
@@ -471,6 +502,140 @@ class TestStaticMatchesUnculledOracle:
         d = grid_length_bound(cfg.r)
         m, n = math.ceil(cfg.height / d - 1e-9), math.ceil(cfg.width / d - 1e-9)
         assert sorted(laid) == [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+
+
+def per_trial_sweep_csv(cfg, sweep):
+    """The CSV of ``sweep`` (``"probability"`` or ``"count"``) on ``cfg``,
+    from a plain loop over (count, trial) that decides each trial on its
+    own ``trial_seed`` substream: with :func:`barrier_exists_mobile` or
+    :func:`barrier_exists_static` on the :func:`random_deploy` cameras, or
+    with :func:`extract_barrier` and :func:`duty_slots` on the mobile mask
+    of the :func:`draw_cameras` arrays."""
+    d = grid_length_bound(cfg.r)
+    shape = grid_shape(cfg.width, cfg.height, d)
+    check = barrier_exists_mobile if cfg.mode == "mobile" else barrier_exists_static
+    rows = []
+    for count in cfg.counts:
+        outcomes = []
+        for t in range(cfg.trials):
+            seed = trial_seed(cfg.seed, count, t)
+            if sweep == "probability":
+                outcomes.append(check(random_deploy(cfg.width, cfg.height, count, seed, cfg.camera_params()), cfg))
+                continue
+            xs, ys, _ = draw_cameras(cfg.width, cfg.height, count, seed)
+            result = extract_barrier(simulate_module._mobile_mask(xs, ys, d, shape))
+            if result.exists:
+                down, up = duty_slots(result.path)
+                outcomes.append(len(down) + len(up))
+        if sweep == "probability":
+            p = sum(outcomes) / cfg.trials
+            rows.append(SweepRow(count, p, cfg.trials, sum(outcomes), math.sqrt(p * (1.0 - p) / cfg.trials)))
+        elif not outcomes:
+            rows.append(SweepRow(count, math.nan, cfg.trials, 0, math.nan))
+        elif len(outcomes) == 1:
+            rows.append(SweepRow(count, float(outcomes[0]), cfg.trials, 1, 0.0))
+        else:
+            stderr = float(np.std(outcomes, ddof=1) / math.sqrt(len(outcomes)))
+            rows.append(SweepRow(count, float(np.mean(outcomes)), cfg.trials, len(outcomes), stderr))
+    return sweep_csv_text(SweepResult(rows=tuple(rows)))
+
+
+def driver_configs(mode):
+    """A 1 x 1 grid, a one-row grid (where a bottom vertex serves "up"
+    with one camera) and seeded random grids, each with count 0 and a
+    repeated count."""
+    static = mode == "static"
+    # Static scenes see all around, so that some trials find a barrier.
+    scene = dict(trials=3, samples=11, theta=math.pi / 2, phi=2 * math.pi) if static else dict(trials=5)
+    r = 6.0
+    d = grid_length_bound(r)
+    configs = [
+        small_config(width=0.8 * d, height=0.8 * d, r=r, counts=(0, 4, 8, 4), mode=mode, **scene),
+        small_config(width=3.5 * d, height=0.7 * d, r=r, counts=(0, 12, 30, 30), mode=mode, **scene),
+    ]
+    rng = np.random.default_rng(113 if static else 111)
+    for _ in range(3 if static else 10):
+        width, height = float(rng.uniform(0.5, 3.0) * d), float(rng.uniform(0.5, 3.0) * d)
+        cells = grid_shape(width, height, d)
+        top = 6 * cells[0] * cells[1]
+        counts = [0, *sorted(int(c) for c in rng.integers(1, top, 3))]
+        counts.append(counts[2])
+        seed = int(rng.integers(0, 10**6))
+        configs.append(
+            small_config(width=width, height=height, r=r, counts=tuple(counts), seed=seed, mode=mode, **scene)
+        )
+    return configs
+
+
+#: Batch budgets the driver runs under: its own, one trial per batch,
+#: three trials of count 0 per batch and two trials of the largest count
+#: per batch, which split those counts' trials across batches.
+BATCH_BUDGETS = {
+    "default": lambda cfg: simulate_module.BATCH_BUDGET,
+    "one-trial": lambda cfg: 1,
+    "three-empty": lambda cfg: 3 * lattice_vertices(cfg),
+    "two-largest": lambda cfg: 2 * (max(cfg.counts) + lattice_vertices(cfg)) + 1,
+}
+
+
+def lattice_vertices(cfg):
+    m, n = grid_shape(cfg.width, cfg.height, grid_length_bound(cfg.r))
+    return (m + 1) * (n + 1)
+
+
+class TestTrialDriver:
+    @pytest.mark.parametrize("budget", sorted(BATCH_BUDGETS))
+    @pytest.mark.parametrize("mode, sweep", [("mobile", "probability"), ("mobile", "count"), ("static", "probability")])
+    def test_sweeps_match_a_per_trial_loop(self, monkeypatch, mode, sweep, budget):
+        run = coverage_probability_sweep if sweep == "probability" else barrier_camera_count_sweep
+        outcomes = set()
+        configs = driver_configs(mode)
+        shapes = {grid_shape(cfg.width, cfg.height, grid_length_bound(cfg.r)) for cfg in configs}
+        assert (1, 1) in shapes and (1, 4) in shapes
+        for cfg in configs:
+            expected = per_trial_sweep_csv(cfg, sweep)
+            monkeypatch.setattr(simulate_module, "BATCH_BUDGET", BATCH_BUDGETS[budget](cfg))
+            assert sweep_csv_text(run(cfg)) == expected, cfg
+            outcomes.update(line.split(",")[3] != "0" for line in expected.splitlines()[1:])
+            monkeypatch.undo()
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("budget", [None, 1, 100, 300, 1000])
+    def test_batches_are_consecutive_trials_within_the_budget(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(simulate_module, "BATCH_BUDGET", budget)
+        cfg = small_config(counts=(0, 100, 40, 250, 7), trials=4)
+        vertices = lattice_vertices(cfg)
+        batches = []
+
+        def decide(batch):
+            batches.append(batch)
+            return [seed.entropy for _, seed in batch]
+
+        grouped = simulate_module._run_trials(cfg, decide)
+        assert grouped == [[[cfg.seed, count, t] for t in range(4)] for count in cfg.counts]
+        for batch in batches:
+            assert len(batch) == 1 or sum(count + vertices for count, _ in batch) <= simulate_module.BATCH_BUDGET
+        # Each batch is as long as the budget allows.
+        for batch, after in zip(batches, batches[1:]):
+            assert sum(count + vertices for count, _ in batch) + after[0][0] + vertices > simulate_module.BATCH_BUDGET
+        if budget is None:
+            assert len(batches) == 1
+
+    @pytest.mark.parametrize("mode, sweep", [("mobile", "probability"), ("mobile", "count"), ("static", "probability")])
+    def test_one_trial_seed_per_trial_in_row_order(self, monkeypatch, mode, sweep):
+        cfg = small_config(counts=(0, 20, 20, 5), trials=4, mode=mode, samples=11)
+        monkeypatch.setattr(simulate_module, "BATCH_BUDGET", 3 * lattice_vertices(cfg) + 40)
+        seen = []
+        real = simulate_module.trial_seed
+
+        def spy(seed, count, trial):
+            seen.append((seed, count, trial))
+            return real(seed, count, trial)
+
+        monkeypatch.setattr(simulate_module, "trial_seed", spy)
+        (coverage_probability_sweep if sweep == "probability" else barrier_camera_count_sweep)(cfg)
+        assert seen == [(cfg.seed, count, t) for count in cfg.counts for t in range(cfg.trials)]
 
 
 class TestSweeps:
