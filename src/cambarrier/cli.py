@@ -19,7 +19,7 @@ from .line_model import place_line_deployment
 from .serialize import (
     cameras_from_list,
     dumps,
-    line_deployment_to_dict,
+    line_deployment_json,
     plan_duties,
     plan_json,
     sweep_csv_text,
@@ -58,11 +58,11 @@ def _load_json(path: str):
 
 
 def _cmd_plan_line(args) -> int:
-    if not args.length > 0:
-        raise ValueError(f"barrier length must be positive, got {args.length}")
+    if not 0.0 < args.length <= sys.float_info.max:
+        raise ValueError(f"barrier length must be positive and finite, got {args.length}")
     barrier = Segment(Point2D(0.0, 0.0), Point2D(args.length, 0.0))
     dep = place_line_deployment(barrier, args.r, theta=args.theta)
-    _emit(dumps(line_deployment_to_dict(dep)), args.out)
+    _emit(line_deployment_json(dep), args.out)
     return 0
 
 

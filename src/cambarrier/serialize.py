@@ -6,6 +6,7 @@ and indented, CSV rows follow the fixed header
 identical inputs.
 """
 
+import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -22,79 +23,29 @@ _INF = float("inf")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: floats rounded to 9 significant digits,
-    keys sorted, two-space indent, newline at end.
-
-    One recursive pass writes the text into a list of chunks, joined once.
-    The bytes are those of ``json.dumps(tree, indent=2, sort_keys=True)``
-    on a copy of ``obj`` with every float (``np.float64`` included)
-    replaced by ``float(f"{v:.9g}")``, and the same inputs raise
-    ``TypeError``: anything but dicts, lists, tuples, strings, ints,
-    floats, bools and None, and dict keys other than strings, ints,
-    floats, bools and None.
-    """
-    chunks = []
-    _write(obj, "", "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    """Deterministic JSON text: ``json.dumps(..., indent=2, sort_keys=True)``
+    of a copy of ``obj`` with every float rounded to 9 significant digits,
+    and a newline at the end.  It raises what ``json.dumps`` raises."""
+    return json.dumps(_rounded(obj), indent=2, sort_keys=True) + "\n"
 
 
-#: Types ``dumps`` writes by an exact ``type()`` test.
-_JSON_TYPES = frozenset((str, int, float, dict, list, tuple, bool, type(None)))
-
-
-def _write(value, head: str, newline: str, chunks: list) -> None:
-    """Append ``head`` and then the JSON text of ``value`` to ``chunks``;
-    ``newline`` is the line break and indent of the line the value ends
-    on."""
-    kind = type(value)
-    if kind not in _JSON_TYPES:
-        kind = _json_base(value)
-    if kind is str:
-        chunks.append(head + _quote(value))
-    elif kind is int:
-        chunks.append(head + int.__repr__(value))
-    elif kind is float:
-        chunks.append(head + _number(value))
-    elif kind is dict:
-        if not value:
-            chunks.append(head + "{}")
-            return
-        inner = newline + "  "
-        head += "{" + inner
-        for key, item in sorted(value.items()):
-            _write(item, head + (_quote(key) if type(key) is str else _key(key)) + ": ", inner, chunks)
-            head = "," + inner
-        chunks.append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            chunks.append(head + "[]")
-            return
-        inner = newline + "  "
-        head += "[" + inner
-        for item in value:
-            _write(item, head, inner, chunks)
-            head = "," + inner
-        chunks.append(newline + "]")
-    elif value is None:
-        chunks.append(head + "null")
-    else:
-        chunks.append(head + ("true" if value else "false"))
-
-
-def _json_base(value) -> type:
-    """The type a value of a subclass is written as: float first, since
-    :func:`dumps` rounds every float, then the order ``json`` tests in."""
-    for base in (float, dict, list, tuple, str, int):
-        if isinstance(value, base):
-            return base
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+def _rounded(value):
+    """A copy of ``value`` with every float (``np.float64`` included)
+    replaced by ``float(f"{v:.9g}")`` and every tuple by a list; dict keys
+    are left as they are."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
 
 
 def _number(value) -> str:
     """The JSON text of a float rounded to 9 significant digits, as
-    :func:`dumps` and :func:`plan_json` write it.  An exact ``int`` is
-    written as :func:`dumps` writes ints, so that a plan built from
+    :func:`dumps` writes it, for the template writers.  An exact ``int``
+    is written as :func:`dumps` writes ints, so that a plan built from
     integer coordinates keeps the bytes of its dict view."""
     # The value written is float(text), in float.__repr__'s form.  When
     # text is plain notation with a point (exponents -4 to 8), it is that
@@ -115,24 +66,6 @@ def _float(value) -> str:
     if value == -_INF:
         return "-Infinity"
     return float.__repr__(value)
-
-
-def _key(key) -> str:
-    """A dict key that is not an exact ``str``, as ``json`` writes it:
-    floats are not rounded."""
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, float):
-        return _quote(_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _quote(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def format_number(value) -> str:
@@ -296,6 +229,44 @@ def _section(items: list) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+def _hardware(params: CameraParams, cache: dict) -> str:
+    """The ``"phi"``, ``"r"`` and ``"theta"`` lines of a camera record
+    whose fields sit at a six-space indent, made once per
+    :class:`CameraParams` and kept in ``cache`` by its ``id``."""
+    lines = cache.get(id(params))
+    if lines is None:
+        lines = cache[id(params)] = (
+            f'"phi": {_number(params.phi)},\n      "r": {_number(params.r)},\n'
+            f'      "theta": {_number(params.theta)}'
+        )
+    return lines
+
+
+def line_deployment_json(dep: LineDeployment) -> str:
+    """The text :func:`dumps` writes of :func:`line_deployment_to_dict`
+    of ``dep``, written as :func:`plan_json` writes a plan: one f-string
+    per camera record, its keys in sorted order.
+
+    The deployment's fields must hold the types :func:`place_line_deployment
+    <cambarrier.line_model.place_line_deployment>` gives them: ``int`` or
+    ``float`` lengths and coordinates and ``int`` ids."""
+    a, b = dep.barrier.a, dep.barrier.b
+    p = dep.params
+    hardware = {}
+    cameras = [
+        f'    {{\n      "facing": {_number(c.facing)},\n      "id": {int.__repr__(c.id)},\n'
+        f'      {_hardware(c.params, hardware)},\n      "x": {_number(c.position.x)},\n'
+        f'      "y": {_number(c.position.y)}\n    }}'
+        for c in dep.cameras
+    ]
+    return (
+        f'{{\n  "barrier": {{\n    "ax": {_number(a.x)},\n    "ay": {_number(a.y)},\n'
+        f'    "bx": {_number(b.x)},\n    "by": {_number(b.y)}\n  }},\n  "cameras": {_section(cameras)},\n'
+        f'  "count": {len(dep.cameras)},\n  "params": {{\n    "alpha": {_number(p.alpha)},\n'
+        f'    "delta": {_number(p.delta)},\n    "h": {_number(p.h)}\n  }}\n}}\n'
+    )
+
+
 def plan_json(plan: DeploymentPlan) -> str:
     """The text :func:`dumps` writes of :func:`plan_to_dict` of ``plan``,
     written in one pass with no dict tree: one f-string per record kind,
@@ -323,23 +294,16 @@ def plan_json(plan: DeploymentPlan) -> str:
         f'      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
         for (i, j), a in sorted(plan.assignments.items())
     ]
-    hardware = {}  # id(CameraParams) -> its "phi", "r" and "theta" lines
+    hardware = {}
     cameras = []
     for key in sorted(plan.records):
         rec = plan.records[key]
         pose = poses[rec.camera_id]
-        params = pose.params
-        lines = hardware.get(id(params))
-        if lines is None:
-            lines = hardware[id(params)] = (
-                f'"phi": {_number(params.phi)},\n      "r": {_number(params.r)},\n'
-                f'      "theta": {_number(params.theta)}'
-            )
         i, j = rec.vertex
         cameras.append(
             f'    {{\n      "distance": {_number(rec.distance)},\n      "facing": {_number(pose.facing)},\n'
             f'      "id": {int.__repr__(rec.camera_id)},\n      "orientation": {_role(rec.orientation)},\n'
-            f'      {lines},\n      "vertex": [\n        {i},\n        {j}\n      ],\n'
+            f'      {_hardware(pose.params, hardware)},\n      "vertex": [\n        {i},\n        {j}\n      ],\n'
             f'      "x": {_number(rec.origin.x)},\n      "y": {_number(rec.origin.y)}\n    }}'
         )
     deficits = [
@@ -554,6 +518,7 @@ __all__ = [
     "camera_from_dict",
     "cameras_from_list",
     "line_deployment_to_dict",
+    "line_deployment_json",
     "plan_to_dict",
     "plan_json",
     "plan_duties",

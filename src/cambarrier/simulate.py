@@ -70,8 +70,10 @@ MAX_SAMPLES = 20_000
 #: Most cameras a scenario may draw over its whole sweep: ``trials``
 #: times the sum of ``counts``, with a count of 0 taken as 1, since every
 #: trial costs at least a draw.  It is the default 100 trials at
-#: :data:`MAX_CAMERAS`, so a one-count sweep at the camera limit stays
-#: allowed, while a sweep that would not end in any useful time does not.
+#: :data:`MAX_CAMERAS`, so a one-count mobile sweep at the camera limit
+#: stays allowed, while a sweep that would not end in any useful time does
+#: not.  A static sweep's draws times its ``samples`` must stay within it
+#: too, since each drawn camera may be tested at every sample of a cell.
 WORK_BUDGET = 100 * MAX_CAMERAS
 
 #: A batch of trials handed to a decider holds at most this many cameras
@@ -139,6 +141,11 @@ class ScenarioConfig:
         check_integer("samples", self.samples, 2)
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples {self.samples} exceeds {MAX_SAMPLES}")
+        if self.mode == "static" and work * int(self.samples) > WORK_BUDGET:
+            raise ValueError(
+                f"the static sweep tests {work * int(self.samples)} camera samples ({work} cameras drawn "
+                f"times {self.samples} samples), more than {WORK_BUDGET}"
+            )
 
     def camera_params(self) -> CameraParams:
         return CameraParams(r=self.r, phi=self.phi, theta=self.theta)

@@ -69,9 +69,18 @@ class TestPlanLine:
         code = main(["plan-line", f"--length={length}", "--r", "3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == f"error: barrier length must be positive, got {float(length)}\n"
+        assert captured.err == f"error: barrier length must be positive and finite, got {float(length)}\n"
         code = main(["fig3", f"--length={length}", "--r-min", "3", "--r-max", "3"])
         assert (code, capsys.readouterr().err) == (2, captured.err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, name", [("--length", "barrier length"), ("--r", "sensing radius")])
+    def test_non_finite_length_or_radius_exits_2_naming_it(self, capsys, flag, name, value):
+        argv = {"--length": "10", "--r": "3", flag: value}
+        code = main(["plan-line", *(f"{k}={v}" for k, v in argv.items())])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {name} must be positive and finite, got {float(value)}\n"
 
     @pytest.mark.parametrize("length, r", [("1e12", "3"), ("100", "1e-12"), ("1e308", "1e-300")])
     def test_deployment_over_the_camera_cap_exits_2_at_once(self, capsys, length, r):
@@ -534,6 +543,25 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert str(WORK_BUDGET) in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("how", ["config", "mode flag", "samples flag"])
+    def test_static_work_over_the_budget_exits_2_without_running(self, tmp_path, capsys, config_file, how):
+        # 100 trials of 100,000 cameras: draws within the budget, and
+        # twice that at 2 samples, but not at 101.
+        cfg = json.loads(config_file.read_text())
+        cfg.update(counts=[100_000], trials=100, mode="mobile" if how == "mode flag" else "static")
+        cfg["samples"] = 2 if how == "samples flag" else 101
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(path)]
+        argv += {"config": [], "mode flag": ["--mode", "static"], "samples flag": ["--samples", "101"]}[how]
+        start = time.perf_counter()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 5
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the static sweep tests ") and "Traceback" not in captured.err
+        assert captured.err.endswith(f"more than {WORK_BUDGET}\n")
 
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_samples_over_the_cap_exit_2_without_traceback(self, tmp_path, capsys, config_file, how):

@@ -203,3 +203,41 @@ class TestPlacement:
         assert len(dep.cameras) == 10
         with pytest.raises(ValueError, match="more than 10 cameras"):
             place_line_deployment(Segment(Point2D(0, 0), Point2D(4 * delta + 1e-6, 0)), 5.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN passes a ``<= 0`` test, so every length and radius is range
+    tested as CameraParams tests its radius."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_radius_is_refused_everywhere(self, value):
+        barrier = Segment(Point2D(0, 0), Point2D(10, 0))
+        for call in (
+            lambda: optimal_params(value),
+            lambda: validate_params(optimal_params(1.0), value, math.pi / 4),
+            lambda: cameras_for_barrier(10.0, value),
+            lambda: place_line_deployment(barrier, value),
+            lambda: place_line_deployment(barrier, value, params=optimal_params(1.0)),
+        ):
+            with pytest.raises(ValueError, match=f"^sensing radius must be positive and finite, got {value}$"):
+                call()
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_barrier_length_is_refused(self, value):
+        with pytest.raises(ValueError, match=f"^barrier length must be positive and finite, got {value}$"):
+            cameras_for_barrier(value, 5.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_row_offset_and_spacing_are_refused(self, value):
+        with pytest.raises(ValueError, match=f"^row offset h must be positive and finite, got {value}$"):
+            LineDeploymentParams(h=value, delta=1.0, alpha=1.0)
+        with pytest.raises(ValueError, match=f"^spot spacing delta must be positive and finite, got {value}$"):
+            LineDeploymentParams(h=1.0, delta=value, alpha=1.0)
+
+    def test_the_largest_float_is_still_accepted(self):
+        big = 1.7976931348623157e308
+        assert LineDeploymentParams(h=big, delta=big, alpha=1.0).h == big
+        assert optimal_params(big).h == big / math.sqrt(5.0)

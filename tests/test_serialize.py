@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cambarrier.barrier_graph import barrier_json, build_graph, extract_barrier
-from cambarrier.geometry import CameraParams, CameraPose, Point2D
+from cambarrier.geometry import CameraParams, CameraPose, Point2D, Segment
 from cambarrier.grid_deploy import duty_mask, plan_staffed_mask, run_algorithm1
+from cambarrier.line_model import LineDeploymentParams, place_line_deployment
 from cambarrier.serialize import (
     barrier_to_dict,
     camera_from_dict,
@@ -20,6 +21,8 @@ from cambarrier.serialize import (
     cameras_from_list,
     dumps,
     graph_to_dict,
+    line_deployment_json,
+    line_deployment_to_dict,
     plan_duties,
     plan_from_dict,
     plan_json,
@@ -140,6 +143,53 @@ class TestDumps:
         text = dumps(plan_to_dict(plan))
         assert text == ref_dumps(plan_to_dict(plan))
         assert dumps(plan_to_dict(plan_from_dict(json.loads(text)))) == text
+
+
+@st.composite
+def line_deployments(draw):
+    """A two-row deployment: float or integer endpoints (integer ones
+    with an integer explicit spacing give integer camera coordinates),
+    the barrier at any height, its endpoints in either order, and the
+    optimal or an explicit off-optimal parameter triple."""
+    if draw(st.booleans()):
+        x0, y = draw(st.integers(-(10**12), 10**12)), draw(st.integers(-(10**12), 10**12))
+        x1, y1 = x0 + draw(st.integers(1, 300)), y
+    else:
+        x0 = draw(st.floats(-1e6, 1e6))
+        y = draw(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 1e-5, -1e-10, 123456789.0, 1e16])))
+        x1 = x0 + draw(st.floats(0.01, 300.0))
+        y1 = y + draw(st.sampled_from([0.0, 1e-10]))  # horizontal within EPS
+    a, b = Point2D(x0, y), Point2D(x1, y1)
+    if draw(st.booleans()):
+        a, b = b, a
+    params = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                LineDeploymentParams,
+                h=st.one_of(st.integers(1, 50), st.floats(0.1, 50.0)),
+                delta=st.one_of(st.integers(1, 20), st.floats(1.0, 50.0)),
+                alpha=st.floats(0.01, 6.2),
+            ),
+        )
+    )
+    r = draw(st.one_of(st.integers(1, 100), st.floats(0.5, 100.0)))
+    theta = draw(st.floats(0.05, math.pi / 2))
+    return place_line_deployment(Segment(a, b), r, theta=theta, params=params)
+
+
+class TestLineDeploymentJson:
+    @settings(max_examples=200, deadline=None)
+    @given(line_deployments())
+    def test_matches_the_dict_view_byte_for_byte(self, dep):
+        text = line_deployment_json(dep)
+        assert text == dumps(line_deployment_to_dict(dep)) == ref_dumps(line_deployment_to_dict(dep))
+
+    def test_integer_endpoints_are_written_as_ints(self):
+        dep = place_line_deployment(Segment(Point2D(0, 0), Point2D(10, 0)), 5, params=LineDeploymentParams(2, 4, 1.0))
+        text = line_deployment_json(dep)
+        assert '"ax": 0,' in text and '"bx": 10,' in text and '"x": 8,' in text and '"y": -2\n' in text
+        assert text == ref_dumps(line_deployment_to_dict(dep))
 
 
 #: Hardware triples a random plan mixes: integer fields, tiny and huge

@@ -142,6 +142,33 @@ class TestConfig:
             with pytest.raises(ValueError, match="more than"):
                 small_config(counts=(12,), trials=trials)
 
+    def test_static_work_budget_also_counts_samples(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "WORK_BUDGET", 1300)
+        # 10 trials of 0 + 5 + 7 cameras, a count of 0 taken as 1: 130 draws.
+        assert small_config(counts=(0, 5, 7), trials=10, mode="static", samples=10).samples == 10
+        with pytest.raises(ValueError, match=r"tests 1430 camera samples \(130 cameras drawn times 11 samples\), more than 1300"):
+            small_config(counts=(0, 5, 7), trials=10, mode="static", samples=11)
+        # Mobile mode tests no samples, and overrides pass the same check.
+        mobile = small_config(counts=(0, 5, 7), trials=10, mode="mobile", samples=np.int64(MAX_SAMPLES))
+        for overrides in ({"mode": "static"}, {"mode": "static", "samples": 11}):
+            with pytest.raises(ValueError, match="more than 1300"):
+                with_overrides(mobile, **overrides)
+        static = small_config(counts=(0, 5, 7), trials=10, mode="static", samples=10)
+        with pytest.raises(ValueError, match="more than 1300"):
+            with_overrides(static, samples=11)
+
+    def test_static_work_budget_refuses_a_sweep_of_many_minutes(self):
+        # 1000 trials of 100,000 cameras on the dominance region: exactly
+        # WORK_BUDGET draws, which mobile mode allows, but about 14 minutes
+        # of kernel work at 101 samples.
+        fields = dict(width=50.0, height=100.0, r=30.0, counts=(100_000,), trials=1000)
+        assert small_config(**fields, mode="mobile").trials == 1000
+        with pytest.raises(ValueError, match=f"more than {WORK_BUDGET}"):
+            small_config(**fields, mode="static", samples=101)
+        # The dominance benchmark's static sweep stays well inside the budget.
+        dominance = dict(width=50.0, height=100.0, r=30.0, counts=tuple(range(0, 301, 25)), trials=2)
+        assert small_config(**dominance, mode="static", samples=101).trials == 2
+
 
 class TestRandomDeploy:
     def test_zero_count(self):
