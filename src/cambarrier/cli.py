@@ -73,7 +73,7 @@ def _cmd_deploy_grid(args) -> int:
     else:
         if not cameras:
             raise ValueError("--d is required when the camera file is empty")
-        d = grid_length_bound(min(c.params.r for c in cameras))
+        d = grid_length_bound(min(p.r for p in cameras.params))
     plan = run_algorithm1(args.width, args.height, cameras, d)
     _emit(plan_json(plan), args.out)
     return 0

@@ -260,6 +260,81 @@ class CameraCull:
         return self._subset(keep)
 
 
+class CameraTable:
+    """A list of cameras as columns, one entry per camera: ``ids``, a list
+    of ints; ``x``, ``y`` and normalized ``facing``, float arrays; and
+    ``params``, a list of :class:`CameraParams` that cameras with the same
+    hardware share.  This is what relocation reads.
+
+    It reads as a sequence of :class:`CameraPose`, each made when it is
+    read; a table made by :meth:`of` from poses keeps them and hands those
+    back, so their coordinates stay as given (an ``int`` stays an ``int``).
+    """
+
+    def __init__(self, ids, x, y, facing, params, poses=None):
+        self.ids, self.x, self.y, self.facing, self.params = ids, x, y, facing, params
+        self.poses = poses
+
+    @classmethod
+    def of(cls, cameras) -> "CameraTable":
+        """The table of ``cameras``, an iterable of :class:`CameraPose`; a
+        table is returned as it is."""
+        if isinstance(cameras, cls):
+            return cameras
+        poses = list(cameras)
+        return cls(
+            [c.id for c in poses],
+            np.array([c.position.x for c in poses], dtype=float),
+            np.array([c.position.y for c in poses], dtype=float),
+            np.array([c.facing for c in poses], dtype=float),
+            [c.params for c in poses],
+            poses,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if self.poses is not None:
+            return self.poses[k]
+        return CameraPose(self.ids[k], Point2D(float(self.x[k]), float(self.y[k])), float(self.facing[k]), self.params[k])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, CameraTable):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.facing, other.facing)
+            and self.params == other.params
+        )
+
+    def take(self, order) -> "CameraTable":
+        """The cameras at the indices ``order`` (a list), in that order."""
+        rows = np.array(order, dtype=np.intp)
+        return CameraTable(
+            [self.ids[k] for k in order],
+            self.x[rows],
+            self.y[rows],
+            self.facing[rows],
+            [self.params[k] for k in order],
+            None if self.poses is None else [self.poses[k] for k in order],
+        )
+
+    def coordinates(self) -> tuple[list, list]:
+        """The x and y of every camera as given: the poses' own numbers,
+        or the values of the arrays."""
+        if self.poses is None:
+            return self.x.tolist(), self.y.tolist()
+        return [c.position.x for c in self.poses], [c.position.y for c in self.poses]
+
+
 def covers(camera: CameraPose, p: Point2D) -> bool:
     """True if ``p`` lies inside the camera's sensing sector.
 

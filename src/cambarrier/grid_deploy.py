@@ -13,6 +13,7 @@ substitutes in ascending order.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .geometry import (
     CameraCull,
     CameraParams,
     CameraPose,
+    CameraTable,
     Point2D,
     Segment,
     full_view_covered_segment,
@@ -53,9 +55,35 @@ def grid_length_bound(r: float) -> float:
     return optimal_params(r).delta
 
 
+class _Views:
+    """Base of the plan types :func:`run_algorithm1` makes from a
+    :class:`Relocation`.  Such an instance holds the relocation in place of
+    the fields named in ``_VIEWS`` and builds each of them, with the
+    relocation's method of the same name, the first time it is read.  An
+    instance made by its constructor holds every field."""
+
+    relocation = None
+    _VIEWS = ()
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance does not hold.
+        if self.relocation is None or name not in self._VIEWS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = getattr(self.relocation, name)()
+        return value
+
+    @classmethod
+    def _of(cls, relocation, **fields):
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields, relocation=relocation)
+        return obj
+
+
 @dataclass(frozen=True)
-class GridModel:
+class GridModel(_Views):
     """An m x n partition with camera occupancy."""
+
+    _VIEWS = ("cell_members", "poses")
 
     width: float
     height: float
@@ -105,8 +133,15 @@ class CameraRecord:
 
 
 @dataclass(frozen=True)
-class DeploymentPlan:
-    """Everything the relocation pipeline decided for one scenario."""
+class DeploymentPlan(_Views):
+    """Everything the relocation pipeline decided for one scenario.
+
+    A plan :func:`run_algorithm1` makes keeps its :class:`Relocation` and
+    builds ``heads``, ``assignments``, ``records``, ``deficits`` and the
+    grid's ``cell_members`` and ``poses`` the first time they are read,
+    which comparing two plans does."""
+
+    _VIEWS = ("heads", "assignments", "records", "deficits")
 
     grid: GridModel
     heads: dict[tuple[int, int], int]
@@ -177,18 +212,19 @@ def cell_index(v, d: float, size: int) -> np.ndarray:
 
 
 def camera_positions(width: float, height: float, cameras) -> tuple[np.ndarray, np.ndarray]:
-    """x and y arrays of ``cameras``, in input order.
+    """x and y arrays of ``cameras``, a :class:`CameraTable` or an iterable
+    of :class:`CameraPose`, in input order.
 
     Raises ``ValueError`` for duplicate ids and
     :class:`CameraOutsideRegionError`, listing the offending ids, for
     cameras more than EPS outside the region.
     """
-    ids = [c.id for c in cameras]
+    table = CameraTable.of(cameras)
+    ids = table.ids
     if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
         raise ValueError(f"duplicate camera ids: {dupes}")
-    xs = np.array([c.position.x for c in cameras], dtype=float)
-    ys = np.array([c.position.y for c in cameras], dtype=float)
+    xs, ys = table.x, table.y
     outside = (xs < -EPS) | (xs > width + EPS) | (ys < -EPS) | (ys > height + EPS)
     if outside.any():
         raise CameraOutsideRegionError(sorted(ids[k] for k in np.flatnonzero(outside)))
@@ -281,75 +317,167 @@ def assign_orientations(grid: GridModel, vertex_sets) -> dict[tuple[int, int], V
     return out
 
 
-def _vertex_requirements(i: int, m: int) -> tuple[str, ...]:
-    if i == 1:
-        return (ORIENT_DOWN,)
-    if i == m + 1:
-        return (ORIENT_UP,)
-    return (ORIENT_DOWN, ORIENT_UP)
+#: A camera's duty in :attr:`Relocation.role`.
+SILENT, DOWN, UP = 0, 1, 2
+
+#: The orientation of each duty code, as records and plans write it.
+ORIENTATIONS = (None, ORIENT_DOWN, ORIENT_UP)
+
+
+def _group_ranks(keys) -> np.ndarray:
+    """The rank of each entry of sorted array ``keys`` among the entries
+    equal to it: 0 for the first of a run, 1 for the next, ..."""
+    return np.arange(keys.size) - np.searchsorted(keys, keys)
+
+
+class Relocation:
+    """Algorithm 1's decisions as arrays over ``cameras``, a
+    :class:`CameraTable` in ascending id order: camera ``k`` sits in cell
+    ``(cell_i[k], cell_j[k])``, moves ``distance[k]`` to vertex
+    ``(vertex_i[k], vertex_j[k])`` and serves ``role[k]`` (:data:`SILENT`,
+    :data:`DOWN` or :data:`UP`).  ``by_cell`` and ``by_vertex`` list the
+    cameras by (cell, id) and by (vertex, id), each group starting at the
+    positions ``cell_starts`` and ``vertex_starts`` hold.  ``deficit_codes``
+    holds ``2 * v + duty`` for each unfilled duty of the lattice, in
+    row-major order of the 0-based vertex number ``v``, with duty 0 for
+    "down" before 1 for "up".
+
+    Its methods build the dict views of :class:`DeploymentPlan` and
+    :class:`GridModel`."""
+
+    def __init__(self, width, height, d, m: int, n: int, cameras: CameraTable):
+        self.width, self.height, self.d, self.m, self.n = width, height, d, m, n
+        self.cameras = cameras
+        count = len(cameras)
+        ci, cj = cell_index(cameras.y, d, m), cell_index(cameras.x, d, n)
+        cell = (ci - 1) * n + cj
+        # assign_to_vertices: a cell's k-th smallest id goes to slot k % 4.
+        self.by_cell = np.argsort(cell, kind="stable")
+        rank = _group_ranks(cell[self.by_cell])
+        self.cell_starts = np.flatnonzero(rank == 0)
+        slot = np.empty(count, dtype=np.intp)
+        slot[self.by_cell] = rank % 4
+        vi, vj = ci + slot // 2, cj + slot % 2
+        vertex = (vi - 1) * (n + 1) + (vj - 1)
+        # assign_orientations: the first id at a vertex serves "down" (or
+        # "up" on row m+1), the second "up" on an interior row.
+        self.by_vertex = np.argsort(vertex, kind="stable")
+        place = _group_ranks(vertex[self.by_vertex])
+        self.vertex_starts = np.flatnonzero(place == 0)
+        row = vi[self.by_vertex]
+        self.role = np.empty(count, dtype=np.int8)
+        self.role[self.by_vertex] = np.where(
+            place == 0, np.where(row == m + 1, UP, DOWN), np.where((place == 1) & (row > 1) & (row <= m), UP, SILENT)
+        )
+        filled = np.zeros(((m + 1) * (n + 1), 2), dtype=bool)
+        filled[vertex[self.role == DOWN], 0] = True
+        filled[vertex[self.role == UP], 1] = True
+        filled[-(n + 1) :, 0] = filled[: n + 1, 1] = True  # duties the row does not have
+        self.deficit_codes = np.flatnonzero(~filled)
+        self.cell_i, self.cell_j, self.vertex_i, self.vertex_j = ci, cj, vi, vj
+        # math.hypot, as Point2D.distance_to: np.hypot may differ in the last bit.
+        dx, dy = cameras.x - (vj - 1) * d, cameras.y - (vi - 1) * d
+        self.distance = list(map(math.hypot, dx.tolist(), dy.tolist()))
+
+    def _groups(self, order, starts, rows, cols, labels) -> list:
+        """``((i, j), labels)`` per group of cameras ``order`` lists, each
+        group starting at a position in ``starts``, its key read from
+        ``rows`` and ``cols`` at its first camera."""
+        labels = self.cameras.ids if labels is None else labels
+        ranked = np.array(labels, dtype=object)[order].tolist()
+        bounds = starts.tolist() + [len(ranked)]
+        first = order[starts]
+        keys = zip(rows[first].tolist(), cols[first].tolist())
+        return [(key, ranked[a:b]) for key, a, b in zip(keys, bounds, bounds[1:])]
+
+    def cells(self, labels=None) -> list:
+        """``((i, j), labels)`` of every occupied cell, in cell order, with
+        the labels of its cameras (their ids, by default) in id order."""
+        return self._groups(self.by_cell, self.cell_starts, self.cell_i, self.cell_j, labels)
+
+    def duties(self, labels=None) -> list:
+        """``((i, j), stationed, down, up, silent)`` of every occupied
+        vertex, in vertex order, as :meth:`cells` labels cameras; an
+        unfilled duty is None."""
+        out = []
+        groups = self._groups(self.by_vertex, self.vertex_starts, self.vertex_i, self.vertex_j, labels)
+        roles = self.role[self.by_vertex].tolist()
+        for (key, stationed), a in zip(groups, self.vertex_starts.tolist()):
+            # The first camera serves "down" or "up"; a second serves "up"
+            # or is silent, as every later one is.
+            second = roles[a + 1] if len(stationed) > 1 else SILENT
+            down = stationed[0] if roles[a] == DOWN else None
+            up = stationed[0] if roles[a] == UP else stationed[1] if second == UP else None
+            out.append((key, stationed, down, up, stationed[2:] if second == UP else stationed[1:]))
+        return out
+
+    def deficit_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and duty codes (indices into
+        :data:`ORIENTATIONS`, as ``role`` holds) of the unfilled duties, in
+        order, as arrays."""
+        vertex, duty = np.divmod(self.deficit_codes, 2)
+        rows, cols = np.divmod(vertex, self.n + 1)
+        return rows + 1, cols + 1, duty + DOWN
+
+    @cached_property
+    def _poses(self) -> list:
+        return list(self.cameras)
+
+    # The views, by the name of the field each fills.
+
+    def cell_members(self) -> dict:
+        return {cell: tuple(ids) for cell, ids in self.cells()}
+
+    def poses(self) -> dict:
+        return dict(zip(self.cameras.ids, self._poses))
+
+    def heads(self) -> dict:
+        return {cell: ids[0] for cell, ids in self.cells()}
+
+    def assignments(self) -> dict:
+        return {
+            v: VertexAssignment(v, tuple(stationed), down, up, tuple(silent))
+            for v, stationed, down, up, silent in self.duties()
+        }
+
+    def records(self) -> dict:
+        ids, poses = self.cameras.ids, self._poses
+        vertices = zip(self.vertex_i.tolist(), self.vertex_j.tolist())
+        records = [
+            CameraRecord(cid, pose.position, v, dist, ORIENTATIONS[role])
+            for cid, pose, v, dist, role in zip(ids, poses, vertices, self.distance, self.role.tolist())
+        ]
+        return {records[k].camera_id: records[k] for k in self.by_vertex.tolist()}
+
+    def deficits(self) -> tuple:
+        rows, cols, duties = (column.tolist() for column in self.deficit_columns())
+        return tuple(((i, j), ORIENTATIONS[duty]) for i, j, duty in zip(rows, cols, duties))
 
 
 def run_algorithm1(width: float, height: float, cameras, d: float) -> DeploymentPlan:
     """Full relocation pipeline: partition, elect heads, deal cameras to
     vertices, move them there and orient them.
 
-    Deterministic and invariant to the input order of ``cameras``.  Every
+    Deterministic and invariant to the input order of ``cameras``, a
+    :class:`CameraTable` or an iterable of :class:`CameraPose`.  Every
     camera ends up at a vertex of its own cell, oriented or silent; travel
     distances and unmet orientation slots are recorded.  ``d`` larger than
     the verifiable bound for the smallest radius only clears the
     ``d_within_bound`` flag, it does not fail the run.
+
+    The decisions are those of :func:`partition`, :func:`elect_grid_heads`,
+    :func:`assign_to_vertices` and :func:`assign_orientations`, taken with
+    a few sorts over arrays (:class:`Relocation`); ids are ranked by a
+    Python sort, so they may be of any size.
     """
-    grid = partition(width, height, d, cameras)
-    heads = elect_grid_heads(grid)
-    vertex_sets: dict[tuple[int, int], list[int]] = {}
-    for cell in sorted(grid.cell_members):
-        for v, ids in assign_to_vertices(cell, grid.cell_members[cell], grid).items():
-            if ids:
-                vertex_sets.setdefault(v, []).extend(ids)
-    assignments = assign_orientations(grid, vertex_sets)
-
-    records: dict[int, CameraRecord] = {}
-    for v in sorted(assignments):
-        a = assignments[v]
-        pos = grid.vertex_position(*v)
-        for cid in a.stationed:
-            if cid == a.down:
-                orientation = ORIENT_DOWN
-            elif cid == a.up:
-                orientation = ORIENT_UP
-            else:
-                orientation = None
-            origin = grid.poses[cid].position
-            records[cid] = CameraRecord(
-                camera_id=cid,
-                origin=origin,
-                vertex=v,
-                distance=origin.distance_to(pos),
-                orientation=orientation,
-            )
-
-    deficits = []
-    for i in range(1, grid.m + 2):
-        for j in range(1, grid.n + 2):
-            a = assignments.get((i, j))
-            for role in _vertex_requirements(i, grid.m):
-                filled = a is not None and getattr(a, role) is not None
-                if not filled:
-                    deficits.append(((i, j), role))
-
-    if cameras:
-        r_min = min(c.params.r for c in cameras)
-        d_ok = d <= grid_length_bound(r_min) + EPS
-    else:
-        d_ok = True
-    return DeploymentPlan(
-        grid=grid,
-        heads=heads,
-        assignments=assignments,
-        records=records,
-        deficits=tuple(deficits),
-        d_within_bound=d_ok,
-    )
+    m, n = grid_shape(width, height, d)
+    table = CameraTable.of(cameras)
+    camera_positions(width, height, table)
+    order = sorted(range(len(table)), key=table.ids.__getitem__)
+    relocation = Relocation(width, height, d, m, n, table.take(order))
+    d_ok = not table.params or d <= grid_length_bound(min(p.r for p in table.params)) + EPS
+    grid = GridModel._of(relocation, width=width, height=height, d=d, m=m, n=n)
+    return DeploymentPlan._of(relocation, grid=grid, d_within_bound=d_ok)
 
 
 def cell_fully_staffed(cell, plan: DeploymentPlan) -> bool:

@@ -10,9 +10,20 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
+import numpy as np
+
 from .barrier_graph import BarrierResult, CoverageGraph
-from .geometry import CameraParams, CameraPose, Point2D, check_integer
-from .grid_deploy import MAX_CELLS, ORIENT_DOWN, ORIENT_UP, CameraRecord, DeploymentPlan, GridModel, VertexAssignment
+from .geometry import CameraParams, CameraPose, CameraTable, Point2D, check_integer, normalize_bearings
+from .grid_deploy import (
+    MAX_CELLS,
+    ORIENT_DOWN,
+    ORIENT_UP,
+    ORIENTATIONS,
+    CameraRecord,
+    DeploymentPlan,
+    GridModel,
+    VertexAssignment,
+)
 from .line_model import LineDeployment
 from .simulate import SweepResult
 
@@ -154,10 +165,16 @@ def _pose(data: dict, params: CameraParams) -> CameraPose:
     )
 
 
-def cameras_from_list(entries) -> list[CameraPose]:
-    """The cameras of a camera file, in file order."""
+def cameras_from_list(entries) -> CameraTable:
+    """The cameras of a camera file, in file order, as a table; no pose is
+    built.  Every entry is checked by :func:`camera_from_dict`'s checks, in
+    file order, so a file with faults gets the error of the first."""
+    entries = list(entries)
     params = {}
-    return [_pose(entry, _camera_params(entry, params)) for entry in entries]
+    shared = [_camera_params(entry, params) for entry in entries]
+    ids = [entry["id"] for entry in entries]
+    x, y, facing = (np.array([entry[key] for entry in entries], dtype=float) for key in ("x", "y", "facing"))
+    return CameraTable(ids, x, y, normalize_bearings(facing), shared)
 
 
 def line_deployment_to_dict(dep: LineDeployment) -> dict:
@@ -212,21 +229,40 @@ def plan_to_dict(plan: DeploymentPlan) -> dict:
     }
 
 
-def _id_list(ids) -> str:
-    """A list of camera ids at the depth of a plan record's fields."""
-    return "[\n        " + ",\n        ".join(map(int.__repr__, ids)) + "\n      ]" if ids else "[]"
+def _numbers(values: list) -> list[str]:
+    """:func:`_number` of every value: the 9-digit texts in one ``%``
+    formatting, then :func:`_number` on the few that are not already its
+    answer (those with no point or with an exponent)."""
+    joined = "%.9g\n" * len(values) % tuple(values)
+    texts = joined.split("\n")
+    texts.pop()
+    # A text holds at most one point, so with as many points as texts and
+    # no exponent every text is final.
+    if "e" in joined or joined.count(".") != len(texts):
+        for k in [k for k, text in enumerate(texts) if "." not in text or "e" in text]:
+            texts[k] = _number(values[k])
+    return texts
 
 
-def _duty(cid) -> str:
-    return "null" if cid is None else int.__repr__(cid)
+def _id_list(texts) -> str:
+    """A list of camera ids, given as their texts, at the depth of a plan
+    record's fields."""
+    return "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
 
 
 def _role(role) -> str:
     return "null" if role is None else _quote(role)
 
 
+#: The text of each duty code of a :class:`~cambarrier.grid_deploy.Relocation`.
+_ROLE_TEXT = np.array([_role(role) for role in ORIENTATIONS], dtype=object)
+
+
 def _section(items: list) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    if not items:
+        return "[]"
+    joined = ",\n".join(items)
+    return f"[\n{joined}\n  ]"
 
 
 def _hardware(params: CameraParams, cache: dict) -> str:
@@ -274,46 +310,141 @@ def plan_json(plan: DeploymentPlan) -> str:
     through ``int.__repr__``; the ``phi``, ``r`` and ``theta`` text is
     made once per :class:`CameraParams` of the plan.
 
-    The plan's fields must hold the types :func:`run_algorithm1
-    <cambarrier.grid_deploy.run_algorithm1>` and :func:`plan_from_dict`
-    give them: ``int`` or ``float`` lengths and coordinates, ``int`` ids
-    and pairs, a ``bool`` flag."""
+    A plan :func:`run_algorithm1 <cambarrier.grid_deploy.run_algorithm1>`
+    made is written from its :class:`~cambarrier.grid_deploy.Relocation`,
+    without its dict views, each id's text made once; any other plan from
+    those views.  The plan's fields must hold the types
+    :func:`run_algorithm1` and :func:`plan_from_dict` give them: ``int``
+    or ``float`` lengths and coordinates, ``int`` ids and pairs, a
+    ``bool`` flag."""
+    rel = plan.relocation
+    if rel is None:
+        return _plan_text(plan, *_view_columns(plan))
+    cameras = rel.cameras
+    ids = list(map(int.__repr__, cameras.ids))
+    cells = rel.cells(ids)
+    xs, ys = cameras.coordinates()
+    return _plan_text(
+        plan,
+        cells,
+        [(cell, labels[0]) for cell, labels in cells],
+        rel.duties(ids),
+        (
+            rel.distance,
+            cameras.facing.tolist(),
+            ids,
+            _ROLE_TEXT[rel.role].tolist(),
+            cameras.params,
+            rel.vertex_i.tolist(),
+            rel.vertex_j.tolist(),
+            xs,
+            ys,
+        ),
+        _relocation_deficits(rel),
+    )
+
+
+def _view_columns(plan: DeploymentPlan) -> tuple:
+    """What :func:`_plan_text` writes, read from the dict views."""
+    poses = plan.grid.poses
+    records = [plan.records[k] for k in sorted(plan.records)]
+    hardware = [poses[rec.camera_id] for rec in records]
+    return (
+        [(cell, _id_texts(ids)) for cell, ids in sorted(plan.grid.cell_members.items())],
+        [(cell, int.__repr__(cid)) for cell, cid in sorted(plan.heads.items())],
+        [
+            (v, _id_texts(a.stationed), *_id_texts((a.down, a.up)), _id_texts(a.silent))
+            for v, a in sorted(plan.assignments.items())
+        ],
+        (
+            [rec.distance for rec in records],
+            [pose.facing for pose in hardware],
+            _id_texts(rec.camera_id for rec in records),
+            [_role(rec.orientation) for rec in records],
+            [pose.params for pose in hardware],
+            [rec.vertex[0] for rec in records],
+            [rec.vertex[1] for rec in records],
+            [rec.origin.x for rec in records],
+            [rec.origin.y for rec in records],
+        ),
+        _section([_deficit_head(_role(role), i) + _deficit_tail(j) for (i, j), role in plan.deficits]),
+    )
+
+
+def _id_texts(ids) -> list:
+    """The text of each id, None staying None."""
+    return [None if cid is None else int.__repr__(cid) for cid in ids]
+
+
+def _relocation_deficits(rel) -> str:
+    """The deficits section of ``rel``'s plan.  Each record is the text of
+    its (row, duty) followed by that of its column, both made once, and
+    the section is one join of those pieces."""
+    rows, cols, duties = rel.deficit_columns()
+    if not rows.size:
+        return "[]"
+    heads = np.array([_deficit_head(text, i) for i in range(1, rel.m + 2) for text in _ROLE_TEXT], dtype=object)
+    tails = np.array([_deficit_tail(j) + ",\n" for j in range(1, rel.n + 2)], dtype=object)
+    pieces = np.empty(2 * rows.size + 2, dtype=object)
+    pieces[0], pieces[1:-1:2], pieces[2:-1:2] = "[\n", heads[len(_ROLE_TEXT) * (rows - 1) + duties], tails[cols - 1]
+    pieces[-2], pieces[-1] = _deficit_tail(int(cols[-1])), "\n  ]"
+    return "".join(pieces.tolist())
+
+
+def _deficit_head(role: str, i: int) -> str:
+    return f'    {{\n      "orientation": {role},\n      "vertex": [\n        {i},\n        '
+
+
+def _deficit_tail(j: int) -> str:
+    return f'{j}\n      ]\n    }}'
+
+
+def _plan_text(plan: DeploymentPlan, cells, heads, duties, cameras, deficits) -> str:
+    """The plan JSON of ``plan``'s grid and flag and of its records, given
+    in the order written, with every id as its text: ``((i, j), ids)`` per
+    cell, ``((i, j), id)`` per head, ``((i, j), stationed, down, up,
+    silent)`` per vertex (None for an unfilled duty), the columns of the
+    camera records (distance, facing, id, orientation text, params, vertex
+    row and column, x, y) and the deficits section's text."""
     g = plan.grid
-    poses = g.poses
     cells = [
         f'    {{\n      "cameras": {_id_list(ids)},\n      "cell": [\n        {i},\n        {j}\n      ]\n    }}'
-        for (i, j), ids in sorted(g.cell_members.items())
+        for (i, j), ids in cells
     ]
     heads = [
-        f'    {{\n      "cell": [\n        {i},\n        {j}\n      ],\n      "id": {int.__repr__(cid)}\n    }}'
-        for (i, j), cid in sorted(plan.heads.items())
+        f'    {{\n      "cell": [\n        {i},\n        {j}\n      ],\n      "id": {cid}\n    }}'
+        for (i, j), cid in heads
     ]
     assignments = [
-        f'    {{\n      "down": {_duty(a.down)},\n      "silent": {_id_list(a.silent)},\n'
-        f'      "stationed": {_id_list(a.stationed)},\n      "up": {_duty(a.up)},\n'
+        f'    {{\n      "down": {down or "null"},\n      "silent": {_id_list(silent)},\n'
+        f'      "stationed": {_id_list(stationed)},\n      "up": {up or "null"},\n'
         f'      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
-        for (i, j), a in sorted(plan.assignments.items())
+        for (i, j), stationed, down, up, silent in duties
     ]
+    distances, facings, ids, roles, params, rows, cols, xs, ys = cameras
     hardware = {}
-    cameras = []
-    for key in sorted(plan.records):
-        rec = plan.records[key]
-        pose = poses[rec.camera_id]
-        i, j = rec.vertex
-        cameras.append(
-            f'    {{\n      "distance": {_number(rec.distance)},\n      "facing": {_number(pose.facing)},\n'
-            f'      "id": {int.__repr__(rec.camera_id)},\n      "orientation": {_role(rec.orientation)},\n'
-            f'      {_hardware(pose.params, hardware)},\n      "vertex": [\n        {i},\n        {j}\n      ],\n'
-            f'      "x": {_number(rec.origin.x)},\n      "y": {_number(rec.origin.y)}\n    }}'
+    for p in {id(p): p for p in params}.values():
+        _hardware(p, hardware)
+    cameras = [
+        f'    {{\n      "distance": {distance},\n      "facing": {facing},\n      "id": {cid},\n'
+        f'      "orientation": {role},\n      {lines},\n'
+        f'      "vertex": [\n        {i},\n        {j}\n      ],\n      "x": {x},\n      "y": {y}\n    }}'
+        for distance, facing, cid, role, lines, i, j, x, y in zip(
+            _numbers(distances),
+            _numbers(facings),
+            ids,
+            roles,
+            map(hardware.__getitem__, map(id, params)),
+            rows,
+            cols,
+            _numbers(xs),
+            _numbers(ys),
         )
-    deficits = [
-        f'    {{\n      "orientation": {_role(role)},\n      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
-        for (i, j), role in plan.deficits
     ]
     return (
         f'{{\n  "assignments": {_section(assignments)},\n  "cameras": {_section(cameras)},\n'
         f'  "cells": {_section(cells)},\n  "d_within_bound": {"true" if plan.d_within_bound else "false"},\n'
-        f'  "deficits": {_section(deficits)},\n  "grid": {{\n    "d": {_number(g.d)},\n'
+        f'  "deficits": {deficits},\n  "grid": {{\n    "d": {_number(g.d)},\n'
         f'    "height": {_number(g.height)},\n    "m": {int.__repr__(g.m)},\n    "n": {int.__repr__(g.n)},\n'
         f'    "width": {_number(g.width)}\n  }},\n  "heads": {_section(heads)}\n}}\n'
     )

@@ -72,8 +72,10 @@ MAX_SAMPLES = 20_000
 #: trial costs at least a draw.  It is the default 100 trials at
 #: :data:`MAX_CAMERAS`, so a one-count mobile sweep at the camera limit
 #: stays allowed, while a sweep that would not end in any useful time does
-#: not.  A static sweep's draws times its ``samples`` must stay within it
-#: too, since each drawn camera may be tested at every sample of a cell.
+#: not.  A static sweep's draws times the samples each drawn camera may be
+#: tested at must stay within it too: ``samples`` of a cell's full test,
+#: plus :data:`_COARSE_SAMPLES` (at most ``samples``) in each of the ``m``
+#: cells of every column's coarse check.
 WORK_BUDGET = 100 * MAX_CAMERAS
 
 #: A batch of trials handed to a decider holds at most this many cameras
@@ -117,7 +119,7 @@ class ScenarioConfig:
                     f"region dimensions must be positive and finite, got {self.width} x {self.height}"
                 )
         self.camera_params()
-        grid_shape(self.width, self.height, grid_length_bound(self.r))
+        m, _ = grid_shape(self.width, self.height, grid_length_bound(self.r))
         # A string or a dict would be taken apart into its items.
         counts = self.counts
         if not (isinstance(counts, (list, tuple)) or isinstance(counts, np.ndarray) and counts.ndim == 1):
@@ -141,10 +143,12 @@ class ScenarioConfig:
         check_integer("samples", self.samples, 2)
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples {self.samples} exceeds {MAX_SAMPLES}")
-        if self.mode == "static" and work * int(self.samples) > WORK_BUDGET:
+        coarse = min(int(self.samples), _COARSE_SAMPLES)
+        tested = work * (int(self.samples) + m * coarse)
+        if self.mode == "static" and tested > WORK_BUDGET:
             raise ValueError(
-                f"the static sweep tests {work * int(self.samples)} camera samples ({work} cameras drawn "
-                f"times {self.samples} samples), more than {WORK_BUDGET}"
+                f"the static sweep tests {tested} camera samples ({work} cameras drawn times {self.samples} "
+                f"samples plus {m} cells times {coarse} coarse samples), more than {WORK_BUDGET}"
             )
 
     def camera_params(self) -> CameraParams:

@@ -1,15 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's vectorized kernel, graph search,
-JSON writer and plan check so they can cross-check them: plain-math
-full-view evaluation, exhaustive s-t path enumeration, the standard
-library's JSON encoder and a frozen copy of the object-building plan
-loader.
+JSON writer, plan check and array relocation so they can cross-check
+them: plain-math full-view evaluation, exhaustive s-t path enumeration,
+the standard library's JSON encoder, a frozen copy of the object-building
+plan loader, and frozen copies of the object-building relocation and the
+plan writer that read its dicts.
 """
 
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from cambarrier.barrier_graph import SINK, SOURCE
 from cambarrier.geometry import CameraParams, CameraPose, Point2D
@@ -21,6 +23,11 @@ from cambarrier.grid_deploy import (
     DeploymentPlan,
     GridModel,
     VertexAssignment,
+    assign_orientations,
+    assign_to_vertices,
+    elect_grid_heads,
+    grid_length_bound,
+    partition,
 )
 
 TAU = 2.0 * math.pi
@@ -281,4 +288,129 @@ def ref_plan_from_dict(data):
             for entry in data["deficits"]
         ),
         d_within_bound=data["d_within_bound"],
+    )
+
+
+# A frozen copy of ``grid_deploy.run_algorithm1`` as it was before it
+# relocated on arrays: the paper's named steps over dicts of ids.
+
+
+def _ref_requirements(i, m):
+    if i == 1:
+        return (ORIENT_DOWN,)
+    if i == m + 1:
+        return (ORIENT_UP,)
+    return (ORIENT_DOWN, ORIENT_UP)
+
+
+def ref_run_algorithm1(width, height, cameras, d):
+    """The plan the object pipeline made: every field a dict or tuple."""
+    grid = partition(width, height, d, cameras)
+    heads = elect_grid_heads(grid)
+    vertex_sets = {}
+    for cell in sorted(grid.cell_members):
+        for v, ids in assign_to_vertices(cell, grid.cell_members[cell], grid).items():
+            if ids:
+                vertex_sets.setdefault(v, []).extend(ids)
+    assignments = assign_orientations(grid, vertex_sets)
+    records = {}
+    for v in sorted(assignments):
+        a = assignments[v]
+        pos = grid.vertex_position(*v)
+        for cid in a.stationed:
+            if cid == a.down:
+                orientation = ORIENT_DOWN
+            elif cid == a.up:
+                orientation = ORIENT_UP
+            else:
+                orientation = None
+            origin = grid.poses[cid].position
+            records[cid] = CameraRecord(cid, origin, v, origin.distance_to(pos), orientation)
+    deficits = []
+    for i in range(1, grid.m + 2):
+        for j in range(1, grid.n + 2):
+            a = assignments.get((i, j))
+            for role in _ref_requirements(i, grid.m):
+                if a is None or getattr(a, role) is None:
+                    deficits.append(((i, j), role))
+    d_ok = d <= grid_length_bound(min(c.params.r for c in cameras)) + EPS if cameras else True
+    return DeploymentPlan(grid, heads, assignments, records, tuple(deficits), d_ok)
+
+
+# A frozen copy of ``serialize.plan_json`` as it was before it wrote from
+# arrays: one f-string per record, read from the plan's dicts.
+
+_INF = float("inf")
+
+
+def _writer_number(value):
+    text = f"{value:.9g}"
+    if "." in text and "e" not in text:
+        return text
+    if type(value) is int:
+        return int.__repr__(value)
+    value = float(text)
+    if value != value:
+        return "NaN"
+    if value in (_INF, -_INF):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _writer_ids(ids):
+    return "[\n        " + ",\n        ".join(map(int.__repr__, ids)) + "\n      ]" if ids else "[]"
+
+
+def _writer_duty(cid):
+    return "null" if cid is None else int.__repr__(cid)
+
+
+def _writer_role(role):
+    return "null" if role is None else encode_basestring_ascii(role)
+
+
+def _writer_section(items):
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def ref_plan_json(plan):
+    """The plan JSON the dict-reading writer wrote."""
+    g = plan.grid
+    cells = [
+        f'    {{\n      "cameras": {_writer_ids(ids)},\n      "cell": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), ids in sorted(g.cell_members.items())
+    ]
+    heads = [
+        f'    {{\n      "cell": [\n        {i},\n        {j}\n      ],\n      "id": {int.__repr__(cid)}\n    }}'
+        for (i, j), cid in sorted(plan.heads.items())
+    ]
+    assignments = [
+        f'    {{\n      "down": {_writer_duty(a.down)},\n      "silent": {_writer_ids(a.silent)},\n'
+        f'      "stationed": {_writer_ids(a.stationed)},\n      "up": {_writer_duty(a.up)},\n'
+        f'      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), a in sorted(plan.assignments.items())
+    ]
+    cameras = []
+    for key in sorted(plan.records):
+        rec = plan.records[key]
+        pose = g.poses[rec.camera_id]
+        p = pose.params
+        i, j = rec.vertex
+        cameras.append(
+            f'    {{\n      "distance": {_writer_number(rec.distance)},\n      "facing": {_writer_number(pose.facing)},\n'
+            f'      "id": {int.__repr__(rec.camera_id)},\n      "orientation": {_writer_role(rec.orientation)},\n'
+            f'      "phi": {_writer_number(p.phi)},\n      "r": {_writer_number(p.r)},\n      "theta": {_writer_number(p.theta)},\n'
+            f'      "vertex": [\n        {i},\n        {j}\n      ],\n'
+            f'      "x": {_writer_number(rec.origin.x)},\n      "y": {_writer_number(rec.origin.y)}\n    }}'
+        )
+    deficits = [
+        f'    {{\n      "orientation": {_writer_role(role)},\n      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), role in plan.deficits
+    ]
+    return (
+        f'{{\n  "assignments": {_writer_section(assignments)},\n  "cameras": {_writer_section(cameras)},\n'
+        f'  "cells": {_writer_section(cells)},\n  "d_within_bound": {"true" if plan.d_within_bound else "false"},\n'
+        f'  "deficits": {_writer_section(deficits)},\n  "grid": {{\n    "d": {_writer_number(g.d)},\n'
+        f'    "height": {_writer_number(g.height)},\n    "m": {int.__repr__(g.m)},\n    "n": {int.__repr__(g.n)},\n'
+        f'    "width": {_writer_number(g.width)}\n  }},\n  "heads": {_writer_section(heads)}\n}}\n'
     )

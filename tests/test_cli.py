@@ -206,7 +206,10 @@ class TestGridPipeline:
     def test_grid_cap_plan_keeps_its_bytes_in_bounded_memory(self, tmp_path):
         # One camera on 500 x 500 cells: a 46 MB plan, almost all of it
         # deficits.  The write took the run to ~486 MiB of peak RSS when it
-        # went through the dict view; a fresh process measures only this run.
+        # went through the dict view, and ~265 MiB from per-record
+        # templates; written from the relocation's arrays it takes ~130
+        # MiB.  The bound is half the first.  A fresh process measures only
+        # this run.
         cameras = tmp_path / "cams.json"
         cameras.write_text('[{"id": 0, "x": 1.0, "y": 1.0, "facing": 0.0, "r": 5.0, "phi": 2.0, "theta": 0.7}]')
         plan = tmp_path / "plan.json"
@@ -224,7 +227,7 @@ class TestGridPipeline:
         code, max_rss_kib = map(int, done.stdout.split())
         assert code == 0
         assert hashlib.sha256(plan.read_bytes()).hexdigest() == self.GRID_CAP_SHA256
-        assert max_rss_kib < 400 * 1024
+        assert max_rss_kib < 242 * 1024
 
     @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
     @pytest.mark.parametrize(
@@ -562,6 +565,24 @@ class TestSimulate:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: the static sweep tests ") and "Traceback" not in captured.err
         assert captured.err.endswith(f"more than {WORK_BUDGET}\n")
+
+    def test_static_coarse_work_over_the_budget_exits_2_without_running(self, tmp_path, capsys, config_file):
+        # 400,000 cameras at 2 samples are 8e5 camera samples of full tests,
+        # but the coarse check of every column of the 448 x 448 grid tests
+        # each camera in every cell of the column.
+        cfg = json.loads(config_file.read_text())
+        cfg.update(width=400.0, height=400.0, r=1.0, counts=[400_000], trials=1, mode="static", samples=2)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        code = main(["simulate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 5
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: the static sweep tests 359200000 camera samples (400000 cameras drawn times 2 samples plus "
+            f"448 cells times 2 coarse samples), more than {WORK_BUDGET}\n"
+        )
 
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_samples_over_the_cap_exit_2_without_traceback(self, tmp_path, capsys, config_file, how):

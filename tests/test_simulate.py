@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -143,19 +144,56 @@ class TestConfig:
                 small_config(counts=(12,), trials=trials)
 
     def test_static_work_budget_also_counts_samples(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "WORK_BUDGET", 1300)
-        # 10 trials of 0 + 5 + 7 cameras, a count of 0 taken as 1: 130 draws.
+        # 10 trials of 0 + 5 + 7 cameras, a count of 0 taken as 1: 130
+        # draws, each tested at 10 samples plus 6 coarse samples in each of
+        # the 2 cells of a column: 130 * (10 + 2 * 6) = 2860.
+        monkeypatch.setattr(simulate_module, "WORK_BUDGET", 2860)
         assert small_config(counts=(0, 5, 7), trials=10, mode="static", samples=10).samples == 10
-        with pytest.raises(ValueError, match=r"tests 1430 camera samples \(130 cameras drawn times 11 samples\), more than 1300"):
+        with pytest.raises(
+            ValueError,
+            match=r"tests 2990 camera samples \(130 cameras drawn times 11 samples plus 2 cells times 6 coarse "
+            r"samples\), more than 2860",
+        ):
             small_config(counts=(0, 5, 7), trials=10, mode="static", samples=11)
         # Mobile mode tests no samples, and overrides pass the same check.
         mobile = small_config(counts=(0, 5, 7), trials=10, mode="mobile", samples=np.int64(MAX_SAMPLES))
         for overrides in ({"mode": "static"}, {"mode": "static", "samples": 11}):
-            with pytest.raises(ValueError, match="more than 1300"):
+            with pytest.raises(ValueError, match="more than 2860"):
                 with_overrides(mobile, **overrides)
         static = small_config(counts=(0, 5, 7), trials=10, mode="static", samples=10)
-        with pytest.raises(ValueError, match="more than 1300"):
+        with pytest.raises(ValueError, match="more than 2860"):
             with_overrides(static, samples=11)
+
+    def test_static_work_budget_counts_the_coarse_check_of_every_cell(self, monkeypatch):
+        # Few samples over many rows: 1 trial of 400,000 cameras at 2
+        # samples draws 8e5 cameras, but the coarse check of a 448-row
+        # column tests each at 2 samples in every cell.
+        fields = dict(width=400.0, height=400.0, r=1.0, counts=(400_000,), trials=1, samples=2)
+        assert small_config(**fields, mode="mobile").trials == 1
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"tests 359200000 camera samples .*448 cells times 2 coarse samples"):
+            small_config(**fields, mode="static")
+        assert time.perf_counter() - start < 1
+        # The bound counts 1 + m * min(samples, 6) per drawn camera over
+        # samples: with the budget cut to exactly that, 6 samples pass and
+        # 7 do not.
+        monkeypatch.setattr(simulate_module, "WORK_BUDGET", 130 * (6 + 2 * 6))
+        assert small_config(counts=(0, 5, 7), trials=10, mode="static", samples=6).samples == 6
+        with pytest.raises(ValueError, match="more than"):
+            small_config(counts=(0, 5, 7), trials=10, mode="static", samples=7)
+
+    def test_benchmark_static_sweeps_stay_inside_the_budget(self, monkeypatch):
+        # dominance: 3,902 draws tested at 101 + 4 * 6 samples; wide-field:
+        # 384 draws at 101 + 8 * 6.
+        dominance = dict(width=50.0, height=100.0, r=30.0, counts=tuple(range(0, 301, 25)), trials=2)
+        wide_field = dict(width=32.0, height=32.0, r=5.0, counts=(128, 256), trials=1)
+        for fields, tested in ((dominance, 3902 * 125), (wide_field, 384 * 149)):
+            assert tested < WORK_BUDGET
+            monkeypatch.setattr(simulate_module, "WORK_BUDGET", tested)
+            assert small_config(**fields, mode="static", samples=101).samples == 101
+            monkeypatch.setattr(simulate_module, "WORK_BUDGET", tested - 1)
+            with pytest.raises(ValueError, match=f"tests {tested} camera samples"):
+                small_config(**fields, mode="static", samples=101)
 
     def test_static_work_budget_refuses_a_sweep_of_many_minutes(self):
         # 1000 trials of 100,000 cameras on the dominance region: exactly
