@@ -1,6 +1,10 @@
 """Command-line front end.
 
-Subcommands: plan-line, deploy-grid, barrier, k-barrier, simulate, fig3.
+Subcommands: plan-line, deploy-grid, barrier, k-barrier, simulate, fig3,
+one entry each in :data:`COMMANDS`.  A command builds only its own
+subparser, so adding a command costs the others nothing.  ``--help``, an
+unknown command and arguments left over after a command go through the
+full parser, so every help, usage and error text is the one it prints.
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 infeasible
 input (for example cameras outside the region).
 """
@@ -67,7 +71,10 @@ def _cmd_plan_line(args) -> int:
 
 
 def _cmd_deploy_grid(args) -> int:
-    cameras = cameras_from_list(_load_json(args.cameras))
+    entries = _load_json(args.cameras)
+    if not isinstance(entries, list):
+        raise ValueError(f"{args.cameras}: the camera file must be a JSON list")
+    cameras = cameras_from_list(entries)
     if args.d is not None:
         d = args.d
     else:
@@ -133,61 +140,74 @@ def _cmd_fig3(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cambarrier",
-        description="Plan, verify and simulate full-view camera barriers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan-line", help="emit the canonical two-row line deployment as JSON")
+def _plan_line_arguments(p) -> None:
     p.add_argument("--length", type=float, required=True, help="barrier length in meters")
     p.add_argument("--r", type=float, required=True, help="sensing radius in meters")
     p.add_argument("--theta", type=float, default=math.pi / 4, help="recognition half-window, radians")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_plan_line)
 
-    p = sub.add_parser("deploy-grid", help="run the grid relocation pipeline on a camera file")
+
+def _deploy_grid_arguments(p) -> None:
     p.add_argument("--cameras", required=True, help="JSON list of cameras")
     p.add_argument("--width", type=float, required=True)
     p.add_argument("--height", type=float, required=True)
     p.add_argument("--d", type=float, default=None, help="cell side; defaults to the verifiable bound")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_deploy_grid)
 
-    p = sub.add_parser("barrier", help="extract the minimum-camera barrier from a plan JSON")
+
+def _plan_arguments(p) -> None:
     p.add_argument("--plan", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_barrier)
 
-    p = sub.add_parser("k-barrier", help="column-minimum barrier multiplicity of a plan JSON")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_k_barrier)
 
-    p = sub.add_parser("simulate", help="run a coverage-probability sweep from a config JSON")
+def _simulate_arguments(p) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--mode", choices=("static", "mobile"), default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fig3", help="camera count vs sensing radius for a fixed barrier length")
+
+def _fig3_arguments(p) -> None:
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--r-min", dest="r_min", type=float, required=True)
     p.add_argument("--r-max", dest="r_max", type=float, required=True)
     p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fig3)
 
+
+#: name -> (help, function adding the command's own arguments, handler),
+#: in the order the top-level help lists them.  Every command also takes
+#: ``--out``, added after its own arguments.
+COMMANDS = {
+    "plan-line": ("emit the canonical two-row line deployment as JSON", _plan_line_arguments, _cmd_plan_line),
+    "deploy-grid": ("run the grid relocation pipeline on a camera file", _deploy_grid_arguments, _cmd_deploy_grid),
+    "barrier": ("extract the minimum-camera barrier from a plan JSON", _plan_arguments, _cmd_barrier),
+    "k-barrier": ("column-minimum barrier multiplicity of a plan JSON", _plan_arguments, _cmd_k_barrier),
+    "simulate": ("run a coverage-probability sweep from a config JSON", _simulate_arguments, _cmd_simulate),
+    "fig3": ("camera count vs sensing radius for a fixed barrier length", _fig3_arguments, _cmd_fig3),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` only of that one."""
+    parser = argparse.ArgumentParser(
+        prog="cambarrier",
+        description="Plan, verify and simulate full-view camera barriers.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.add_argument("--out", default=None)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv)
+    if extra:
+        # Reported by the full parser, whose usage line lists every command.
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CameraOutsideRegionError as exc:

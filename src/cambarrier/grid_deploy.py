@@ -191,12 +191,12 @@ def grid_shape(width: float, height: float, d: float) -> tuple[int, int]:
     if not all(math.isfinite(v) and v > 0 for v in (width, height, d)):
         raise ValueError(f"width, height and d must be positive and finite, got {width}, {height}, {d}")
     rows, cols = height / d, width / d
-    if not (math.isfinite(rows) and math.isfinite(cols)):
-        raise ValueError(f"a {height} x {width} region in cells of side {d} exceeds {MAX_CELLS} cells")
-    m, n = max(1, slack_ceil(rows)), max(1, slack_ceil(cols))
-    if m * n > MAX_CELLS:
-        raise ValueError(f"a {m} x {n} grid exceeds {MAX_CELLS} cells")
-    return m, n
+    if math.isfinite(rows) and math.isfinite(cols):
+        m, n = max(1, slack_ceil(rows)), max(1, slack_ceil(cols))
+        if m * n <= MAX_CELLS:
+            return m, n
+    # Named by the region, not by the row count, which may run to hundreds of digits.
+    raise ValueError(f"a {height} x {width} region in cells of side {d} exceeds {MAX_CELLS} cells")
 
 
 def cell_index(v, d: float, size: int) -> np.ndarray:

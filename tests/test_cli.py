@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -166,12 +167,26 @@ class TestGridPipeline:
         assert code == 2
         assert captured.err.startswith(f"error: camera field '{field}'") and captured.out == ""
 
-    @pytest.mark.parametrize("size", ["1e5", "inf"])
-    def test_grid_over_the_cell_limit_exits_2(self, capsys, camera_file, size):
-        code = main(["deploy-grid", "--cameras", str(camera_file), "--width", size, "--height", size, "--d", "1"])
+    @pytest.mark.parametrize(
+        "size, d",
+        [pytest.param("1e5", "1", id="1e5"), pytest.param("inf", "1", id="inf"), pytest.param("32", "1e-300", id="tiny-d")],
+    )
+    def test_grid_over_the_cell_limit_exits_2(self, capsys, camera_file, size, d):
+        code = main(["deploy-grid", "--cameras", str(camera_file), "--width", size, "--height", size, "--d", d])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and captured.out == ""
+        # One short line: the region and d, not a row count of hundreds of digits.
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+    @pytest.mark.parametrize("text", ["{}", '""', "null", "3", '{"id": 0}', '"abc"', "true"])
+    def test_camera_file_that_is_not_a_list_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cams.json"
+        path.write_text(text)
+        code = main(["deploy-grid", "--cameras", str(path), "--width", "10", "--height", "10", "--d", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {path}: the camera file must be a JSON list\n"
 
     # SHA-256 of each command's output on the 120-camera file above, taken
     # before JSON output moved to a one-pass writer.
@@ -825,3 +840,71 @@ def test_every_benchmark_trace_target_resolves(monkeypatch):
     assert spans.TARGETS
     for module, name, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(f"cambarrier.{module}"), name)), (module, name)
+
+
+#: argv whose outcome the parser decides: help, usage and error texts.
+PARSER_ARGV = [
+    [],
+    ["--help"],
+    ["-h", "barrier"],
+    ["bogus"],
+    ["bogus", "--plan", "p.json"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["plan-line", "--r", "5"],
+    ["deploy-grid", "--cameras", "c.json", "--height", "10"],
+    ["barrier"],
+    ["k-barrier"],
+    ["simulate"],
+    ["fig3", "--length", "10", "--r-min", "1"],
+    ["simulate", "--config", "c.json", "--mode", "bogus"],
+    ["deploy-grid", "--cameras", "c.json", "--width", "abc", "--height", "10"],
+    ["plan-line", "--length", "10", "--r", "5", "--bogus"],
+    ["deploy-grid", "--cameras", "c.json", "--width", "10", "--height", "10", "extra"],
+    ["barrier", "--plan", "p.json", "--bogus", "1"],
+    ["k-barrier", "--plan", "p.json", "k-barrier"],
+    ["simulate", "--config", "c.json", "-x"],
+    ["fig3", "--length", "10", "--r-min", "1", "--r-max", "2", "--bogus"],
+]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+    return exit_info.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, columns, argv):
+    # Help, usage and error texts wrap at COLUMNS.
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert expected[0] in (0, 2)
+    assert _parse_outcome(main, argv) == expected
+
+
+def test_main_builds_only_the_invoked_command(monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for name in cli.COMMANDS:
+        added.clear()
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        assert added == [name]
+    added.clear()
+    assert main(["plan-line", "--length", "10", "--r", "2"]) == 0
+    assert added == ["plan-line"]
+
+
+def test_the_full_parser_lists_every_command_in_table_order():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    assert list(cli.COMMANDS) == ["plan-line", "deploy-grid", "barrier", "k-barrier", "simulate", "fig3"]

@@ -101,6 +101,8 @@ class TestGridShape:
             grid_shape(1e5, 1e5, 1)
         with pytest.raises(ValueError, match="exceeds"):
             grid_shape(1e300, 1.0, 1e-300)  # width / d overflows to inf
+        with pytest.raises(ValueError, match=rf"^a 32 x 32 region in cells of side 1e-300 exceeds {MAX_CELLS} cells$"):
+            grid_shape(32, 32, 1e-300)  # finite, but 3.2e301 rows
 
     @pytest.mark.parametrize(
         "width, height, d", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (math.inf, 1, 1), (1, math.nan, 1), (1, 1, math.nan)]
