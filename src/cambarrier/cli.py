@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: plan-line, deploy-grid, barrier, k-barrier, simulate, fig3,
-one entry each in :data:`COMMANDS`.  A command builds only its own
-subparser, so adding a command costs the others nothing.  ``--help``, an
-unknown command and arguments left over after a command go through the
-full parser, so every help, usage and error text is the one it prints.
+one entry each in :data:`COMMANDS`, which declares each command's flags as
+data.  Well-formed argv are parsed straight from that table; argparse, whose
+parser is built from the same table, runs only for help, errors, abbreviated
+or repeated flags and ``-``-leading values given as a separate token, so
+every help, usage and error text is the one it prints.
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 infeasible
 input (for example cameras outside the region).
 """
@@ -140,74 +141,131 @@ def _cmd_fig3(args) -> int:
     return 0
 
 
-def _plan_line_arguments(p) -> None:
-    p.add_argument("--length", type=float, required=True, help="barrier length in meters")
-    p.add_argument("--r", type=float, required=True, help="sensing radius in meters")
-    p.add_argument("--theta", type=float, default=math.pi / 4, help="recognition half-window, radians")
+#: The flags of ``barrier`` and ``k-barrier``.
+_PLAN = (("--plan", "plan", str, True, None, None, None),)
 
+#: Every command takes ``--out`` after its own flags.
+_OUT = ("--out", "out", str, False, None, None, None)
 
-def _deploy_grid_arguments(p) -> None:
-    p.add_argument("--cameras", required=True, help="JSON list of cameras")
-    p.add_argument("--width", type=float, required=True)
-    p.add_argument("--height", type=float, required=True)
-    p.add_argument("--d", type=float, default=None, help="cell side; defaults to the verifiable bound")
-
-
-def _plan_arguments(p) -> None:
-    p.add_argument("--plan", required=True)
-
-
-def _simulate_arguments(p) -> None:
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--mode", choices=("static", "mobile"), default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-
-def _fig3_arguments(p) -> None:
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--r-min", dest="r_min", type=float, required=True)
-    p.add_argument("--r-max", dest="r_max", type=float, required=True)
-    p.add_argument("--step", type=float, default=1.0)
-
-
-#: name -> (help, function adding the command's own arguments, handler),
-#: in the order the top-level help lists them.  Every command also takes
-#: ``--out``, added after its own arguments.
+#: name -> (help, flags, handler), in the order the top-level help lists
+#: them.  Each flag is ``(flag, dest, type, required, default, choices,
+#: help)``; :func:`build_parser` and :func:`parse_args` both read them.
 COMMANDS = {
-    "plan-line": ("emit the canonical two-row line deployment as JSON", _plan_line_arguments, _cmd_plan_line),
-    "deploy-grid": ("run the grid relocation pipeline on a camera file", _deploy_grid_arguments, _cmd_deploy_grid),
-    "barrier": ("extract the minimum-camera barrier from a plan JSON", _plan_arguments, _cmd_barrier),
-    "k-barrier": ("column-minimum barrier multiplicity of a plan JSON", _plan_arguments, _cmd_k_barrier),
-    "simulate": ("run a coverage-probability sweep from a config JSON", _simulate_arguments, _cmd_simulate),
-    "fig3": ("camera count vs sensing radius for a fixed barrier length", _fig3_arguments, _cmd_fig3),
+    "plan-line": (
+        "emit the canonical two-row line deployment as JSON",
+        (
+            ("--length", "length", float, True, None, None, "barrier length in meters"),
+            ("--r", "r", float, True, None, None, "sensing radius in meters"),
+            ("--theta", "theta", float, False, math.pi / 4, None, "recognition half-window, radians"),
+        ),
+        _cmd_plan_line,
+    ),
+    "deploy-grid": (
+        "run the grid relocation pipeline on a camera file",
+        (
+            ("--cameras", "cameras", str, True, None, None, "JSON list of cameras"),
+            ("--width", "width", float, True, None, None, None),
+            ("--height", "height", float, True, None, None, None),
+            ("--d", "d", float, False, None, None, "cell side; defaults to the verifiable bound"),
+        ),
+        _cmd_deploy_grid,
+    ),
+    "barrier": ("extract the minimum-camera barrier from a plan JSON", _PLAN, _cmd_barrier),
+    "k-barrier": ("column-minimum barrier multiplicity of a plan JSON", _PLAN, _cmd_k_barrier),
+    "simulate": (
+        "run a coverage-probability sweep from a config JSON",
+        (
+            ("--config", "config", str, True, None, None, None),
+            ("--seed", "seed", int, False, None, None, None),
+            ("--trials", "trials", int, False, None, None, None),
+            ("--mode", "mode", str, False, None, ("static", "mobile"), None),
+            ("--samples", "samples", int, False, None, None, None),
+        ),
+        _cmd_simulate,
+    ),
+    "fig3": (
+        "camera count vs sensing radius for a fixed barrier length",
+        (
+            ("--length", "length", float, True, None, None, None),
+            ("--r-min", "r_min", float, True, None, None, None),
+            ("--r-max", "r_max", float, True, None, None, None),
+            ("--step", "step", float, False, 1.0, None, None),
+        ),
+        _cmd_fig3,
+    ),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``command`` only of that one."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, built from :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="cambarrier",
         description="Plan, verify and simulate full-view camera barriers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, func) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.add_argument("--out", default=None)
-            p.set_defaults(func=func)
+    for name, (help_text, flags, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, dest, type_, required, default, choices, flag_help in (*flags, _OUT):
+            p.add_argument(
+                flag, dest=dest, type=type_, required=required, default=default, choices=choices, help=flag_help
+            )
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_well_formed(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace of ``argv`` when it is a command followed by distinct
+    exact flags of it, each as ``--flag value`` (the value not starting
+    with ``-``) or ``--flag=value``, every value converting and within its
+    choices and every required flag given; otherwise None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, flags, func = COMMANDS[argv[0]]
+    specs = {spec[0]: spec for spec in (*flags, _OUT)}
+    values = {}
+    items = iter(argv[1:])
+    for item in items:
+        flag, eq, value = item.partition("=")
+        if not eq:
+            value = next(items, "-")
+            if value.startswith("-"):
+                return None
+        spec = specs.get(flag)
+        # argparse drops a "--" value, so "--out=--" leaves it an empty list.
+        if spec is None or spec[1] in values or value == "--":
+            return None
+        _, dest, type_, _, _, choices, _ = spec
+        try:
+            value = type_(value)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if any(spec[3] and spec[1] not in values for spec in specs.values()):
+        return None
+    namespace = argparse.Namespace(command=argv[0])
+    for _, dest, _, _, default, _, _ in specs.values():
+        setattr(namespace, dest, values.get(dest, default))
+    namespace.func = func
+    return namespace
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns or raises.  Well-formed
+    argv are parsed from :data:`COMMANDS`; help, errors, abbreviated or
+    repeated flags and ``-``-leading values given as a separate token go to
+    argparse, which prints every help, usage and error text."""
+    namespace = _parse_well_formed(argv)
+    return build_parser().parse_args(argv) if namespace is None else namespace
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args, extra = build_parser(command).parse_known_args(argv)
-    if extra:
-        # Reported by the full parser, whose usage line lists every command.
-        args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    # argparse turns "--out=--" into an empty list, which names no file either.
+    if args.out is not None and not args.out:
+        print(f"error: --out must name a file, got {args.out!r}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CameraOutsideRegionError as exc:

@@ -7,10 +7,12 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from cambarrier.serialize import camera_to_dict
 from cambarrier.simulate import MAX_SAMPLES, WORK_BUDGET, random_deploy
 from cambarrier.geometry import CameraParams
 
+ROOT = Path(__file__).resolve().parents[1]
 
 #: The functions of the graph-object barrier pipeline, which stay as the
 #: paper's named steps and as test oracles.
@@ -885,23 +888,155 @@ def test_main_prints_what_the_full_parser_prints(monkeypatch, columns, argv):
     assert _parse_outcome(main, argv) == expected
 
 
-def test_main_builds_only_the_invoked_command(monkeypatch):
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+@contextlib.contextmanager
+def _parsers_built():
+    """Yields a list that gains one entry per ArgumentParser constructed."""
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        added.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    for name in cli.COMMANDS:
-        added.clear()
-        with pytest.raises(SystemExit):
-            main([name, "--help"])
-        assert added == [name]
-    added.clear()
-    assert main(["plan-line", "--length", "10", "--r", "2"]) == 0
-    assert added == ["plan-line"]
+    with mock.patch.object(argparse.ArgumentParser, "__init__", spy):
+        yield built
+
+
+def _benchmark_argv(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    paths = workloads.Paths.under(Path("run"))
+    return [workloads.argv(w, op, paths) for w in workloads.WORKLOADS.values() for op in workloads.OPS]
+
+
+def _readme_argv():
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("cambarrier ")]
+
+
+def test_well_formed_argv_build_no_parser(monkeypatch):
+    readme = _readme_argv()
+    assert [argv[0] for argv in readme] == list(cli.COMMANDS)
+    for argv in _benchmark_argv(monkeypatch) + readme:
+        with _parsers_built() as built:
+            args = cli.parse_args(argv)
+        assert built == [], argv
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    with _parsers_built() as built:
+        assert main(["plan-line", "--length", "10", "--r", "2"]) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [["barrier", "--help"], ["barrier", "--plan", "p.json", "--bogus"]])
+def test_help_and_unrecognized_arguments_build_the_full_parser(argv):
+    with _parsers_built() as built, pytest.raises(SystemExit):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    assert built == ["cambarrier", *(f"cambarrier {name}" for name in cli.COMMANDS)]
+
+
+#: One argv per command that parses, with inputs that do not exist.
+COMMAND_ARGV = {
+    "plan-line": ["--length", "10", "--r", "2"],
+    "deploy-grid": ["--cameras", "missing.json", "--width", "10", "--height", "10"],
+    "barrier": ["--plan", "missing.json"],
+    "k-barrier": ["--plan", "missing.json"],
+    "simulate": ["--config", "missing.json"],
+    "fig3": ["--length", "10", "--r-min", "1", "--r-max", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "out, shown",
+    [(["--out", ""], "''"), (["--out="], "''"), (["--out=--"], "[]")],
+    ids=["separate", "equals", "dashes"],
+)
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_empty_out_exits_2_before_any_work(capsys, command, out, shown):
+    assert list(COMMAND_ARGV) == list(cli.COMMANDS)
+    code = main([command, *COMMAND_ARGV[command], *out])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: --out must name a file, got {shown}\n"
+
+
+ALL_FLAGS = sorted({spec[0] for _, flags, _ in cli.COMMANDS.values() for spec in flags} | {"--out"})
+ABBREVIATIONS = ["--con", "--pl", "--wid", "--he", "--r-m", "--len", "--mo", "--o", "--h", "-h"]
+VALUES = ["1", "-1", "2.5", "nan", "1e999", "", "-", "--", "abc", "0x10", "1_000", "\u0663", "static", "bogus"]
+
+
+def good_values(spec):
+    """Values that ``spec``'s flag takes."""
+    _, _, type_, _, _, choices, _ = spec
+    if choices:
+        return st.sampled_from(choices)
+    if type_ is str:
+        return st.sampled_from(["p.json", "a b", "static", "x=y", ""])
+    return st.sampled_from(["1", "0", "1_000", "\u0663"] + ["2.5", "1e999"] * (type_ is float))
+
+
+@st.composite
+def cli_argv(draw):
+    """A command and, in any order, some of its flags, with values it takes
+    or from VALUES, and a few other commands' flags and abbreviations, each
+    alone, with a separate value or as ``flag=value``."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "bogus"]))
+    specs = [*cli.COMMANDS.get(name, ("", ()))[1], cli._OUT]
+    parts = []
+    for spec in specs:
+        if draw(st.sampled_from([True, True, True, False])):
+            value = draw(good_values(spec) | st.sampled_from(VALUES))
+            parts.append([f"{spec[0]}={value}"] if draw(st.booleans()) else [spec[0], value])
+    flag = st.sampled_from([spec[0] for spec in specs] + ALL_FLAGS + ABBREVIATIONS)
+    value = st.sampled_from(VALUES)
+    item = st.one_of(
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(lambda fv: [f"{fv[0]}={fv[1]}"]),
+        flag.map(lambda f: [f]),
+        value.map(lambda v: [v]),
+    )
+    parts += draw(st.lists(item, max_size=2))
+    return [name, *(item for part in draw(st.permutations(parts)) for item in part)]
+
+
+@st.composite
+def well_formed_argv(draw):
+    """Every required flag of a command and some optional ones, once each,
+    in any order, with values that it takes."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = [name]
+    for spec in draw(st.permutations([*cli.COMMANDS[name][1], cli._OUT])):
+        if spec[3] or draw(st.booleans()):
+            value = draw(good_values(spec))
+            argv += [f"{spec[0]}={value}"] if draw(st.booleans()) else [spec[0], value]
+    return argv
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            # repr: a "nan" value is not equal to itself.
+            result = repr(vars(parse(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_parse_args_matches_the_full_parser(argv):
+    assert _outcome(cli.parse_args, argv) == _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=well_formed_argv())
+def test_well_formed_argv_are_parsed_from_the_table(argv):
+    with _parsers_built() as built:
+        outcome = _outcome(cli.parse_args, argv)
+    assert built == []
+    assert outcome == _outcome(lambda a: cli.build_parser().parse_args(a), argv)
 
 
 def test_the_full_parser_lists_every_command_in_table_order():
