@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .barrier_graph import barrier_json, duty_slots, extract_barrier
+from .barrier_graph import barrier_json, column_counts, duty_slots, extract_barrier
 from .geometry import EPS, Point2D, Segment
 from .grid_deploy import CameraOutsideRegionError, duty_mask, grid_length_bound, run_algorithm1
 from .line_model import place_line_deployment
@@ -81,7 +81,7 @@ def _cmd_deploy_grid(args) -> int:
     else:
         if not cameras:
             raise ValueError("--d is required when the camera file is empty")
-        d = grid_length_bound(min(p.r for p in cameras.params))
+        d = grid_length_bound(float(cameras.r.min()))
     plan = run_algorithm1(args.width, args.height, cameras, d)
     _emit(plan_json(plan), args.out)
     return 0
@@ -101,9 +101,7 @@ def _cmd_barrier(args) -> int:
 
 
 def _cmd_k_barrier(args) -> int:
-    mask = duty_mask(*plan_duties(_load_json(args.plan)))
-    # Summed in Python: a first numpy reduction costs ~0.2 MiB of peak RSS.
-    counts = [sum(column) for column in zip(*mask.tolist())]
+    counts = column_counts(duty_mask(*plan_duties(_load_json(args.plan))))
     _emit(dumps({"k": min(counts), "column_counts": counts}), args.out)
     return 0
 
@@ -262,10 +260,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
-    # argparse turns "--out=--" into an empty list, which names no file either.
-    if args.out is not None and not args.out:
-        print(f"error: --out must name a file, got {args.out!r}", file=sys.stderr)
-        return 2
+    # argparse drops a "--" value, so "--flag=--" leaves the flag an empty
+    # list.  Every str flag without choices names a file, which "" does not.
+    for flag, dest, type_, _, _, choices, _ in (*COMMANDS[args.command][1], _OUT):
+        value = getattr(args, dest)
+        path = type_ is str and choices is None
+        if value == [] or (path and value == ""):
+            print(f"error: {flag} must {'name a file' if path else 'have a value'}, got {value!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except CameraOutsideRegionError as exc:

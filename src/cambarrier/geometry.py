@@ -143,58 +143,104 @@ class Segment:
 #: to :data:`CULL_SCALE`.
 CULL_MARGIN = 1e-6
 
-#: Largest coordinate magnitude, in meters, for which :meth:`CameraCull.near`
+#: Largest coordinate magnitude, in meters, for which :meth:`Cameras.near`
 #: drops cameras; past it every camera is kept.
 CULL_SCALE = 1e6
 
 #: Distance from a segment's line, in meters, within which
-#: :meth:`CameraCull.near` keeps a camera whatever its facing: the bearings
+#: :meth:`Cameras.near` keeps a camera whatever its facing: the bearings
 #: from such a camera to the segment are ill-conditioned.
 CULL_LINE = 1e-3
 
 #: Slack, in radians, added to half the field of view when culling
-#: cameras by facing.  The bound is worked out in :meth:`CameraCull.near`.
+#: cameras by facing.  The bound is worked out in :meth:`Cameras.near`.
 CULL_ANGLE = 1e-5
 
 
-class CameraCull:
+class Cameras:
     """A set of cameras as arrays, one entry per camera in input order:
-    position ``x`` and ``y``, sensing radius ``r``, half the field of view
-    ``half`` and normalized ``facing``.  This is what the full-view kernel
-    reads.
+    position ``x`` and ``y``, normalized ``facing``, sensing radius ``r``
+    and half the field of view ``half``.  The full-view kernel reads these.
+    Cameras with an identity also hold ``ids``, a list of ints, and
+    ``params``, a list of :class:`CameraParams` that cameras with the same
+    hardware share; relocation reads those.  Drawn cameras have neither,
+    and their ``ids``, ``params`` and ``poses`` are None.
 
     Build it once per set of cameras (:meth:`of` converts poses); each
     region can then be handed only the cameras that can reach it: a box
     with :meth:`within`, a segment with :meth:`near`.
+
+    Cameras with ids read as a sequence of :class:`CameraPose`, each made
+    when it is read; cameras made by :meth:`of` keep their poses and hand
+    those back, so their coordinates stay as given (an ``int`` stays an
+    ``int``).
     """
 
-    def __init__(self, x, y, r, half, facing):
-        self.x, self.y, self.r, self.half, self.facing = x, y, r, half, facing
+    def __init__(self, x, y, facing, r, half, ids=None, params=None, poses=None):
+        self.x, self.y, self.facing, self.r, self.half = x, y, facing, r, half
+        self.ids, self.params, self.poses = ids, params, poses
         self.reach = (float(r.max()) if r.size else 0.0) + CULL_MARGIN
 
     @classmethod
-    def of(cls, cameras) -> "CameraCull":
-        """The array view of ``cameras``, a list of :class:`CameraPose`;
-        a view is returned as it is."""
+    def of(cls, cameras) -> "Cameras":
+        """The cameras of ``cameras``, an iterable of :class:`CameraPose`;
+        a :class:`Cameras` is returned as it is."""
         if isinstance(cameras, cls):
             return cameras
-        cameras = list(cameras)
+        poses = list(cameras)
+        params = [c.params for c in poses]
         return cls(
-            np.array([c.position.x for c in cameras], dtype=float),
-            np.array([c.position.y for c in cameras], dtype=float),
-            np.array([c.params.r for c in cameras], dtype=float),
-            np.array([c.params.phi / 2.0 for c in cameras], dtype=float),
-            np.array([c.facing for c in cameras], dtype=float),
+            np.array([c.position.x for c in poses], dtype=float),
+            np.array([c.position.y for c in poses], dtype=float),
+            np.array([c.facing for c in poses], dtype=float),
+            np.array([p.r for p in params], dtype=float),
+            np.array([p.phi / 2.0 for p in params], dtype=float),
+            [c.id for c in poses],
+            params,
+            poses,
         )
 
     def __len__(self) -> int:
         return self.x.size
 
-    def _subset(self, keep) -> "CameraCull":
-        rows = np.flatnonzero(keep)  # one index array is cheaper to apply five times than a mask
-        return CameraCull(self.x[rows], self.y[rows], self.r[rows], self.half[rows], self.facing[rows])
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if self.poses is not None:
+            return self.poses[k]
+        return CameraPose(self.ids[k], Point2D(float(self.x[k]), float(self.y[k])), float(self.facing[k]), self.params[k])
 
-    def within(self, x0: float, x1: float, y0: float, y1: float) -> "CameraCull":
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Cameras):
+            return NotImplemented
+        return (
+            all(np.array_equal(getattr(self, a), getattr(other, a)) for a in ("x", "y", "facing", "r", "half"))
+            and self.ids == other.ids
+            and self.params == other.params
+        )
+
+    def take(self, rows) -> "Cameras":
+        """The cameras at the indices ``rows`` (an integer array or list),
+        in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = [a[rows] for a in (self.x, self.y, self.facing, self.r, self.half)]
+        if self.ids is not None:
+            listed = rows.tolist()
+            for items in (self.ids, self.params, self.poses):
+                columns.append(None if items is None else [items[k] for k in listed])
+        return Cameras(*columns)
+
+    def coordinates(self) -> tuple[list, list]:
+        """The x and y of every camera as given: the poses' own numbers,
+        or the values of the arrays."""
+        if self.poses is None:
+            return self.x.tolist(), self.y.tolist()
+        return [c.position.x for c in self.poses], [c.position.y for c in self.poses]
+
+    def within(self, x0: float, x1: float, y0: float, y1: float) -> "Cameras":
         """Cameras inside the box [x0, x1] x [y0, y1] grown by the largest
         sensing radius plus :data:`CULL_MARGIN`, in input order.
 
@@ -208,9 +254,10 @@ class CameraCull:
             & (self.y >= y0 - self.reach)
             & (self.y <= y1 + self.reach)
         )
-        return self._subset(keep)
+        # One index array is cheaper to apply five times than a mask.
+        return self.take(np.flatnonzero(keep))
 
-    def near(self, seg: Segment) -> "CameraCull":
+    def near(self, seg: Segment) -> "Cameras":
         """The cameras whose sensing sector can reach ``seg``, in input
         order.  A camera is kept when both hold:
 
@@ -257,82 +304,7 @@ class CameraCull:
             sees = np.abs(off) <= np.abs(turn) / 2.0 + self.half + (EPS + CULL_ANGLE)
             sees |= np.abs(ux * py - uy * px) < CULL_LINE * length
             keep &= sees
-        return self._subset(keep)
-
-
-class CameraTable:
-    """A list of cameras as columns, one entry per camera: ``ids``, a list
-    of ints; ``x``, ``y`` and normalized ``facing``, float arrays; and
-    ``params``, a list of :class:`CameraParams` that cameras with the same
-    hardware share.  This is what relocation reads.
-
-    It reads as a sequence of :class:`CameraPose`, each made when it is
-    read; a table made by :meth:`of` from poses keeps them and hands those
-    back, so their coordinates stay as given (an ``int`` stays an ``int``).
-    """
-
-    def __init__(self, ids, x, y, facing, params, poses=None):
-        self.ids, self.x, self.y, self.facing, self.params = ids, x, y, facing, params
-        self.poses = poses
-
-    @classmethod
-    def of(cls, cameras) -> "CameraTable":
-        """The table of ``cameras``, an iterable of :class:`CameraPose`; a
-        table is returned as it is."""
-        if isinstance(cameras, cls):
-            return cameras
-        poses = list(cameras)
-        return cls(
-            [c.id for c in poses],
-            np.array([c.position.x for c in poses], dtype=float),
-            np.array([c.position.y for c in poses], dtype=float),
-            np.array([c.facing for c in poses], dtype=float),
-            [c.params for c in poses],
-            poses,
-        )
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        if self.poses is not None:
-            return self.poses[k]
-        return CameraPose(self.ids[k], Point2D(float(self.x[k]), float(self.y[k])), float(self.facing[k]), self.params[k])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, CameraTable):
-            return NotImplemented
-        return (
-            self.ids == other.ids
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.facing, other.facing)
-            and self.params == other.params
-        )
-
-    def take(self, order) -> "CameraTable":
-        """The cameras at the indices ``order`` (a list), in that order."""
-        rows = np.array(order, dtype=np.intp)
-        return CameraTable(
-            [self.ids[k] for k in order],
-            self.x[rows],
-            self.y[rows],
-            self.facing[rows],
-            [self.params[k] for k in order],
-            None if self.poses is None else [self.poses[k] for k in order],
-        )
-
-    def coordinates(self) -> tuple[list, list]:
-        """The x and y of every camera as given: the poses' own numbers,
-        or the values of the arrays."""
-        if self.poses is None:
-            return self.x.tolist(), self.y.tolist()
-        return [c.position.x for c in self.poses], [c.position.y for c in self.poses]
+        return self.take(np.flatnonzero(keep))
 
 
 def covers(camera: CameraPose, p: Point2D) -> bool:
@@ -456,7 +428,7 @@ MAX_CAMERAS = 1_000_000
 KERNEL_BUDGET = 1 << 20
 
 
-def _full_view_mask(xs, ys, cameras: CameraCull, theta, axis):
+def _full_view_mask(xs, ys, cameras: Cameras, theta, axis):
     """Vectorized full-view test for many points at once.
 
     Returns a boolean array, one entry per point.  This is the single
@@ -473,7 +445,7 @@ def _full_view_mask(xs, ys, cameras: CameraCull, theta, axis):
     )
 
 
-def _full_view_chunk(xs, ys, cameras: CameraCull, theta, axis):
+def _full_view_chunk(xs, ys, cameras: Cameras, theta, axis):
     """:func:`_full_view_mask` on one batch of points.
 
     Camera rows that cannot contribute are dropped as soon as that is
@@ -553,12 +525,12 @@ def full_view_covered_point(p: Point2D, cameras, theta: float, axis: float | Non
     Cameras co-located with ``p`` cover it but contribute no bearing; a
     point with no usable bearing is never full-view covered.
 
-    ``cameras`` is a list of :class:`CameraPose` or a :class:`CameraCull`.
+    ``cameras`` is a list of :class:`CameraPose` or a :class:`Cameras`.
     """
     _check_theta(theta)
     xs = np.array([p.x])
     ys = np.array([p.y])
-    return bool(_full_view_mask(xs, ys, CameraCull.of(cameras), theta, axis)[0])
+    return bool(_full_view_mask(xs, ys, Cameras.of(cameras), theta, axis)[0])
 
 
 def segment_points(seg: Segment, t) -> tuple[np.ndarray, np.ndarray]:
@@ -576,13 +548,13 @@ def full_view_covered_segment(
 
     Sampling density is the caller's knob; the default of 101 matches the
     rest of the package.  ``cameras`` is a list of :class:`CameraPose` or
-    a :class:`CameraCull`.
+    a :class:`Cameras`.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     _check_theta(theta)
     xs, ys = segment_points(seg, np.linspace(0.0, 1.0, samples))
-    return bool(_full_view_mask(xs, ys, CameraCull.of(cameras), theta, axis).all())
+    return bool(_full_view_mask(xs, ys, Cameras.of(cameras), theta, axis).all())
 
 
 def midpoint_shortcut_covered(seg: Segment, cameras, theta: float, axis: float | None = 0.0) -> bool:

@@ -21,10 +21,9 @@ import numpy as np
 
 from .geometry import (
     EPS,
-    CameraCull,
     CameraParams,
     CameraPose,
-    CameraTable,
+    Cameras,
     Point2D,
     Segment,
     full_view_covered_segment,
@@ -212,19 +211,19 @@ def cell_index(v, d: float, size: int) -> np.ndarray:
 
 
 def camera_positions(width: float, height: float, cameras) -> tuple[np.ndarray, np.ndarray]:
-    """x and y arrays of ``cameras``, a :class:`CameraTable` or an iterable
+    """x and y arrays of ``cameras``, a :class:`Cameras` or an iterable
     of :class:`CameraPose`, in input order.
 
     Raises ``ValueError`` for duplicate ids and
     :class:`CameraOutsideRegionError`, listing the offending ids, for
     cameras more than EPS outside the region.
     """
-    table = CameraTable.of(cameras)
-    ids = table.ids
+    cameras = Cameras.of(cameras)
+    ids = cameras.ids
     if len(ids) != len(set(ids)):
         dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
         raise ValueError(f"duplicate camera ids: {dupes}")
-    xs, ys = table.x, table.y
+    xs, ys = cameras.x, cameras.y
     outside = (xs < -EPS) | (xs > width + EPS) | (ys < -EPS) | (ys > height + EPS)
     if outside.any():
         raise CameraOutsideRegionError(sorted(ids[k] for k in np.flatnonzero(outside)))
@@ -332,7 +331,7 @@ def _group_ranks(keys) -> np.ndarray:
 
 class Relocation:
     """Algorithm 1's decisions as arrays over ``cameras``, a
-    :class:`CameraTable` in ascending id order: camera ``k`` sits in cell
+    :class:`Cameras` in ascending id order: camera ``k`` sits in cell
     ``(cell_i[k], cell_j[k])``, moves ``distance[k]`` to vertex
     ``(vertex_i[k], vertex_j[k])`` and serves ``role[k]`` (:data:`SILENT`,
     :data:`DOWN` or :data:`UP`).  ``by_cell`` and ``by_vertex`` list the
@@ -345,7 +344,7 @@ class Relocation:
     Its methods build the dict views of :class:`DeploymentPlan` and
     :class:`GridModel`."""
 
-    def __init__(self, width, height, d, m: int, n: int, cameras: CameraTable):
+    def __init__(self, width, height, d, m: int, n: int, cameras: Cameras):
         self.width, self.height, self.d, self.m, self.n = width, height, d, m, n
         self.cameras = cameras
         count = len(cameras)
@@ -459,7 +458,7 @@ def run_algorithm1(width: float, height: float, cameras, d: float) -> Deployment
     vertices, move them there and orient them.
 
     Deterministic and invariant to the input order of ``cameras``, a
-    :class:`CameraTable` or an iterable of :class:`CameraPose`.  Every
+    :class:`Cameras` or an iterable of :class:`CameraPose`.  Every
     camera ends up at a vertex of its own cell, oriented or silent; travel
     distances and unmet orientation slots are recorded.  ``d`` larger than
     the verifiable bound for the smallest radius only clears the
@@ -471,11 +470,11 @@ def run_algorithm1(width: float, height: float, cameras, d: float) -> Deployment
     Python sort, so they may be of any size.
     """
     m, n = grid_shape(width, height, d)
-    table = CameraTable.of(cameras)
-    camera_positions(width, height, table)
-    order = sorted(range(len(table)), key=table.ids.__getitem__)
-    relocation = Relocation(width, height, d, m, n, table.take(order))
-    d_ok = not table.params or d <= grid_length_bound(min(p.r for p in table.params)) + EPS
+    cameras = Cameras.of(cameras)
+    camera_positions(width, height, cameras)
+    order = sorted(range(len(cameras)), key=cameras.ids.__getitem__)
+    relocation = Relocation(width, height, d, m, n, cameras.take(order))
+    d_ok = not len(cameras) or d <= grid_length_bound(float(cameras.r.min())) + EPS
     grid = GridModel._of(relocation, width=width, height=height, d=d, m=m, n=n)
     return DeploymentPlan._of(relocation, grid=grid, d_within_bound=d_ok)
 
@@ -567,7 +566,7 @@ def cell_full_view_verified(cell, plan: DeploymentPlan, theta: float, samples: i
     """Geometric ground truth for one cell: the horizontal mid-segment of
     the cell, which sits d/2 from both camera rows, must pass the sampled
     full-view test using the active cameras of the plan (neighbors
-    included).  Only the cameras :class:`CameraCull` keeps near the
+    included).  Only the cameras :meth:`Cameras.near` keeps near the
     segment are passed on; the rest cannot reach it."""
     seg = cell_mid_segment(cell, plan.grid.d)
-    return full_view_covered_segment(seg, CameraCull.of(plan.active_cameras).near(seg), theta, samples=samples)
+    return full_view_covered_segment(seg, Cameras.of(plan.active_cameras).near(seg), theta, samples=samples)

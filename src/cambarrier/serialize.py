@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .barrier_graph import BarrierResult, CoverageGraph
-from .geometry import CameraParams, CameraPose, CameraTable, Point2D, check_integer, normalize_bearings
+from .geometry import CameraParams, CameraPose, Cameras, Point2D, check_integer, normalize_bearings
 from .grid_deploy import (
     MAX_CELLS,
     ORIENT_DOWN,
@@ -165,8 +165,8 @@ def _pose(data: dict, params: CameraParams) -> CameraPose:
     )
 
 
-def cameras_from_list(entries) -> CameraTable:
-    """The cameras of a camera file, in file order, as a table; no pose is
+def cameras_from_list(entries) -> Cameras:
+    """The cameras of a camera file, in file order, as arrays; no pose is
     built.  Every entry is checked by :func:`camera_from_dict`'s checks, in
     file order, so a file with faults gets the error of the first."""
     entries = list(entries)
@@ -174,7 +174,9 @@ def cameras_from_list(entries) -> CameraTable:
     shared = [_camera_params(entry, params) for entry in entries]
     ids = [entry["id"] for entry in entries]
     x, y, facing = (np.array([entry[key] for entry in entries], dtype=float) for key in ("x", "y", "facing"))
-    return CameraTable(ids, x, y, normalize_bearings(facing), shared)
+    r = np.array([p.r for p in shared], dtype=float)
+    half = np.array([p.phi / 2.0 for p in shared], dtype=float)
+    return Cameras(x, y, normalize_bearings(facing), r, half, ids, shared)
 
 
 def line_deployment_to_dict(dep: LineDeployment) -> dict:
@@ -304,76 +306,63 @@ def line_deployment_json(dep: LineDeployment) -> str:
 
 
 def plan_json(plan: DeploymentPlan) -> str:
-    """The text :func:`dumps` writes of :func:`plan_to_dict` of ``plan``,
-    written in one pass with no dict tree: one f-string per record kind,
-    its keys in sorted order.  Floats go through :func:`_number` and ids
-    through ``int.__repr__``; the ``phi``, ``r`` and ``theta`` text is
-    made once per :class:`CameraParams` of the plan.
+    """The text :func:`dumps` writes of :func:`plan_to_dict` of ``plan``.
 
     A plan :func:`run_algorithm1 <cambarrier.grid_deploy.run_algorithm1>`
-    made is written from its :class:`~cambarrier.grid_deploy.Relocation`,
-    without its dict views, each id's text made once; any other plan from
-    those views.  The plan's fields must hold the types
-    :func:`run_algorithm1` and :func:`plan_from_dict` give them: ``int``
-    or ``float`` lengths and coordinates, ``int`` ids and pairs, a
-    ``bool`` flag."""
+    made is written from its :class:`~cambarrier.grid_deploy.Relocation`
+    in one pass, with no dict tree and without its dict views: one
+    f-string per record kind, its keys in sorted order, each id's text
+    made once.  Floats go through :func:`_number` and ids through
+    ``int.__repr__``; the ``phi``, ``r`` and ``theta`` text is made once
+    per :class:`CameraParams` of the plan.  Any other plan is written as
+    ``dumps(plan_to_dict(plan))``."""
     rel = plan.relocation
     if rel is None:
-        return _plan_text(plan, *_view_columns(plan))
-    cameras = rel.cameras
+        return dumps(plan_to_dict(plan))
+    g, cameras = plan.grid, rel.cameras
     ids = list(map(int.__repr__, cameras.ids))
-    cells = rel.cells(ids)
+    occupied = rel.cells(ids)
+    cells = [
+        f'    {{\n      "cameras": {_id_list(labels)},\n      "cell": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), labels in occupied
+    ]
+    heads = [
+        f'    {{\n      "cell": [\n        {i},\n        {j}\n      ],\n      "id": {labels[0]}\n    }}'
+        for (i, j), labels in occupied
+    ]
+    assignments = [
+        f'    {{\n      "down": {down or "null"},\n      "silent": {_id_list(silent)},\n'
+        f'      "stationed": {_id_list(stationed)},\n      "up": {up or "null"},\n'
+        f'      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
+        for (i, j), stationed, down, up, silent in rel.duties(ids)
+    ]
+    hardware = {}
+    for params in {id(params): params for params in cameras.params}.values():
+        _hardware(params, hardware)
     xs, ys = cameras.coordinates()
-    return _plan_text(
-        plan,
-        cells,
-        [(cell, labels[0]) for cell, labels in cells],
-        rel.duties(ids),
-        (
-            rel.distance,
-            cameras.facing.tolist(),
+    records = [
+        f'    {{\n      "distance": {distance},\n      "facing": {facing},\n      "id": {cid},\n'
+        f'      "orientation": {role},\n      {lines},\n'
+        f'      "vertex": [\n        {i},\n        {j}\n      ],\n      "x": {x},\n      "y": {y}\n    }}'
+        for distance, facing, cid, role, lines, i, j, x, y in zip(
+            _numbers(rel.distance),
+            _numbers(cameras.facing.tolist()),
             ids,
             _ROLE_TEXT[rel.role].tolist(),
-            cameras.params,
+            map(hardware.__getitem__, map(id, cameras.params)),
             rel.vertex_i.tolist(),
             rel.vertex_j.tolist(),
-            xs,
-            ys,
-        ),
-        _relocation_deficits(rel),
-    )
-
-
-def _view_columns(plan: DeploymentPlan) -> tuple:
-    """What :func:`_plan_text` writes, read from the dict views."""
-    poses = plan.grid.poses
-    records = [plan.records[k] for k in sorted(plan.records)]
-    hardware = [poses[rec.camera_id] for rec in records]
+            _numbers(xs),
+            _numbers(ys),
+        )
+    ]
     return (
-        [(cell, _id_texts(ids)) for cell, ids in sorted(plan.grid.cell_members.items())],
-        [(cell, int.__repr__(cid)) for cell, cid in sorted(plan.heads.items())],
-        [
-            (v, _id_texts(a.stationed), *_id_texts((a.down, a.up)), _id_texts(a.silent))
-            for v, a in sorted(plan.assignments.items())
-        ],
-        (
-            [rec.distance for rec in records],
-            [pose.facing for pose in hardware],
-            _id_texts(rec.camera_id for rec in records),
-            [_role(rec.orientation) for rec in records],
-            [pose.params for pose in hardware],
-            [rec.vertex[0] for rec in records],
-            [rec.vertex[1] for rec in records],
-            [rec.origin.x for rec in records],
-            [rec.origin.y for rec in records],
-        ),
-        _section([_deficit_head(_role(role), i) + _deficit_tail(j) for (i, j), role in plan.deficits]),
+        f'{{\n  "assignments": {_section(assignments)},\n  "cameras": {_section(records)},\n'
+        f'  "cells": {_section(cells)},\n  "d_within_bound": {"true" if plan.d_within_bound else "false"},\n'
+        f'  "deficits": {_relocation_deficits(rel)},\n  "grid": {{\n    "d": {_number(g.d)},\n'
+        f'    "height": {_number(g.height)},\n    "m": {int.__repr__(g.m)},\n    "n": {int.__repr__(g.n)},\n'
+        f'    "width": {_number(g.width)}\n  }},\n  "heads": {_section(heads)}\n}}\n'
     )
-
-
-def _id_texts(ids) -> list:
-    """The text of each id, None staying None."""
-    return [None if cid is None else int.__repr__(cid) for cid in ids]
 
 
 def _relocation_deficits(rel) -> str:
@@ -397,57 +386,6 @@ def _deficit_head(role: str, i: int) -> str:
 
 def _deficit_tail(j: int) -> str:
     return f'{j}\n      ]\n    }}'
-
-
-def _plan_text(plan: DeploymentPlan, cells, heads, duties, cameras, deficits) -> str:
-    """The plan JSON of ``plan``'s grid and flag and of its records, given
-    in the order written, with every id as its text: ``((i, j), ids)`` per
-    cell, ``((i, j), id)`` per head, ``((i, j), stationed, down, up,
-    silent)`` per vertex (None for an unfilled duty), the columns of the
-    camera records (distance, facing, id, orientation text, params, vertex
-    row and column, x, y) and the deficits section's text."""
-    g = plan.grid
-    cells = [
-        f'    {{\n      "cameras": {_id_list(ids)},\n      "cell": [\n        {i},\n        {j}\n      ]\n    }}'
-        for (i, j), ids in cells
-    ]
-    heads = [
-        f'    {{\n      "cell": [\n        {i},\n        {j}\n      ],\n      "id": {cid}\n    }}'
-        for (i, j), cid in heads
-    ]
-    assignments = [
-        f'    {{\n      "down": {down or "null"},\n      "silent": {_id_list(silent)},\n'
-        f'      "stationed": {_id_list(stationed)},\n      "up": {up or "null"},\n'
-        f'      "vertex": [\n        {i},\n        {j}\n      ]\n    }}'
-        for (i, j), stationed, down, up, silent in duties
-    ]
-    distances, facings, ids, roles, params, rows, cols, xs, ys = cameras
-    hardware = {}
-    for p in {id(p): p for p in params}.values():
-        _hardware(p, hardware)
-    cameras = [
-        f'    {{\n      "distance": {distance},\n      "facing": {facing},\n      "id": {cid},\n'
-        f'      "orientation": {role},\n      {lines},\n'
-        f'      "vertex": [\n        {i},\n        {j}\n      ],\n      "x": {x},\n      "y": {y}\n    }}'
-        for distance, facing, cid, role, lines, i, j, x, y in zip(
-            _numbers(distances),
-            _numbers(facings),
-            ids,
-            roles,
-            map(hardware.__getitem__, map(id, params)),
-            rows,
-            cols,
-            _numbers(xs),
-            _numbers(ys),
-        )
-    ]
-    return (
-        f'{{\n  "assignments": {_section(assignments)},\n  "cameras": {_section(cameras)},\n'
-        f'  "cells": {_section(cells)},\n  "d_within_bound": {"true" if plan.d_within_bound else "false"},\n'
-        f'  "deficits": {deficits},\n  "grid": {{\n    "d": {_number(g.d)},\n'
-        f'    "height": {_number(g.height)},\n    "m": {int.__repr__(g.m)},\n    "n": {int.__repr__(g.n)},\n'
-        f'    "width": {_number(g.width)}\n  }},\n  "heads": {_section(heads)}\n}}\n'
-    )
 
 
 def _plan_error(key: str, expected: str, value) -> ValueError:

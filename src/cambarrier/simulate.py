@@ -12,7 +12,7 @@ Both pipelines end in one flood fill on an (m, n) cell mask,
 covers a cell when its mid-segment passes the full-view test with the
 cameras as deployed; the fill runs that test on the cells it reaches,
 and the sweep hands the drawn arrays to the kernel as a
-:class:`~cambarrier.geometry.CameraCull`.  The mobile pipeline
+:class:`~cambarrier.geometry.Cameras`.  The mobile pipeline
 covers the cells relocation staffs, which follow from the number of
 cameras in each cell alone (:func:`~cambarrier.grid_deploy.staffed_mask`),
 so its sweep bins the drawn position arrays.  The camera-count sweep
@@ -37,9 +37,9 @@ from .barrier_graph import barrier_exists, duty_slots, extract_barrier
 from .geometry import (
     MAX_CAMERAS,
     TAU,
-    CameraCull,
     CameraParams,
     CameraPose,
+    Cameras,
     Point2D,
     _full_view_mask,
     check_integer,
@@ -266,13 +266,13 @@ def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
 _COARSE_SAMPLES = 6
 
 
-def _drawn_view(config: ScenarioConfig, count: int, seed) -> CameraCull:
+def _drawn_view(config: ScenarioConfig, count: int, seed) -> Cameras:
     """The cameras :func:`random_deploy` draws for ``config``, as the
-    array view :meth:`CameraCull.of` makes of the poses, without them."""
+    arrays :meth:`Cameras.of` makes of the poses, without them."""
     xs, ys, facings = draw_cameras(config.width, config.height, count, seed)
     r = np.full(count, config.r, dtype=float)
     half = np.full(count, config.phi / 2.0, dtype=float)
-    return CameraCull(xs, ys, r, half, normalize_bearings(facings))
+    return Cameras(xs, ys, normalize_bearings(facings), r, half)
 
 
 class _StaticLayout:
@@ -307,7 +307,7 @@ class _StaticLayout:
         return self._columns[j]
 
 
-def _static_barrier(cameras: CameraCull, layout: _StaticLayout) -> bool:
+def _static_barrier(cameras: Cameras, layout: _StaticLayout) -> bool:
     theta, samples = layout.config.theta, layout.config.samples
     candidates = np.zeros((layout.m, layout.n), dtype=bool)
     culls = []
@@ -342,13 +342,13 @@ def barrier_exists_static(cameras, config: ScenarioConfig) -> bool:
     s-t path over 8-adjacent cells visits every column.  The cells that
     pass go to one flood fill (:func:`barrier_exists`), which runs the
     full test on a cell only when it reaches it, on the cameras
-    :class:`CameraCull` keeps near the cell's mid-segment, and stops at
+    :class:`Cameras` keeps near the cell's mid-segment, and stops at
     the first covered cell of the last column.  When the coarse samples
     are every sample (``samples`` up to 6) the coarse verdicts are final
     and no full test runs.  Every cut leaves out only cameras that cannot
     cover a sample: too far away, or facing away from the segment.
     """
-    return _static_barrier(CameraCull.of(cameras), _StaticLayout(config))
+    return _static_barrier(Cameras.of(cameras), _StaticLayout(config))
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:

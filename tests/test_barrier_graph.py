@@ -456,7 +456,7 @@ class TestKBarrier:
             m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             mat = rng.random((m, n)) < 0.5
             covered = {(i + 1, j + 1) for i in range(m) for j in range(n) if mat[i, j]}
-            assert column_counts(covered, m, n) == mat.sum(axis=0).tolist()
+            assert column_counts(mat) == mat.sum(axis=0).tolist()
             assert k_barrier_count(covered, m, n) == int(mat.sum(axis=0).min())
 
     def test_positive_k_implies_nonempty_columns_and_barrier_on_connected_sets(self):

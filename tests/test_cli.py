@@ -36,7 +36,6 @@ OBJECT_PIPELINE = (
     "prune_degree_one",
     "shortest_barrier",
     "distinct_cameras",
-    "column_counts",
     "k_barrier_count",
     "graph_to_dict",
 )
@@ -226,16 +225,18 @@ class TestGridPipeline:
         # deficits.  The write took the run to ~486 MiB of peak RSS when it
         # went through the dict view, and ~265 MiB from per-record
         # templates; written from the relocation's arrays it takes ~130
-        # MiB.  The bound is half the first.  A fresh process measures only
-        # this run.
+        # MiB.  The bound is half the first.  The child reads its own peak,
+        # VmHWM: Linux carries the parent's ru_maxrss across fork and exec,
+        # so ru_maxrss would report pytest's peak whenever that is larger.
         cameras = tmp_path / "cams.json"
         cameras.write_text('[{"id": 0, "x": 1.0, "y": 1.0, "facing": 0.0, "r": 5.0, "phi": 2.0, "theta": 0.7}]')
         plan = tmp_path / "plan.json"
         child = (
-            "import resource, sys\n"
+            "import re, sys\n"
+            "from pathlib import Path\n"
             "from cambarrier.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', Path('/proc/self/status').read_text()).group(1))\n"
         )
         argv = ["deploy-grid", "--cameras", str(cameras), "--width", "500", "--height", "500", "--d", "1"]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -959,6 +960,29 @@ def test_empty_out_exits_2_before_any_work(capsys, command, out, shown):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"error: --out must name a file, got {shown}\n"
+
+
+#: ``(command, flag, names a file)`` for every flag of every command.
+FLAGS = [
+    (name, flag, type_ is str and choices is None)
+    for name, (_, flags, _) in cli.COMMANDS.items()
+    for flag, _, type_, _, _, choices, _ in (*flags, cli._OUT)
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, path, value",
+    [(*spec, "--") for spec in FLAGS] + [(*spec, "") for spec in FLAGS if spec[2]],
+)
+def test_an_empty_value_exits_2_naming_its_flag_before_any_work(capsys, command, flag, path, value):
+    # argparse drops the "--" of "--flag=--" and leaves the flag an empty list.
+    given = COMMAND_ARGV[command]
+    others = [item for pair in zip(given[::2], given[1::2]) if pair[0] != flag for item in pair]
+    code = main([command, *others, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    shown = [] if value == "--" else value
+    assert captured.err == f"error: {flag} must {'name a file' if path else 'have a value'}, got {shown!r}\n"
 
 
 ALL_FLAGS = sorted({spec[0] for _, flags, _ in cli.COMMANDS.values() for spec in flags} | {"--out"})

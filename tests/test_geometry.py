@@ -13,9 +13,9 @@ from cambarrier.geometry import (
     CULL_SCALE,
     EPS,
     TAU,
-    CameraCull,
     CameraParams,
     CameraPose,
+    Cameras,
     Point2D,
     Segment,
     _full_view_mask,
@@ -298,7 +298,7 @@ class TestRowDropping:
         ]
         assert all(math.hypot(x - c.position.x, c.position.y) < c.params.r for c in cams for x in xs)
         for axis in (0.0, None):
-            mask = _full_view_mask(xs, ys, CameraCull.of(cams), math.pi / 2, axis)
+            mask = _full_view_mask(xs, ys, Cameras.of(cams), math.pi / 2, axis)
             assert mask.shape == (11,) and not mask.any()
             assert not any(ref_full_view_point(Point2D(x, 0.0), cams, math.pi / 2, axis=axis) for x in xs)
 
@@ -365,9 +365,9 @@ class TestAngleWraps:
 
     def test_view_of_poses_holds_their_normalized_facings(self):
         cams = [cam(float(k), 0.0, f, cid=k) for k, f in enumerate((TAU, -1e-300, 7.0, -0.5))]
-        view = CameraCull.of(cams)
+        view = Cameras.of(cams)
         assert np.array_equal(bits(view.facing), bits(normalize_bearings([TAU, -1e-300, 7.0, -0.5])))
-        assert CameraCull.of(view) is view
+        assert Cameras.of(view) is view
 
 
 class TestBatchIndependence:
@@ -387,7 +387,7 @@ class TestBatchIndependence:
                 )
                 for j in range(k)
             ]
-            view = CameraCull.of(cams)
+            view = Cameras.of(cams)
             npts = int(rng.integers(1, 40))
             xs, ys = rng.uniform(-2, 2, npts), rng.uniform(-2, 2, npts)
             if cams and rng.random() < 0.3:  # a point on a camera
@@ -402,11 +402,11 @@ class TestBatchIndependence:
 
 
 def camera_rows(view):
-    """One (x, y, r, half, facing) tuple per camera of a CameraCull."""
+    """One (x, y, r, half, facing) tuple per camera of ``view``."""
     return list(zip(*(a.tolist() for a in (view.x, view.y, view.r, view.half, view.facing))))
 
 
-class TestCameraCull:
+class TestCamerasNear:
     SEG = Segment(Point2D(2.0, 3.0), Point2D(4.0, 3.0))
 
     def boundary_cameras(self, radii):
@@ -427,7 +427,7 @@ class TestCameraCull:
 
     def test_keeps_every_camera_that_covers_a_sample(self):
         cams = self.boundary_cameras((1.0, 2.5))
-        everyone = CameraCull.of(cams)
+        everyone = Cameras.of(cams)
         kept = everyone.near(self.SEG)
         rows, kept_rows = camera_rows(everyone), camera_rows(kept)
         assert rows == [(c.position.x, c.position.y, c.params.r, c.params.phi / 2, c.facing) for c in cams]
@@ -454,7 +454,7 @@ class TestCameraCull:
                 for k in range(int(rng.integers(0, 40)))
             ]
             cams += self.boundary_cameras((1.0, 3.0))
-            kept = CameraCull.of(cams).near(self.SEG)
+            kept = Cameras.of(cams).near(self.SEG)
             for theta in (math.pi / 4, math.pi / 2):
                 verdict = full_view_covered_segment(self.SEG, cams, theta, samples=21)
                 assert full_view_covered_segment(self.SEG, kept, theta, samples=21) == verdict
@@ -462,7 +462,7 @@ class TestCameraCull:
         assert outcomes == {True, False}
 
     def test_no_cameras(self):
-        assert len(CameraCull.of([]).near(self.SEG)) == 0
+        assert len(Cameras.of([]).near(self.SEG)) == 0
 
 
 def hypot_in_range(dx, dy, r):
@@ -542,7 +542,7 @@ class TestChunking:
             )
             for j in range(k)
         ]
-        return CameraCull.of(cams), rng.uniform(-2, 2, npts), rng.uniform(-2, 2, npts)
+        return Cameras.of(cams), rng.uniform(-2, 2, npts), rng.uniform(-2, 2, npts)
 
     def test_chunks_stay_within_the_budget_and_match_one_pass(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -603,7 +603,7 @@ def dropped(view, kept):
 
 
 def box_near(view, seg):
-    """The cull :meth:`CameraCull.near` used before it looked at facings:
+    """The cull :meth:`Cameras.near` used before it looked at facings:
     every camera within the segment's bounding box grown by the largest
     radius plus CULL_MARGIN."""
     x0, x1 = sorted((seg.a.x, seg.b.x))
@@ -623,7 +623,7 @@ class TestSectorCull:
         """Every camera ``near`` drops has no usable pair on the segment's
         samples, and the verdicts match all cameras and the box cull.
         Returns how many cameras were dropped."""
-        view = CameraCull.of(cams)
+        view = Cameras.of(cams)
         kept = view.near(seg)
         gone = dropped(view, kept)
         for n in samples:
@@ -683,7 +683,7 @@ class TestSectorCull:
                     for f in np.linspace(0.0, TAU, 12, endpoint=False):
                         cams.append(cam(ax + t * ux + h * nx, ay + t * uy + h * ny, float(f), r=2.5, cid=len(cams)))
                         on_line.append(abs(h) < CULL_LINE and min(abs(t), abs(t - 1)) * length < 2.4)
-            view = CameraCull.of(cams)
+            view = Cameras.of(cams)
             gone = dropped(view, view.near(seg))
             assert not gone[np.array(on_line)].any()  # kept whatever their facing
             assert gone.any()
@@ -710,7 +710,7 @@ class TestSectorCull:
             cam(float(rng.uniform(-4, 6)), float(rng.uniform(-3, 7)), float(rng.uniform(0, TAU)), r=2.0, phi=TAU, cid=k)
             for k in range(300)
         ]
-        view = CameraCull.of(cams)
+        view = Cameras.of(cams)
         kept = view.near(seg)
         xs, ys = segment_points(seg, np.linspace(0.0, 1.0, 2001))
         reaches = (np.hypot(xs[None, :] - view.x[:, None], ys[None, :] - view.y[:, None]) < 2.0 - 1e-3).any(axis=1)
@@ -745,11 +745,11 @@ class TestSectorCull:
     def test_keeps_every_camera_past_the_coordinate_scale(self):
         far = CULL_SCALE * 2
         cams = [cam(far + 5.0, 3.0, 0.0, cid=0), cam(0.0, 3.0, 0.0, cid=1)]  # far from both segments
-        assert len(CameraCull.of(cams).near(Segment(Point2D(far, 0.0), Point2D(far + 1.0, 0.0)))) == 2
+        assert len(Cameras.of(cams).near(Segment(Point2D(far, 0.0), Point2D(far + 1.0, 0.0)))) == 2
         seg = Segment(Point2D(0.0, 0.0), Point2D(1.0, 0.0))
-        assert len(CameraCull.of(cams).near(seg)) == 0
+        assert len(Cameras.of(cams).near(seg)) == 0
         cams.append(cam(-far, 0.0, math.pi, r=far, cid=2))  # a radius past the scale, facing away
-        assert len(CameraCull.of(cams).near(seg)) == 3
+        assert len(Cameras.of(cams).near(seg)) == 3
 
 
 class TestSegment:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cambarrier import geometry
 from cambarrier.cli import main
-from cambarrier.geometry import EPS, CameraParams, CameraPose, CameraTable, Point2D
+from cambarrier.geometry import EPS, CameraParams, CameraPose, Cameras, Point2D, Segment, full_view_covered_segment
 from cambarrier.grid_deploy import partition, run_algorithm1
 from cambarrier.serialize import camera_from_dict, camera_to_dict, cameras_from_list, plan_from_dict, plan_json
 from cambarrier.simulate import ScenarioConfig, barrier_exists_mobile
@@ -129,7 +129,7 @@ class TestAgainstTheObjectPipeline:
     def test_duplicate_and_outside_cameras_raise_what_the_object_pipeline_raised(self, cameras):
         with pytest.raises(ValueError) as expected:
             ref_run_algorithm1(10, 10, cameras, 5)
-        for given_as in (cameras, CameraTable.of(cameras)):
+        for given_as in (cameras, Cameras.of(cameras)):
             with pytest.raises(ValueError) as got:
                 run_algorithm1(10, 10, given_as, 5)
             assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
@@ -164,25 +164,100 @@ def test_the_workload_camera_files_write_the_object_pipelines_bytes():
             )
 
 
-class TestCameraTable:
+def camera_file(rng, count):
+    """``count`` camera-file entries around the segment (0, 0)-(4, 0):
+    integer and float coordinates, facings outside [0, 2*pi), mixed
+    hardware, ids in shuffled order."""
+    hardware = [(5.0, 2 * math.pi / 3, math.pi / 4), (3, 2, 1), (2.5, math.pi, 0.5), (4.0, 2 * math.pi, math.pi / 2)]
+    ids = rng.permutation(3 * count)[:count].tolist()
+    entries = []
+    for cid in ids:
+        r, phi, theta = hardware[int(rng.integers(len(hardware)))]
+        x, y = (int(v) if rng.random() < 0.2 else float(v) for v in rng.uniform(-3.0, 7.0, 2))
+        facing = float(rng.uniform(-7.0, 14.0))
+        entries.append({"id": cid, "x": x, "y": y, "facing": facing, "r": r, "phi": phi, "theta": theta})
+    return entries
+
+
+def assert_aligned(cameras):
+    """Each camera's ids, params and pose agree with its array entries."""
+    assert len(cameras.ids) == len(cameras.params) == len(cameras)
+    for k, pose in enumerate(cameras):
+        assert (pose.id, pose.params) == (cameras.ids[k], cameras.params[k])
+        assert (pose.position.x, pose.position.y, pose.facing) == (cameras.x[k], cameras.y[k], cameras.facing[k])
+        assert (pose.params.r, pose.params.phi / 2.0) == (cameras.r[k], cameras.half[k])
+
+
+class TestCameras:
     def test_reads_as_the_poses_it_was_made_of(self):
         poses = [CameraPose(k, Point2D(k, 2 * k), 0.5 * k, HARDWARE[k % 4]) for k in range(5)]
-        table = CameraTable.of(poses)
-        assert len(table) == 5 and list(table) == poses and table[1:3] == poses[1:3]
-        assert table[4] is poses[4] and CameraTable.of(table) is table
-        assert table.coordinates() == ([0, 1, 2, 3, 4], [0, 2, 4, 6, 8])
+        cams = Cameras.of(poses)
+        assert len(cams) == 5 and list(cams) == poses and cams[1:3] == poses[1:3]
+        assert cams[4] is poses[4] and Cameras.of(cams) is cams
+        assert cams.coordinates() == ([0, 1, 2, 3, 4], [0, 2, 4, 6, 8])
 
-    def test_a_loaded_table_makes_its_poses_on_demand(self):
+    def test_loaded_cameras_make_their_poses_on_demand(self):
         entries = [{"id": 7, "x": 1.5, "y": 2.0, "facing": 7.0, "r": 5.0, "phi": 2.0, "theta": 1.0}]
-        table = cameras_from_list(entries)
-        assert table.poses is None
-        assert table[0] == camera_from_dict(entries[0])
-        assert table[0].facing == geometry.normalize_bearing(7.0)
+        cams = cameras_from_list(entries)
+        assert cams.poses is None
+        assert cams[0] == camera_from_dict(entries[0])
+        assert cams[0].facing == geometry.normalize_bearing(7.0)
 
     def test_entries_may_come_from_a_generator(self):
         entries = [{"id": k, "x": 1.5 * k, "y": 2.0, "facing": 0.5, "r": 5.0, "phi": 2.0, "theta": 1.0} for k in range(4)]
-        table = cameras_from_list(entry for entry in entries)
-        assert table == cameras_from_list(entries) and list(table) == [camera_from_dict(e) for e in entries]
+        cams = cameras_from_list(entry for entry in entries)
+        assert cams == cameras_from_list(entries) and list(cams) == [camera_from_dict(e) for e in entries]
+
+    def test_loaded_cameras_hold_the_arrays_of_their_poses(self):
+        rng = np.random.default_rng(5)
+        for count in (0, 1, 40):
+            entries = camera_file(rng, count)
+            params = {}
+            from_poses = Cameras.of([camera_from_dict(e, params) for e in entries])
+            loaded = cameras_from_list(entries)
+            for name in ("x", "y", "facing", "r", "half"):
+                a, b = getattr(loaded, name), getattr(from_poses, name)
+                assert a.dtype == b.dtype == np.float64
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+            assert loaded.ids == from_poses.ids and loaded.params == from_poses.params
+            assert loaded == from_poses and loaded.reach == from_poses.reach
+
+    def test_take_within_and_near_keep_ids_params_and_poses_aligned(self):
+        rng = np.random.default_rng(6)
+        seg = Segment(Point2D(0.0, 0.0), Point2D(4.0, 0.0))
+        entries = camera_file(rng, 60)
+        poses = [camera_from_dict(e) for e in entries]
+        for cams in (cameras_from_list(entries), Cameras.of(poses)):
+            order = rng.permutation(len(cams))[:25].tolist()
+            for sub, rows in (
+                (cams.take(order), order),
+                (cams.take(np.array(order)), order),
+                (cams.take([]), []),
+                (cams.within(0.0, 4.0, 0.0, 0.0), None),
+                (cams.near(seg), None),
+            ):
+                assert_aligned(sub)
+                if rows is not None:
+                    assert list(sub) == [poses[k] for k in rows]
+                else:
+                    remaining = iter(poses)
+                    assert 0 < len(sub) < len(cams) and all(pose in remaining for pose in sub)  # input order
+                if cams.poses is not None:
+                    assert all(a is b for a, b in zip(sub, sub.poses))
+
+    def test_loaded_cameras_give_the_verdicts_of_their_poses(self):
+        rng = np.random.default_rng(7)
+        seg = Segment(Point2D(0.0, 0.0), Point2D(4.0, 0.0))
+        outcomes = set()
+        for _ in range(40):
+            entries = camera_file(rng, int(rng.integers(0, 80)))
+            loaded, poses = cameras_from_list(entries), [camera_from_dict(e) for e in entries]
+            for theta in (math.pi / 4, math.pi / 2):
+                verdict = full_view_covered_segment(seg, poses, theta, samples=21)
+                assert full_view_covered_segment(seg, loaded, theta, samples=21) == verdict
+                assert full_view_covered_segment(seg, loaded.near(seg), theta, samples=21) == verdict
+                outcomes.add(verdict)
+        assert outcomes == {True, False}
 
 
 def test_the_duplicate_id_report_is_not_quadratic(tmp_path, capsys):

@@ -8,7 +8,7 @@ import cambarrier.barrier_graph as barrier_graph_module
 import cambarrier.grid_deploy as grid_deploy_module
 import cambarrier.simulate as simulate_module
 from cambarrier.barrier_graph import build_graph, duty_slots, extract_barrier, prune_degree_one, shortest_barrier
-from cambarrier.geometry import CULL_MARGIN, EPS, CameraCull, CameraParams, CameraPose, Point2D
+from cambarrier.geometry import CULL_MARGIN, EPS, CameraParams, CameraPose, Cameras, Point2D
 from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound, grid_shape, run_algorithm1, staffed_cells
 from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
@@ -418,12 +418,13 @@ class TestStaticMatchesUnculledOracle:
         for count in (0, 1, 50):
             seed = trial_seed(cfg.seed, count, 3)
             got = simulate_module._drawn_view(cfg, count, seed)
-            want = CameraCull.of(random_deploy(cfg.width, cfg.height, count, seed, cfg.camera_params()))
+            want = Cameras.of(random_deploy(cfg.width, cfg.height, count, seed, cfg.camera_params()))
             for name in ("x", "y", "r", "half", "facing"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype == np.float64 and a.flags.c_contiguous
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
             assert got.reach == want.reach
+            assert got.ids is None and got.params is None and got.poses is None
 
     def test_array_sweep_matches_pose_oracle(self):
         rng = np.random.default_rng(97)
