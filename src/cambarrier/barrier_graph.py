@@ -33,9 +33,6 @@ class CoverageGraph:
     cells: frozenset
     adj: dict
 
-    def degree(self, node) -> int:
-        return len(self.adj.get(node, {}))
-
     def edge_kind(self, u, v) -> str:
         if SOURCE in (u, v):
             return "source"
@@ -283,28 +280,32 @@ def duty_slots(path) -> tuple[set, set]:
     return down, up
 
 
+def slot_cameras(path, duties) -> int:
+    """Distinct camera ids at the :func:`duty_slots` of ``path``: the
+    ``down`` ids at its down slots and the ``up`` ids at its up slots,
+    where ``duties`` maps each slot's vertex to its ``(down, up)`` ids.  A
+    loaded plan may name one camera at two slots, so this can be fewer
+    than the slots."""
+    down, up = duty_slots(path)
+    return len({duties[v][0] for v in down} | {duties[v][1] for v in up})
+
+
 def distinct_cameras(result: BarrierResult, plan: DeploymentPlan) -> int:
     """Distinct active cameras serving the path cells.
 
     A cell is served by the down-facing actives at its two top vertices
     and the up-facing actives at its two bottom vertices; the union over
-    the path is the realized head count.  It can exceed the weight model's
-    increments on vertical or diagonal hops, where a shared vertex serves
-    the two cells with different cameras.  Path cells must be fully
-    staffed in ``plan``.
+    the path (:func:`slot_cameras`) is the realized head count.  It can
+    exceed the weight model's increments on vertical or diagonal hops,
+    where a shared vertex serves the two cells with different cameras.
+    Path cells must be fully staffed in ``plan``.
     """
     if not result.exists or not result.path:
         return 0
-    ids = set()
     for cell in result.path:
         if not cell_fully_staffed(cell, plan):
             raise ValueError(f"barrier cell {cell} is not fully staffed")
-        i, j = cell
-        for v in ((i, j), (i, j + 1)):
-            ids.add(plan.assignments[v].down)
-        for v in ((i + 1, j), (i + 1, j + 1)):
-            ids.add(plan.assignments[v].up)
-    return len(ids)
+    return slot_cameras(result.path, {v: (a.down, a.up) for v, a in plan.assignments.items()})
 
 
 def column_counts(mask) -> list[int]:

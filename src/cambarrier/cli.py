@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .barrier_graph import barrier_json, column_counts, duty_slots, extract_barrier
-from .geometry import EPS, Point2D, Segment
+from .barrier_graph import barrier_json, column_counts, extract_barrier, slot_cameras
+from .geometry import EPS, Point2D, Segment, check_positive
 from .grid_deploy import CameraOutsideRegionError, duty_mask, grid_length_bound, run_algorithm1
 from .line_model import place_line_deployment
 from .serialize import (
@@ -63,8 +63,7 @@ def _load_json(path: str):
 
 
 def _cmd_plan_line(args) -> int:
-    if not 0.0 < args.length <= sys.float_info.max:
-        raise ValueError(f"barrier length must be positive and finite, got {args.length}")
+    check_positive("barrier length", args.length)
     barrier = Segment(Point2D(0.0, 0.0), Point2D(args.length, 0.0))
     dep = place_line_deployment(barrier, args.r, theta=args.theta)
     _emit(line_deployment_json(dep), args.out)
@@ -92,10 +91,7 @@ def _cmd_barrier(args) -> int:
     mask = duty_mask(m, n, duties)
     result = extract_barrier(mask)
     if result.exists:
-        # The distinct ids at the path's duty slots: a loaded plan may name
-        # one camera at two slots.
-        down, up = duty_slots(result.path)
-        result = replace(result, camera_count=len({duties[v][0] for v in down} | {duties[v][1] for v in up}))
+        result = replace(result, camera_count=slot_cameras(result.path, duties))
     _emit(barrier_json(result, mask), args.out)
     return 0
 
@@ -273,7 +269,7 @@ def main(argv=None) -> int:
     except CameraOutsideRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -55,6 +55,14 @@ def slack_ceil(x: float) -> int:
     return math.ceil(x - EPS)
 
 
+def check_positive(name: str, value) -> None:
+    """Reject anything but a number in (0, largest float].  A range test,
+    not :func:`math.isfinite`: NaN fails it, and an int too large for a
+    float fails it rather than raising ``OverflowError``."""
+    if not 0.0 < value <= sys.float_info.max:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def check_integer(name: str, value, minimum: int) -> None:
     """Reject anything but an integer >= ``minimum``; bools and integral
     floats are rejected too, so that no value is silently converted."""
@@ -95,10 +103,7 @@ class CameraParams:
     theta: float
 
     def __post_init__(self):
-        # A range test, not math.isfinite: an int too large for a float
-        # fails it rather than raising OverflowError.
-        if not 0.0 < self.r <= sys.float_info.max:
-            raise ValueError(f"sensing radius must be positive and finite, got {self.r}")
+        check_positive("sensing radius", self.r)
         if not 0.0 < self.phi <= TAU + EPS:
             raise ValueError(f"field of view must be in (0, 2*pi], got {self.phi}")
         if not 0.0 < self.theta <= math.pi / 2 + EPS:

@@ -23,6 +23,7 @@ from .geometry import (
     CameraPose,
     Point2D,
     Segment,
+    check_positive,
     slack_ceil,
 )
 
@@ -43,11 +44,8 @@ class LineDeploymentParams:
     alpha: float
 
     def __post_init__(self):
-        # Range tests, as in CameraParams: NaN fails them too.
-        if not 0.0 < self.h <= sys.float_info.max:
-            raise ValueError(f"row offset h must be positive and finite, got {self.h}")
-        if not 0.0 < self.delta <= sys.float_info.max:
-            raise ValueError(f"spot spacing delta must be positive and finite, got {self.delta}")
+        check_positive("row offset h", self.h)
+        check_positive("spot spacing delta", self.delta)
         if not 0.0 < self.alpha < TAU:
             raise ValueError(f"swing angle alpha must be in (0, 2*pi), got {self.alpha}")
 
@@ -99,12 +97,6 @@ class DeploymentCheck:
         )
 
 
-def _check_radius(r: float) -> None:
-    # The range test CameraParams uses, so NaN is refused too.
-    if not 0.0 < r <= sys.float_info.max:
-        raise ValueError(f"sensing radius must be positive and finite, got {r}")
-
-
 def optimal_params(r: float) -> LineDeploymentParams:
     """Spacing-maximizing parameters for sensing radius ``r``.
 
@@ -112,7 +104,7 @@ def optimal_params(r: float) -> LineDeploymentParams:
     tan(alpha/2) = delta/h = 2 and h^2 + delta^2 = r^2: the farthest point
     a camera must see sits exactly on its sensing circle.
     """
-    _check_radius(r)
+    check_positive("sensing radius", r)
     h = r / math.sqrt(5.0)
     return LineDeploymentParams(h=h, delta=2.0 * h, alpha=SWING_FOV)
 
@@ -124,7 +116,7 @@ def validate_params(params: LineDeploymentParams, r: float, theta: float) -> Dep
     Supported band is theta in [pi/4, pi/2].  Each condition is reported
     independently; see :class:`DeploymentCheck`.
     """
-    _check_radius(r)
+    check_positive("sensing radius", r)
     if not math.pi / 4 - EPS <= theta <= math.pi / 2 + EPS:
         raise ValueError(f"theta outside the supported band [pi/4, pi/2]: {theta}")
     return DeploymentCheck(
@@ -149,9 +141,7 @@ def cameras_for_barrier(length: float, r: float) -> int:
     verifies geometrically.  A count larger than a float can hold raises
     ``ValueError``, so that every count can be reported as a float.
     """
-    if not 0.0 < length <= sys.float_info.max:
-        raise ValueError(f"barrier length must be positive and finite, got {length}")
-    _check_radius(r)
+    check_positive("barrier length", length)
     span = length / optimal_params(r).delta
     if math.isfinite(span):
         count = 2 * (slack_ceil(span) + 1)
@@ -178,7 +168,7 @@ def place_line_deployment(
     """
     if abs(barrier.a.y - barrier.b.y) > EPS:
         raise ValueError("canonical model requires horizontal barrier")
-    _check_radius(r)
+    check_positive("sensing radius", r)
     p = params if params is not None else optimal_params(r)
     left = min(barrier.a.x, barrier.b.x)
     right = max(barrier.a.x, barrier.b.x)

@@ -168,15 +168,34 @@ def _pose(data: dict, params: CameraParams) -> CameraPose:
 def cameras_from_list(entries) -> Cameras:
     """The cameras of a camera file, in file order, as arrays; no pose is
     built.  Every entry is checked by :func:`camera_from_dict`'s checks, in
-    file order, so a file with faults gets the error of the first."""
+    file order, so a file with faults gets the error of the first.  An
+    entry that is not an object, or lacks a field, is named by its index."""
     entries = list(entries)
     params = {}
-    shared = [_camera_params(entry, params) for entry in entries]
+    try:
+        shared = [_camera_params(entry, params) for entry in entries]
+    except (KeyError, TypeError) as exc:
+        raise _entry_shape_error(entries) or exc from None
     ids = [entry["id"] for entry in entries]
     x, y, facing = (np.array([entry[key] for entry in entries], dtype=float) for key in ("x", "y", "facing"))
     r = np.array([p.r for p in shared], dtype=float)
     half = np.array([p.phi / 2.0 for p in shared], dtype=float)
     return Cameras(x, y, normalize_bearings(facing), r, half, ids, shared)
+
+
+def _entry_shape_error(entries) -> ValueError | None:
+    """The error of the first entry that is not an object or lacks a
+    field, naming its first missing field in the order
+    :func:`_camera_params` reads them, or None.  Every entry before the
+    one :func:`_camera_params` raised ``KeyError`` or ``TypeError`` on
+    passed its checks, so that entry is the first found here."""
+    for k, entry in enumerate(entries):
+        if type(entry) is not dict:
+            return ValueError(f"cameras[{k}]: expected a JSON object, got {type(entry).__name__}")
+        missing = [key for key in (*_CAMERA_NUMBERS, "id") if key not in entry]
+        if missing:
+            return ValueError(f"cameras[{k}]: missing field {missing[0]!r}")
+    return None
 
 
 def line_deployment_to_dict(dep: LineDeployment) -> dict:

@@ -30,6 +30,7 @@ one at a time.
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .grid_deploy import (
     grid_shape,
     staffed_mask,
 )
+from .line_model import cameras_for_barrier
 
 # Not called here; bench/spans.py wraps these names in this module (ROADMAP item 5).
 from .barrier_graph import build_graph, prune_degree_one, shortest_barrier  # noqa: F401
@@ -119,7 +121,7 @@ class ScenarioConfig:
                     f"region dimensions must be positive and finite, got {self.width} x {self.height}"
                 )
         self.camera_params()
-        m, _ = grid_shape(self.width, self.height, grid_length_bound(self.r))
+        _, m, _ = self.grid
         # A string or a dict would be taken apart into its items.
         counts = self.counts
         if not (isinstance(counts, (list, tuple)) or isinstance(counts, np.ndarray) and counts.ndim == 1):
@@ -151,6 +153,14 @@ class ScenarioConfig:
                 f"samples plus {m} cells times {coarse} coarse samples), more than {WORK_BUDGET}"
             )
 
+    @cached_property
+    def grid(self) -> tuple[float, int, int]:
+        """``(d, m, n)``: the cell side :func:`grid_length_bound` of ``r``
+        and the :func:`grid_shape` of the region at that side, the grid
+        every sweep and check of this config runs on."""
+        d = grid_length_bound(self.r)
+        return (d, *grid_shape(self.width, self.height, d))
+
     def camera_params(self) -> CameraParams:
         return CameraParams(r=self.r, phi=self.phi, theta=self.theta)
 
@@ -170,6 +180,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -236,10 +248,6 @@ def random_deploy(width: float, height: float, count: int, seed, params: CameraP
     ]
 
 
-def _mobile_mask(xs, ys, d: float, shape: tuple[int, int]) -> np.ndarray:
-    return staffed_mask(cell_counts(xs, ys, d, shape))
-
-
 def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
     """Relocate with the grid pipeline at d equal to the verifiable bound,
     take fully staffed cells as covered, and ask for an s-t path.
@@ -250,10 +258,9 @@ def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
     per-cell camera counts (:func:`staffed_mask`) and one flood fill
     (:func:`barrier_exists`); no plan or graph is built.
     """
-    d = grid_length_bound(config.r)
-    shape = grid_shape(config.width, config.height, d)
+    d, m, n = config.grid
     xs, ys = camera_positions(config.width, config.height, list(cameras))
-    return barrier_exists(_mobile_mask(xs, ys, d, shape))
+    return barrier_exists(staffed_mask(cell_counts(xs, ys, d, (m, n))))
 
 
 #: Samples per cell, evenly spaced with both endpoints, that the static
@@ -285,8 +292,7 @@ class _StaticLayout:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.d = grid_length_bound(config.r)
-        self.m, self.n = grid_shape(config.width, config.height, self.d)
+        self.d, self.m, self.n = config.grid
         last = config.samples - 1
         picks = sorted({round(k * last / (_COARSE_SAMPLES - 1)) for k in range(_COARSE_SAMPLES)})
         self.coarse = np.linspace(0.0, 1.0, config.samples)[picks]
@@ -370,7 +376,7 @@ def _run_trials(config: ScenarioConfig, decide) -> list[list]:
     once, and hands consecutive ``(count, seed)`` pairs, across count
     boundaries, to ``decide`` in batches within :data:`BATCH_BUDGET`.
     ``decide`` returns one outcome per pair, in order."""
-    m, n = grid_shape(config.width, config.height, grid_length_bound(config.r))
+    _, m, n = config.grid
     vertices = (m + 1) * (n + 1)
     outcomes, batch, size = [], [], 0
     for count in config.counts:
@@ -395,8 +401,7 @@ def _mobile_masks(config: ScenarioConfig, batch) -> np.ndarray:
     Each trial draws ``xs`` and ``ys`` as :func:`draw_cameras` does,
     without the facings it draws last; then one :func:`cell_counts` bins
     the whole batch and one :func:`staffed_mask` staffs it."""
-    d = grid_length_bound(config.r)
-    m, n = grid_shape(config.width, config.height, d)
+    d, m, n = config.grid
     sizes = [count for count, _ in batch]
     xs, ys = np.empty(sum(sizes)), np.empty(sum(sizes))
     start = 0
@@ -406,6 +411,15 @@ def _mobile_masks(config: ScenarioConfig, batch) -> np.ndarray:
         start = end
     trial = np.repeat(np.arange(len(batch)), sizes)
     return staffed_mask(cell_counts(xs, ys, d, (len(batch), m, n), trial))
+
+
+def _sweep(config: ScenarioConfig, decide, row) -> SweepResult:
+    """The sweep of ``config``: one row per count, in ``config.counts``
+    order, ``row(count, outcomes)`` of the outcomes ``decide`` gives its
+    trials on :func:`_run_trials`."""
+    grouped = _run_trials(config, decide)
+    rows = tuple(row(count, outcomes) for count, outcomes in zip(config.counts, grouped))
+    return SweepResult(rows=rows, metadata=_base_metadata(config))
 
 
 def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
@@ -427,20 +441,12 @@ def coverage_probability_sweep(config: ScenarioConfig) -> SweepResult:
         def decide(batch):
             return [_static_barrier(_drawn_view(config, count, seed), layout) for count, seed in batch]
 
-    rows = []
-    for count, verdicts in zip(config.counts, _run_trials(config, decide)):
+    def row(count, verdicts):
         successes = sum(verdicts)
         p = successes / config.trials
-        rows.append(
-            SweepRow(
-                x=count,
-                estimate=p,
-                trials=config.trials,
-                successes=successes,
-                stderr=math.sqrt(p * (1.0 - p) / config.trials),
-            )
-        )
-    return SweepResult(rows=tuple(rows), metadata=_base_metadata(config))
+        return SweepRow(count, p, config.trials, successes, math.sqrt(p * (1.0 - p) / config.trials))
+
+    return _sweep(config, decide, row)
 
 
 def barrier_camera_count_sweep(config: ScenarioConfig) -> SweepResult:
@@ -467,28 +473,24 @@ def barrier_camera_count_sweep(config: ScenarioConfig) -> SweepResult:
     def decide(batch):
         return [slots(mask) for mask in _mobile_masks(config, batch)]
 
-    rows = []
-    for count, slots in zip(config.counts, _run_trials(config, decide)):
-        found = [k for k in slots if k is not None]
+    def row(count, outcomes):
+        found = [k for k in outcomes if k is not None]
         successes = len(found)
         if successes == 0:
-            estimate = float("nan")
-            stderr = float("nan")
+            estimate = stderr = float("nan")
         elif successes == 1:
-            estimate = float(found[0])
-            stderr = 0.0
+            estimate, stderr = float(found[0]), 0.0
         else:
             estimate = float(np.mean(found))
             stderr = float(np.std(found, ddof=1) / math.sqrt(successes))
-        rows.append(SweepRow(x=count, estimate=estimate, trials=config.trials, successes=successes, stderr=stderr))
-    return SweepResult(rows=tuple(rows), metadata=_base_metadata(config))
+        return SweepRow(count, estimate, config.trials, successes, stderr)
+
+    return _sweep(config, decide, row)
 
 
 def fig3_sweep(length: float, r_values) -> SweepResult:
     """Camera count needed for a barrier of ``length``, per sensing
     radius.  Purely deterministic: each row carries the exact count."""
-    from .line_model import cameras_for_barrier
-
     rows = []
     for r in r_values:
         count = cameras_for_barrier(length, r)

@@ -47,6 +47,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def library_camera_count(plan_text: str, barrier: dict) -> int:
+    """:func:`distinct_cameras` of the ``barrier`` document's path on the
+    plan the library loads from ``plan_text``."""
+    path = tuple(map(tuple, barrier["path"]))
+    result = barrier_graph.BarrierResult(barrier["exists"], path, barrier["total_weight"])
+    return barrier_graph.distinct_cameras(result, serialize.plan_from_dict(json.loads(plan_text)))
+
+
 class TestPlanLine:
     def test_emits_deployment_json(self, capsys):
         code, out = run(capsys, "plan-line", "--length", "100", "--r", "5")
@@ -95,6 +103,10 @@ class TestPlanLine:
         assert captured.err == "error: the deployment needs more than 1000000 cameras\n"
 
 
+#: A well-formed camera-file entry.
+CAMERA = {"id": 0, "x": 1.0, "y": 1.0, "facing": 0.0, "r": 5.0, "phi": 2.0, "theta": 1.0}
+
+
 class TestGridPipeline:
     @pytest.fixture()
     def camera_file(self, tmp_path):
@@ -131,6 +143,7 @@ class TestGridPipeline:
             assert barrier["total_weight"] >= 4
             assert barrier["camera_count"] >= 4
             assert barrier["path"][0][1] == 1
+        assert library_camera_count(plan_path.read_text(), barrier) == (barrier["camera_count"] or 0)
 
         code, out = run(capsys, "k-barrier", "--plan", str(plan_path))
         assert code == 0
@@ -168,6 +181,29 @@ class TestGridPipeline:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"error: camera field '{field}'") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1], "cameras[0]: expected a JSON object, got int"),
+            (["a"], "cameras[0]: expected a JSON object, got str"),
+            ([{}], "cameras[0]: missing field 'x'"),
+            ([{"x": 1.0, "y": 1.0, "facing": 0.0}], "cameras[0]: missing field 'r'"),
+            ([CAMERA, {**CAMERA, "id": 1}, None], "cameras[2]: expected a JSON object, got NoneType"),
+            ([CAMERA, {key: CAMERA[key] for key in ("x", "y", "facing", "r", "phi", "theta")}],
+             "cameras[1]: missing field 'id'"),
+            # The first fault in file order wins, whatever its kind.
+            ([{**CAMERA, "x": "1"}, 1], "camera field 'x' must be a finite number, got '1'"),
+            ([{**CAMERA, "y": None}], "camera field 'y' must be a finite number, got None"),
+        ],
+    )
+    def test_camera_entry_of_the_wrong_shape_exits_2_naming_it(self, tmp_path, capsys, entries, message):
+        path = tmp_path / "cams.json"
+        path.write_text(json.dumps(entries))
+        code = main(["deploy-grid", "--cameras", str(path), "--width", "10", "--height", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "size, d",
@@ -213,6 +249,10 @@ class TestGridPipeline:
             assert code == 0
             if command == "deploy-grid":
                 plan_path.write_text(out)
+            if command == "barrier":
+                barrier = json.loads(out)
+                assert barrier["exists"]
+                assert library_camera_count(plan_path.read_text(), barrier) == barrier["camera_count"]
             digests[command] = hashlib.sha256(out.encode()).hexdigest()
         assert digests == self.PINNED_SHA256
 
@@ -413,6 +453,7 @@ class TestGridPipeline:
         again = json.loads(run(capsys, "barrier", "--plan", str(plan_file))[1])
         assert again["path"] == barrier["path"]
         assert again["camera_count"] == 11
+        assert library_camera_count(plan_file.read_text(), again) == 11
 
     @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
     def test_plan_commands_build_no_graph_objects(self, monkeypatch, capsys, plan_file, command):
@@ -513,6 +554,15 @@ class TestSimulate:
 
     def test_missing_file_exits_2(self, capsys):
         assert run(capsys, "simulate", "--config", "/nonexistent.json")[0] == 2
+
+    @pytest.mark.parametrize("text, kind", [("3", "int"), ("[]", "list"), ('"x"', "str"), ("null", "NoneType")])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text, kind):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(["simulate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: config must be a JSON object, got {kind}\n"
 
     @pytest.mark.parametrize(
         "field, value",

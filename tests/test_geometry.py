@@ -24,6 +24,7 @@ from cambarrier.geometry import (
     _wrap_negative,
     bearing_between,
     check_integer,
+    check_positive,
     circular_gaps,
     covers,
     full_view_covered_point,
@@ -94,6 +95,20 @@ class TestTypes:
     def test_check_integer_rejects_everything_else(self, value, minimum):
         with pytest.raises(ValueError, match="must be an integer >= "):
             check_integer("count", value, minimum)
+
+    @pytest.mark.parametrize("value", [5e-324, 1, 2.5, 10**308, 1.7976931348623157e308, np.float64(3.0)], ids=repr)
+    def test_check_positive_accepts_positive_finite_numbers(self, value):
+        check_positive("length", value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 0.0, -0.0, -1, math.nan, math.inf, -math.inf, 10**400, -(10**400), np.float64(math.nan)],
+        ids=["0", "0.0", "-0.0", "-1", "nan", "inf", "-inf", "10**400", "-10**400", "np.nan"],
+    )
+    def test_check_positive_rejects_everything_else(self, value):
+        # An int too large for a float is refused, not an OverflowError.
+        with pytest.raises(ValueError, match=f"^length must be positive and finite, got {value}$"):
+            check_positive("length", value)
 
 
 class TestCovers:

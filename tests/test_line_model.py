@@ -1,11 +1,12 @@
+import argparse
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cambarrier import line_model
-from cambarrier.geometry import MAX_CAMERAS, Point2D, Segment, full_view_covered_segment
+from cambarrier import cli, line_model
+from cambarrier.geometry import MAX_CAMERAS, CameraParams, Point2D, Segment, full_view_covered_segment
 from cambarrier.line_model import (
     SWING_FOV,
     LineDeploymentParams,
@@ -205,17 +206,21 @@ class TestPlacement:
             place_line_deployment(Segment(Point2D(0, 0), Point2D(4 * delta + 1e-6, 0)), 5.0)
 
 
-NON_FINITE = [math.nan, math.inf, -math.inf]
+#: NaN passes a ``<= 0`` test, and an int too large for a float raises
+#: OverflowError in a float conversion; each must raise ValueError.
+OUT_OF_RANGE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), 0]
+OUT_OF_RANGE_IDS = ["nan", "inf", "-inf", "10**400", "-10**400", "0"]
 
 
 class TestNonFiniteInputs:
-    """NaN passes a ``<= 0`` test, so every length and radius is range
-    tested as CameraParams tests its radius."""
+    """Every length and radius is range tested by ``check_positive``, as
+    CameraParams tests its radius."""
 
-    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_radius_is_refused_everywhere(self, value):
         barrier = Segment(Point2D(0, 0), Point2D(10, 0))
         for call in (
+            lambda: CameraParams(r=value, phi=1.0, theta=1.0),
             lambda: optimal_params(value),
             lambda: validate_params(optimal_params(1.0), value, math.pi / 4),
             lambda: cameras_for_barrier(10.0, value),
@@ -225,12 +230,14 @@ class TestNonFiniteInputs:
             with pytest.raises(ValueError, match=f"^sensing radius must be positive and finite, got {value}$"):
                 call()
 
-    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_barrier_length_is_refused(self, value):
         with pytest.raises(ValueError, match=f"^barrier length must be positive and finite, got {value}$"):
             cameras_for_barrier(value, 5.0)
+        with pytest.raises(ValueError, match=f"^barrier length must be positive and finite, got {value}$"):
+            cli._cmd_plan_line(argparse.Namespace(length=value, r=5.0, theta=math.pi / 4, out=None))
 
-    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_row_offset_and_spacing_are_refused(self, value):
         with pytest.raises(ValueError, match=f"^row offset h must be positive and finite, got {value}$"):
             LineDeploymentParams(h=value, delta=1.0, alpha=1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -9,7 +10,16 @@ import cambarrier.grid_deploy as grid_deploy_module
 import cambarrier.simulate as simulate_module
 from cambarrier.barrier_graph import build_graph, duty_slots, extract_barrier, prune_degree_one, shortest_barrier
 from cambarrier.geometry import CULL_MARGIN, EPS, CameraParams, CameraPose, Cameras, Point2D
-from cambarrier.grid_deploy import FACE_DOWN, FACE_UP, grid_length_bound, grid_shape, run_algorithm1, staffed_cells
+from cambarrier.grid_deploy import (
+    FACE_DOWN,
+    FACE_UP,
+    cell_counts,
+    grid_length_bound,
+    grid_shape,
+    run_algorithm1,
+    staffed_cells,
+    staffed_mask,
+)
 from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
 from cambarrier.simulate import (
@@ -62,6 +72,35 @@ class TestConfig:
             ScenarioConfig.from_dict({**small_config().to_dict(), "bogus": 1})
         with pytest.raises(ValueError, match="missing"):
             ScenarioConfig.from_dict({"width": 10})
+
+    @pytest.mark.parametrize("data, kind", [(3, "int"), ([], "list"), ("x", "str"), (None, "NoneType")])
+    def test_rejects_a_value_that_is_not_an_object(self, data, kind):
+        with pytest.raises(ValueError, match=f"^config must be a JSON object, got {kind}$"):
+            ScenarioConfig.from_dict(data)
+
+    def test_grid_is_the_bound_and_its_shape(self):
+        for cfg in (small_config(), small_config(width=95.0, height=12.5, r=7.0), small_config(width=0.5, r=3.0)):
+            d = grid_length_bound(cfg.r)
+            assert cfg.grid == (d, *grid_shape(cfg.width, cfg.height, d))
+
+    def test_grid_is_not_a_field(self):
+        cfg = small_config()
+        assert cfg.grid
+        names = ["width", "height", "r", "theta", "phi", "counts", "seed", "trials", "mode", "samples"]
+        assert [f.name for f in dataclasses.fields(cfg)] == names
+        assert sorted(cfg.to_dict()) == sorted(names)
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        with pytest.raises(ValueError, match=r"^unknown config fields: \['grid'\]$"):
+            ScenarioConfig.from_dict({**cfg.to_dict(), "grid": [1.0, 1, 1]})
+
+    def test_a_copy_with_new_values_gets_a_new_grid(self):
+        cfg = small_config()
+        _, m, n = cfg.grid  # cached on cfg
+        for copy in (dataclasses.replace(cfg, r=5.0), with_overrides(cfg, width=95.0, height=12.5)):
+            d = grid_length_bound(copy.r)
+            assert copy.grid == (d, *grid_shape(copy.width, copy.height, d))
+            assert copy.grid[1:] != (m, n)
+        assert cfg.grid == (grid_length_bound(cfg.r), m, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -589,7 +628,7 @@ def per_trial_sweep_csv(cfg, sweep):
                 outcomes.append(check(random_deploy(cfg.width, cfg.height, count, seed, cfg.camera_params()), cfg))
                 continue
             xs, ys, _ = draw_cameras(cfg.width, cfg.height, count, seed)
-            result = extract_barrier(simulate_module._mobile_mask(xs, ys, d, shape))
+            result = extract_barrier(staffed_mask(cell_counts(xs, ys, d, shape)))
             if result.exists:
                 down, up = duty_slots(result.path)
                 outcomes.append(len(down) + len(up))
