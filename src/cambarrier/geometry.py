@@ -55,10 +55,21 @@ def slack_ceil(x: float) -> int:
     return math.ceil(x - EPS)
 
 
+def check_real(name: str, value) -> None:
+    """Reject a bool and anything that is not a real number (numpy's
+    included), before a range test compares it."""
+    if type(value) is not float and type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
-    """Reject anything but a number in (0, largest float].  A range test,
-    not :func:`math.isfinite`: NaN fails it, and an int too large for a
+    """Reject anything but a number in (0, largest float]: a bool or a
+    non-number by :func:`check_real`, the rest by a range test, not
+    :func:`math.isfinite`: NaN fails it, and an int too large for a
     float fails it rather than raising ``OverflowError``."""
+    check_real(name, value)
     if not 0.0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -104,10 +115,10 @@ class CameraParams:
 
     def __post_init__(self):
         check_positive("sensing radius", self.r)
+        check_real("field of view", self.phi)
         if not 0.0 < self.phi <= TAU + EPS:
             raise ValueError(f"field of view must be in (0, 2*pi], got {self.phi}")
-        if not 0.0 < self.theta <= math.pi / 2 + EPS:
-            raise ValueError(f"effective angle must be in (0, pi/2], got {self.theta}")
+        _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -354,6 +365,7 @@ def max_angular_gap(bearings) -> float:
 
 
 def _check_theta(theta: float) -> None:
+    check_real("effective angle", theta)
     if not 0.0 < theta <= math.pi / 2 + EPS:
         raise ValueError(f"effective angle must be in (0, pi/2], got {theta}")
 

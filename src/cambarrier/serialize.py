@@ -140,22 +140,41 @@ def camera_from_dict(data: dict, params: dict | None = None) -> CameraPose:
     return _pose(data, _camera_params(data, {} if params is None else params))
 
 
-def _camera_params(data: dict, params: dict) -> CameraParams:
+def _camera_params(data: dict, params: dict, k: int | None = None) -> CameraParams:
     """Check the fields of a camera-file entry, for :func:`camera_from_dict`
     and :func:`plan_duties` alike: the six numbers, then the
     ``(r, phi, theta)`` triple (once per distinct triple, through
     ``params``), then the id, so that an entry with several faults always
-    gets the same error.  Returns the triple's shared
+    gets the same error.  An entry that is not an object, or lacks a
+    field, is named by its index ``k``.  Returns the triple's shared
     :class:`CameraParams`."""
-    key = _non_finite(data, _CAMERA_NUMBERS)
-    if key is not None:
-        raise ValueError(f"camera field {key!r} must be a finite number, got {data[key]!r}")
-    triple = (data["r"], data["phi"], data["theta"])
-    shared = params.get(triple)
-    if shared is None:
-        shared = params[triple] = CameraParams(r=float(triple[0]), phi=float(triple[1]), theta=float(triple[2]))
-    check_integer("camera id", data["id"], 0)
+    if type(data) is not dict:
+        raise _not_object(_camera_path(k), data)
+    try:
+        key = _non_finite(data, _CAMERA_NUMBERS)
+        if key is not None:
+            raise ValueError(f"camera field {key!r} must be a finite number, got {data[key]!r}")
+        triple = (data["r"], data["phi"], data["theta"])
+        shared = params.get(triple)
+        if shared is None:
+            shared = params[triple] = CameraParams(r=float(triple[0]), phi=float(triple[1]), theta=float(triple[2]))
+        check_integer("camera id", data["id"], 0)
+    except KeyError as exc:
+        raise _missing(_camera_path(k), exc) from None
     return shared
+
+
+def _camera_path(k: int | None) -> str:
+    """The path of entry ``k`` of a camera list, or of a lone entry."""
+    return "camera" if k is None else f"cameras[{k}]"
+
+
+def _not_object(path: str, value) -> ValueError:
+    return ValueError(f"{path}: expected a JSON object, got {type(value).__name__}")
+
+
+def _missing(path: str, exc: KeyError) -> ValueError:
+    return ValueError(f"{path}: missing field {exc.args[0]!r}")
 
 
 def _pose(data: dict, params: CameraParams) -> CameraPose:
@@ -172,30 +191,12 @@ def cameras_from_list(entries) -> Cameras:
     entry that is not an object, or lacks a field, is named by its index."""
     entries = list(entries)
     params = {}
-    try:
-        shared = [_camera_params(entry, params) for entry in entries]
-    except (KeyError, TypeError) as exc:
-        raise _entry_shape_error(entries) or exc from None
+    shared = [_camera_params(entry, params, k) for k, entry in enumerate(entries)]
     ids = [entry["id"] for entry in entries]
     x, y, facing = (np.array([entry[key] for entry in entries], dtype=float) for key in ("x", "y", "facing"))
     r = np.array([p.r for p in shared], dtype=float)
     half = np.array([p.phi / 2.0 for p in shared], dtype=float)
     return Cameras(x, y, normalize_bearings(facing), r, half, ids, shared)
-
-
-def _entry_shape_error(entries) -> ValueError | None:
-    """The error of the first entry that is not an object or lacks a
-    field, naming its first missing field in the order
-    :func:`_camera_params` reads them, or None.  Every entry before the
-    one :func:`_camera_params` raised ``KeyError`` or ``TypeError`` on
-    passed its checks, so that entry is the first found here."""
-    for k, entry in enumerate(entries):
-        if type(entry) is not dict:
-            return ValueError(f"cameras[{k}]: expected a JSON object, got {type(entry).__name__}")
-        missing = [key for key in (*_CAMERA_NUMBERS, "id") if key not in entry]
-        if missing:
-            return ValueError(f"cameras[{k}]: missing field {missing[0]!r}")
-    return None
 
 
 def line_deployment_to_dict(dep: LineDeployment) -> dict:
@@ -447,24 +448,108 @@ def _plan_pair(value, key: str, rows: int, cols: int) -> tuple[int, int]:
     raise _plan_error(key, f"a pair of integers in [1, {rows}] x [1, {cols}]", value)
 
 
-def _plan_orientation(value, key: str) -> None:
+def _plan_orientation(value, key: str):
     if value is not None and value != ORIENT_DOWN and value != ORIENT_UP:
         raise _plan_error(key, f"{ORIENT_DOWN!r}, {ORIENT_UP!r} or null", value)
+    return value
 
 
-def _unknown_camera(cells: dict, heads: dict, assignments: dict, cameras: set) -> ValueError:
-    """The error for the first id, taking cells, heads and assignments
-    (``(stationed, down, up, silent)`` per vertex) in turn, that names no
-    camera of the plan; one must exist."""
-    fields = [("cameras", ids) for ids in cells.values()]
-    fields.append(("id", heads.values()))
-    for stationed, down, up, silent in assignments.values():
-        fields += [("stationed", stationed), ("down", (down,)), ("up", (up,)), ("silent", silent)]
-    key, cid = next((key, cid) for key, ids in fields for cid in ids if cid is not None and cid not in cameras)
+def _unknown_camera(known: set, *fields) -> ValueError:
+    """The error for the first id in ``fields``, ``(key, ids)`` pairs,
+    that is not in ``known``; one must be."""
+    key, cid = next((key, cid) for key, ids in fields for cid in ids if cid not in known)
     return _plan_error(key, "the id of a camera in 'cameras'", cid)
 
 
-def plan_duties(data: dict, params: dict | None = None) -> tuple[int, int, dict]:
+def _plan_field(obj, key: str, path: str):
+    """``obj[key]``, where ``obj`` is the value at ``path`` in a plan and
+    must be an object holding ``key``."""
+    if type(obj) is not dict:
+        raise _not_object(path, obj)
+    try:
+        return obj[key]
+    except KeyError as exc:
+        raise _missing(path, exc) from None
+
+
+def _plan_list(data: dict, key: str) -> list:
+    """The section ``data[key]`` of a plan, which must be a list."""
+    entries = _plan_field(data, key, "plan")
+    if type(entries) is not list:
+        raise ValueError(f"{key}: expected a JSON list, got {type(entries).__name__}")
+    return entries
+
+
+def _plan_sections(data: dict, params: dict) -> tuple:
+    """Check a plan JSON in one walk, for :func:`plan_duties` and
+    :func:`plan_from_dict` alike, and return ``(m, n, cells, assignments,
+    heads, deficits)``: each cell's camera ids, each vertex's
+    ``(stationed, down, up, silent)``, each cell's head and the list of
+    ``(vertex, orientation)`` deficits, keyed by ``(i, j)`` pairs.  The
+    camera triples read go into ``params``, as in :func:`camera_from_dict`."""
+    gd = _plan_field(data, "grid", "plan")
+    for key in ("m", "n"):
+        value = _plan_field(gd, key, "grid")
+        if type(value) is not int or value < 1:
+            raise _plan_error(key, "an integer >= 1", value)
+    m, n = gd["m"], gd["n"]
+    if m * n > MAX_CELLS:
+        raise ValueError(f"a {m} x {n} plan grid exceeds {MAX_CELLS} cells")
+    rows, cols = m + 1, n + 1
+    # The ids of the plan's cameras, and None, which stands for an
+    # unfilled duty.
+    known = {None}
+    cells, assignments, heads, deficits = {}, {}, {}, []
+    # ``section`` and ``k`` name the entry being read, for the error when
+    # it lacks the field read next.
+    k = None
+    try:
+        for k, e in enumerate(_plan_list(data, section := "cameras")):
+            _camera_params(e, params, k)
+            known.add(e["id"])
+            _plan_pair(e["vertex"], "vertex", rows, cols)
+            _plan_numbers(e, ("distance",))
+            _plan_orientation(e["orientation"], "orientation")
+        section, k = "grid", None
+        _plan_numbers(gd, ("width", "height", "d"))
+        for k, e in enumerate(_plan_list(data, section := "cells")):
+            if type(e) is not dict:
+                raise _not_object(f"{section}[{k}]", e)
+            cell = _plan_pair(e["cell"], "cell", m, n)
+            cells[cell] = _plan_ids(e["cameras"], "cameras")
+        for k, e in enumerate(_plan_list(data, section := "assignments")):
+            if type(e) is not dict:
+                raise _not_object(f"{section}[{k}]", e)
+            v = _plan_pair(e["vertex"], "vertex", rows, cols)
+            assignments[v] = (_plan_ids(e["stationed"], "stationed"), _plan_duty(e["down"], "down"),
+                              _plan_duty(e["up"], "up"), _plan_ids(e["silent"], "silent"))
+        for k, e in enumerate(_plan_list(data, section := "heads")):
+            if type(e) is not dict:
+                raise _not_object(f"{section}[{k}]", e)
+            cell = _plan_pair(e["cell"], "cell", m, n)
+            heads[cell] = _plan_id(e["id"], "id")
+        for ids in cells.values():
+            if not known.issuperset(ids):
+                raise _unknown_camera(known, ("cameras", ids))
+        if not known.issuperset(heads.values()):
+            raise _unknown_camera(known, ("id", heads.values()))
+        for stationed, down, up, silent in assignments.values():
+            if not (down in known and up in known and known.issuperset(stationed) and known.issuperset(silent)):
+                fields = (("stationed", stationed), ("down", (down,)), ("up", (up,)), ("silent", silent))
+                raise _unknown_camera(known, *fields)
+        if type(_plan_field(data, "d_within_bound", "plan")) is not bool:
+            raise _plan_error("d_within_bound", "true or false", data["d_within_bound"])
+        for k, e in enumerate(_plan_list(data, section := "deficits")):
+            if type(e) is not dict:
+                raise _not_object(f"{section}[{k}]", e)
+            v = _plan_pair(e["vertex"], "vertex", rows, cols)
+            deficits.append((v, _plan_orientation(e["orientation"], "orientation")))
+    except KeyError as exc:
+        raise _missing(section if k is None else f"{section}[{k}]", exc) from None
+    return m, n, cells, assignments, heads, deficits
+
+
+def plan_duties(data: dict) -> tuple[int, int, dict]:
     """Check a plan JSON and return its grid's ``m`` and ``n`` and the
     duties of its lattice: each assigned vertex ``(i, j)`` mapped to its
     ``(down, up)`` camera ids, None for an unfilled duty.  Builds no
@@ -477,60 +562,24 @@ def plan_duties(data: dict, params: dict | None = None) -> tuple[int, int, dict]
     pairs of integers in [1, m] x [1, n] and ``vertex`` pairs in
     [1, m+1] x [1, n+1], ``orientation`` ``"down"``, ``"up"`` or null, and
     ``d_within_bound`` a bool.  Camera fields are checked as in
-    :func:`camera_from_dict`, sharing ``params`` as it does.  A repeated
-    ``cell`` or ``vertex`` entry replaces the earlier one, and every id in
-    the ``cells``, ``heads`` and ``assignments`` entries that remain must
-    name a camera in ``cameras``.  The fields are checked in a fixed
-    order, so a plan with several faults always gets the same error."""
-    gd = data["grid"]
-    for key in ("m", "n"):
-        if type(gd[key]) is not int or gd[key] < 1:
-            raise _plan_error(key, "an integer >= 1", gd[key])
-    m, n = gd["m"], gd["n"]
-    if m * n > MAX_CELLS:
-        raise ValueError(f"a {m} x {n} plan grid exceeds {MAX_CELLS} cells")
-    rows, cols = m + 1, n + 1
-    if params is None:
-        params = {}
-    cameras = set()
-    for c in data["cameras"]:
-        _camera_params(c, params)
-        cameras.add(c["id"])
-        _plan_pair(c["vertex"], "vertex", rows, cols)
-        _plan_numbers(c, ("distance",))
-        _plan_orientation(c["orientation"], "orientation")
-    _plan_numbers(gd, ("width", "height", "d"))
-    cells = {_plan_pair(entry["cell"], "cell", m, n): _plan_ids(entry["cameras"], "cameras") for entry in data["cells"]}
-    assignments = {}
-    for entry in data["assignments"]:
-        v = _plan_pair(entry["vertex"], "vertex", rows, cols)
-        assignments[v] = (
-            _plan_ids(entry["stationed"], "stationed"),
-            _plan_duty(entry["down"], "down"),
-            _plan_duty(entry["up"], "up"),
-            _plan_ids(entry["silent"], "silent"),
-        )
-    heads = {_plan_pair(entry["cell"], "cell", m, n): _plan_id(entry["id"], "id") for entry in data["heads"]}
-    named = set(heads.values())
-    named.update(*cells.values())
-    for stationed, down, up, silent in assignments.values():
-        named.update(stationed, silent, (down, up))
-    named.discard(None)
-    if not named.issubset(cameras):
-        raise _unknown_camera(cells, heads, assignments, cameras)
-    if type(data["d_within_bound"]) is not bool:
-        raise _plan_error("d_within_bound", "true or false", data["d_within_bound"])
-    for entry in data["deficits"]:
-        _plan_pair(entry["vertex"], "vertex", rows, cols)
-        _plan_orientation(entry["orientation"], "orientation")
+    :func:`camera_from_dict`.  The plan must be an object, its sections
+    lists and their entries objects, each holding its fields; the error
+    names the path of one that is not or does not, as
+    ``plan: missing field 'grid'``, ``cells: expected a JSON list, got
+    dict`` or ``heads[0]: missing field 'id'``.  A repeated ``cell`` or
+    ``vertex`` entry replaces the earlier one, and every id in the
+    ``cells``, ``heads`` and ``assignments`` entries that remain must name
+    a camera in ``cameras``.  The fields are checked in a fixed order, so
+    a plan with several faults always gets the same error."""
+    m, n, _, assignments, _, _ = _plan_sections(data, {})
     return m, n, {v: (down, up) for v, (_, down, up, _) in assignments.items()}
 
 
 def plan_from_dict(data: dict) -> DeploymentPlan:
-    """The plan a plan JSON describes, once :func:`plan_duties` has
-    checked it; raises what that raises."""
+    """The plan a plan JSON describes, once :func:`plan_duties`' checks
+    have passed; raises what those raise."""
     params = {}
-    m, n, _ = plan_duties(data, params)
+    m, n, cells, assignments, heads, deficits = _plan_sections(data, params)
     poses = {}
     records = {}
     for c in data["cameras"]:
@@ -549,25 +598,18 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
         d=float(gd["d"]),
         m=m,
         n=n,
-        cell_members={tuple(entry["cell"]): tuple(entry["cameras"]) for entry in data["cells"]},
+        cell_members={cell: tuple(ids) for cell, ids in cells.items()},
         poses=poses,
     )
-    assignments = {}
-    for entry in data["assignments"]:
-        v = tuple(entry["vertex"])
-        assignments[v] = VertexAssignment(
-            vertex=v,
-            stationed=tuple(entry["stationed"]),
-            down=entry["down"],
-            up=entry["up"],
-            silent=tuple(entry["silent"]),
-        )
     return DeploymentPlan(
         grid=grid,
-        heads={tuple(entry["cell"]): entry["id"] for entry in data["heads"]},
-        assignments=assignments,
+        heads=heads,
+        assignments={
+            v: VertexAssignment(vertex=v, stationed=tuple(stationed), down=down, up=up, silent=tuple(silent))
+            for v, (stationed, down, up, silent) in assignments.items()
+        },
         records=records,
-        deficits=tuple((tuple(entry["vertex"]), entry["orientation"]) for entry in data["deficits"]),
+        deficits=tuple(deficits),
         d_within_bound=data["d_within_bound"],
     )
 

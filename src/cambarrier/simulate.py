@@ -44,6 +44,7 @@ from .geometry import (
     Point2D,
     _full_view_mask,
     check_integer,
+    check_real,
     full_view_covered_segment,
     normalize_bearings,
     segment_points,
@@ -113,10 +114,11 @@ class ScenarioConfig:
     samples: int = 101
 
     def __post_init__(self):
-        for side in (self.width, self.height):
+        for name, side in (("width", self.width), ("height", self.height)):
+            check_real(f"region {name}", side)
             # A range test, as for the radius: an int too large for a
             # float fails it rather than raising OverflowError.
-            if isinstance(side, bool) or not 0.0 < side <= sys.float_info.max:
+            if not 0.0 < side <= sys.float_info.max:
                 raise ValueError(
                     f"region dimensions must be positive and finite, got {self.width} x {self.height}"
                 )

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -440,6 +441,46 @@ class TestGridPipeline:
         plan_file.write_text(json.dumps(plan))
         assert run(capsys, command, "--plan", str(plan_file))[0] == 0
 
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ((), [], "plan: expected a JSON object, got list"),
+            ((), {}, "plan: missing field 'grid'"),
+            ((), {"grid": {}}, "grid: missing field 'm'"),
+            (("grid",), 3, "grid: expected a JSON object, got int"),
+            (("grid", "width"), KeyError, "grid: missing field 'width'"),
+            (("cameras",), KeyError, "plan: missing field 'cameras'"),
+            (("cells",), {}, "cells: expected a JSON list, got dict"),
+            (("deficits",), "", "deficits: expected a JSON list, got str"),
+            (("heads", 0, "id"), KeyError, "heads[0]: missing field 'id'"),
+            (("assignments", 1), [], "assignments[1]: expected a JSON object, got list"),
+            (("cameras", 2), 7, "cameras[2]: expected a JSON object, got int"),
+            (("cameras", 0, "x"), KeyError, "cameras[0]: missing field 'x'"),
+            (("cameras", 0, "vertex"), KeyError, "cameras[0]: missing field 'vertex'"),
+            (("cameras", 0, "distance"), KeyError, "cameras[0]: missing field 'distance'"),
+            (("cameras", 0, "orientation"), KeyError, "cameras[0]: missing field 'orientation'"),
+            (("d_within_bound",), KeyError, "plan: missing field 'd_within_bound'"),
+        ],
+        ids=lambda v: "delete" if v is KeyError else json.dumps(v) if not isinstance(v, str) else v,
+    )
+    def test_plan_of_the_wrong_shape_exits_2_naming_the_path(self, capsys, plan_file, command, path, value, message):
+        plan = json.loads(plan_file.read_text())
+        target = plan
+        for key in path[:-1]:
+            target = target[key]
+        if not path:
+            plan = value
+        elif value is KeyError:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        plan_file.write_text(json.dumps(plan))
+        code = main([command, "--plan", str(plan_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_camera_count_is_of_distinct_ids_when_a_plan_names_one_twice(self, capsys, plan_file):
         barrier = json.loads(run(capsys, "barrier", "--plan", str(plan_file))[1])
         assert barrier["camera_count"] == 12
@@ -587,6 +628,26 @@ class TestSimulate:
         assert code == 2
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("r", True, "sensing radius must be a number, got True"),
+            ("r", "5", "sensing radius must be a number, got '5'"),
+            ("theta", "1", "effective angle must be a number, got '1'"),
+            ("phi", True, "field of view must be a number, got True"),
+            ("width", "30", "region width must be a number, got '30'"),
+        ],
+    )
+    def test_value_that_is_not_a_number_exits_2_naming_it(self, tmp_path, capsys, config_file, field, value, message):
+        cfg = json.loads(config_file.read_text())
+        cfg[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["simulate", "--config", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("counts", ["12", {"a": 1}], ids=["string", "object"])
     def test_counts_that_are_not_a_list_exit_2_naming_counts(self, tmp_path, capsys, config_file, counts):
@@ -816,19 +877,24 @@ FUZZ_VALUES = (
 )
 
 
+def slots(tree):
+    """``(parent, key)`` of every value below the root of a JSON tree."""
+    parents = [tree] if isinstance(tree, (dict, list)) else []
+    k = 0
+    while k < len(parents):  # every dict and list of the tree
+        children = parents[k].values() if isinstance(parents[k], dict) else parents[k]
+        parents += [c for c in children if isinstance(c, (dict, list))]
+        k += 1
+    return [(p, key) for p in parents for key in (p if isinstance(p, dict) else range(len(p)))]
+
+
 @st.composite
 def fuzzed(draw, tree):
     """``tree`` as JSON text with one to three fields replaced, deleted,
     wrapped in a list or nested 5,000 deep."""
     tree = copy.deepcopy(tree)
     for _ in range(draw(st.integers(1, 3))):
-        parents = [tree] if isinstance(tree, (dict, list)) else []
-        k = 0
-        while k < len(parents):  # every dict and list of the tree
-            children = parents[k].values() if isinstance(parents[k], dict) else parents[k]
-            parents += [c for c in children if isinstance(c, (dict, list))]
-            k += 1
-        keyed = [(p, key) for p in parents for key in (p if isinstance(p, dict) else range(len(p)))]
+        keyed = slots(tree)
         if not keyed:
             break
         parent, key = draw(st.sampled_from(keyed))
@@ -883,6 +949,54 @@ def test_fuzzed_inputs_exit_2_or_3_without_a_traceback(fuzz_dir, kind, data):
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert code == 0 or err.getvalue().startswith("error: ")
+
+
+#: What a mutation puts in place of a value, the file's root included:
+#: every JSON type, empty and wrong containers, and numbers that are
+#: either off their range or at most 1, so that no mutated config asks
+#: for a longer sweep than the one it came from.
+MUTANTS = (True, False, None, "5", "", [], {}, [1], {"x": 1}, -1, 0, 0.5, math.nan, math.inf, 10**400)
+
+#: Raw Python exception texts that an error message must not hold.
+RAW_TEXTS = (
+    "object is not", "indices must be", "not supported between", "index out of range", "unhashable",
+    "has no attribute", "not iterable", "must be real number", "unsupported operand", "Traceback",
+)
+
+
+@st.composite
+def mutated(draw, tree):
+    """``tree`` with one to three of its values, the root among them,
+    replaced by a :data:`MUTANTS` value, deleted or wrapped in a list."""
+    tree = {"root": copy.deepcopy(tree)}
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = draw(st.sampled_from(slots(tree)))
+        kind = draw(st.sampled_from(("replace", "delete", "wrap")))
+        if kind == "delete" and isinstance(parent, dict) and parent is not tree:
+            del parent[key]
+        elif kind == "wrap":
+            parent[key] = [parent[key]]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+    return json.dumps(tree["root"])
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_INPUTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_with_one_line_naming_the_fault(fuzz_dir, kind, data):
+    path = fuzz_dir / f"{kind}.json"
+    path.write_text(data.draw(mutated(FUZZ_INPUTS[kind])))
+    for argv in FUZZ_COMMANDS[kind]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, str(path), "--out", str(fuzz_dir / "out")])
+        text = err.getvalue()
+        assert code in (0, 2, 3), (argv, text)
+        if code:
+            assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), text
+            assert not re.fullmatch(r"error: '[^']*'\n", text), text  # a bare KeyError
+            assert not any(raw in text for raw in RAW_TEXTS), text
 
 
 def test_every_benchmark_trace_target_resolves(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cambarrier.geometry import (
     bearing_between,
     check_integer,
     check_positive,
+    check_real,
     circular_gaps,
     covers,
     full_view_covered_point,
@@ -66,6 +68,23 @@ class TestTypes:
     def test_params_reject_a_radius_no_float_holds(self, r):
         with pytest.raises(ValueError, match="sensing radius must be positive and finite"):
             CameraParams(r=r, phi=1.0, theta=0.5)
+
+    @pytest.mark.parametrize(
+        "field, name", [("r", "sensing radius"), ("phi", "field of view"), ("theta", "effective angle")]
+    )
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, [1.0]], ids=repr)
+    def test_params_reject_a_value_that_is_not_a_number(self, field, name, value):
+        fields = {"r": 1.0, "phi": 1.0, "theta": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
+            CameraParams(**fields)
+
+    def test_theta_is_checked_as_the_full_view_tests_check_it(self):
+        for theta in (0.0, math.pi, math.nan, "1"):
+            with pytest.raises(ValueError) as params_error:
+                CameraParams(r=1.0, phi=1.0, theta=theta)
+            with pytest.raises(ValueError) as test_error:
+                full_view_covered_point(Point2D(0.0, 0.0), [], theta)
+            assert str(params_error.value) == str(test_error.value)
 
     def test_pose_normalizes_facing(self):
         assert cam(0, 0, -math.pi / 2).facing == pytest.approx(1.5 * math.pi)
@@ -109,6 +128,17 @@ class TestTypes:
         # An int too large for a float is refused, not an OverflowError.
         with pytest.raises(ValueError, match=f"^length must be positive and finite, got {value}$"):
             check_positive("length", value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(False), "5", None, [1], {}], ids=repr)
+    def test_check_positive_rejects_a_bool_or_a_non_number_by_type(self, value):
+        with pytest.raises(ValueError, match=f"^length must be a number, got {re.escape(repr(value))}$"):
+            check_positive("length", value)
+        with pytest.raises(ValueError, match=f"^length must be a number, got {re.escape(repr(value))}$"):
+            check_real("length", value)
+
+    @pytest.mark.parametrize("value", [0, -1.5, 2.5, math.nan, -math.inf, 10**400, np.float64(1.0), np.int8(-3)], ids=repr)
+    def test_check_real_accepts_every_number(self, value):
+        check_real("length", value)
 
 
 class TestCovers:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -397,6 +398,61 @@ def load_outcome(load, data):
         return (type(exc), str(exc))
 
 
+#: The list sections of a plan.
+SECTIONS = ("cameras", "cells", "assignments", "heads", "deficits")
+
+
+class RecordedPlan(dict):
+    """A plan object that lists the keys read from it, in order."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
+def frozen_outcome(data):
+    """The frozen loader's outcome on ``data``, and the first section it
+    read that is not a list, or None.  It iterated any such section, so
+    it took ``{}`` and ``""`` as empty."""
+    if type(data) is not dict:
+        return load_outcome(ref_plan_from_dict, data), None
+    recorded = RecordedPlan(data)
+    outcome = load_outcome(ref_plan_from_dict, recorded)
+    read = [key for key in recorded.read if key in SECTIONS and key in data and type(data[key]) is not list]
+    return outcome, next(iter(read), None)
+
+
+def fault_node(data, path):
+    """The value an error's path names: ``plan``, ``grid``, a section or
+    one of its entries, as ``heads[0]``."""
+    name, k = re.fullmatch(r"(\w+)(?:\[(\d+)\])?", path).groups()
+    value = data if name == "plan" else data[name]
+    return value if k is None else value[int(k)]
+
+
+def assert_same_fault(data, expected, section, got):
+    """``got``, what the plan loaders raised on ``data``, is ``expected``,
+    the frozen loader's outcome, except where that loader read the
+    ``section`` that is not a list, or raised ``KeyError`` or
+    ``TypeError``: there ``got`` names the path of the fault."""
+    if section is not None:
+        assert got == (ValueError, f"{section}: expected a JSON list, got {type(data[section]).__name__}")
+    elif expected[0] in (KeyError, TypeError):
+        assert got[0] is ValueError
+        path, fault = got[1].split(": ", 1)
+        node = fault_node(data, path)
+        if expected[0] is KeyError:
+            assert type(node) is dict and expected[1][1:-1] not in node and fault == f"missing field {expected[1]}"
+        else:
+            assert type(node) is not dict and fault == f"expected a JSON object, got {type(node).__name__}"
+    else:
+        assert got == expected
+
+
 class TestPlanCheck:
     def test_base_plans_cover_the_edge_cases(self):
         assert any(not plan["cameras"] for plan in BASE_PLANS)
@@ -407,12 +463,12 @@ class TestPlanCheck:
     @settings(max_examples=400, deadline=None)
     @given(mutated_plans())
     def test_raises_what_the_object_loader_raised(self, data):
-        expected = load_outcome(ref_plan_from_dict, data)
+        expected, section = frozen_outcome(data)
         duties = load_outcome(plan_duties, data)
         plan = load_outcome(plan_from_dict, data)
-        if isinstance(expected, tuple):
-            assert duties == expected
-            assert plan == expected
+        if isinstance(expected, tuple) or section is not None:
+            assert plan == duties
+            assert_same_fault(data, expected, section, duties)
             return
         m, n, by_vertex = duties
         assert (m, n) == (expected.grid.m, expected.grid.n)
@@ -444,10 +500,11 @@ class TestPlanCheck:
                     node(data, path[:-1]).pop(path[-1], None)
                 else:
                     node(data, path[:-1])[path[-1]] = value
-            expected = load_outcome(ref_plan_from_dict, data)
-            assert isinstance(expected, tuple)
-            assert load_outcome(plan_duties, data) == expected
-            assert load_outcome(plan_from_dict, data) == expected
+            expected, section = frozen_outcome(data)
+            assert isinstance(expected, tuple) and section is None
+            duties = load_outcome(plan_duties, data)
+            assert load_outcome(plan_from_dict, data) == duties
+            assert_same_fault(data, expected, section, duties)
             outcomes.add(expected)
         assert len(outcomes) > 30
 
@@ -536,6 +593,16 @@ class TestCameraLoading:
         assert first == second
         assert first[0].params is not second[0].params
         assert camera_from_dict(entry(0)).params is not first[0].params
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(1, "camera: expected a JSON object, got int"), ({}, "camera: missing field 'x'"),
+         ({key: value for key, value in entry(0).items() if key != "id"}, "camera: missing field 'id'")],
+        ids=["int", "empty", "no id"],
+    )
+    def test_a_lone_entry_of_the_wrong_shape_is_named(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            camera_from_dict(data)
 
     def test_a_bad_triple_is_rejected_wherever_it_appears(self):
         for entries in ([entry(0, r=-1.0)], [entry(0), entry(1, r=-1.0)], [entry(0, r=-1.0), entry(1)]):
