@@ -44,12 +44,6 @@ def normalize_bearings(angles) -> np.ndarray:
     return a
 
 
-def bearing_between(a: float, b: float) -> float:
-    """Smallest circular separation between two bearings, in [0, pi]."""
-    d = abs(math.fmod(a - b, TAU))
-    return min(d, TAU - d)
-
-
 def slack_ceil(x: float) -> int:
     """Ceiling that forgives float noise just below an integer."""
     return math.ceil(x - EPS)
@@ -148,9 +142,6 @@ class Segment:
 
     def length(self) -> float:
         return self.a.distance_to(self.b)
-
-    def midpoint(self) -> Point2D:
-        return Point2D((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
 
 
 #: Slack added to the sensing radius when culling cameras by position.
@@ -321,47 +312,6 @@ class Cameras:
             sees |= np.abs(ux * py - uy * px) < CULL_LINE * length
             keep &= sees
         return self.take(np.flatnonzero(keep))
-
-
-def covers(camera: CameraPose, p: Point2D) -> bool:
-    """True if ``p`` lies inside the camera's sensing sector.
-
-    The point must be closer than the sensing radius and the bearing from
-    the camera to the point must deviate from the facing by less than half
-    the field of view.  Both comparisons carry the EPS slack, so a point
-    exactly on the boundary counts as covered.  A point coincident with
-    the camera is covered (the deviation is undefined there).
-    """
-    dx = p.x - camera.position.x
-    dy = p.y - camera.position.y
-    d = math.hypot(dx, dy)
-    if d <= EPS:
-        return True
-    if d >= camera.params.r + EPS:
-        return False
-    aim = bearing_between(camera.facing, math.atan2(dy, dx))
-    return aim < camera.params.phi / 2.0 + EPS
-
-
-def circular_gaps(bearings) -> list[float]:
-    """Gaps between consecutive bearings on the circle, wrap included.
-
-    A single bearing leaves one gap of 2*pi.  The gaps of any list sum
-    to 2*pi.
-    """
-    if not bearings:
-        raise ValueError("no bearings")
-    ordered = sorted(normalize_bearing(b) for b in bearings)
-    if len(ordered) == 1:
-        return [TAU]
-    gaps = [ordered[k + 1] - ordered[k] for k in range(len(ordered) - 1)]
-    gaps.append(ordered[0] + TAU - ordered[-1])
-    return gaps
-
-
-def max_angular_gap(bearings) -> float:
-    """Largest circular gap between consecutive bearings, in (0, 2*pi]."""
-    return max(circular_gaps(bearings))
 
 
 def _check_theta(theta: float) -> None:
@@ -573,12 +523,3 @@ def full_view_covered_segment(
     xs, ys = segment_points(seg, np.linspace(0.0, 1.0, samples))
     return bool(_full_view_mask(xs, ys, Cameras.of(cameras), theta, axis).all())
 
-
-def midpoint_shortcut_covered(seg: Segment, cameras, theta: float, axis: float | None = 0.0) -> bool:
-    """Full-view test at the midpoint of ``seg`` only.
-
-    Valid as a stand-in for whole-segment coverage only under the
-    canonical two-row deployment geometry; elsewhere use
-    :func:`full_view_covered_segment`.
-    """
-    return full_view_covered_point(seg.midpoint(), cameras, theta, axis=axis)

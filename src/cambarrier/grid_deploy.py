@@ -535,13 +535,6 @@ def staffed_mask(counts) -> np.ndarray:
     return _staffed(down, up)
 
 
-def plan_staffed_mask(plan: DeploymentPlan) -> np.ndarray:
-    """:func:`staffed_cells` of ``plan`` as an (m, n) boolean mask, read
-    from the duties of its assignments, whose vertices must lie on the
-    (m+1) x (n+1) lattice."""
-    return duty_mask(plan.grid.m, plan.grid.n, {v: (a.down, a.up) for v, a in plan.assignments.items()})
-
-
 def duty_mask(m: int, n: int, duties: dict) -> np.ndarray:
     """The staffed cells of an m x n grid as an (m, n) boolean mask, from
     the duties of its (m+1) x (n+1) lattice: ``duties`` maps a vertex

@@ -7,13 +7,14 @@ identical inputs.
 """
 
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from .barrier_graph import BarrierResult, CoverageGraph
-from .geometry import CameraParams, CameraPose, Cameras, Point2D, check_integer, normalize_bearings
+from .geometry import TAU, CameraParams, CameraPose, Cameras, Point2D, check_integer, normalize_bearings
 from .grid_deploy import (
     MAX_CELLS,
     ORIENT_DOWN,
@@ -128,28 +129,18 @@ def _non_finite(data: dict, keys) -> str | None:
     return None
 
 
-def camera_from_dict(data: dict, params: dict | None = None) -> CameraPose:
-    """The camera a camera-file entry describes.  Every field but ``id``
-    must be a finite JSON number; bools, strings, nulls, NaN and
-    infinities are rejected with ``ValueError``, not converted.
-
-    ``params`` maps each ``(r, phi, theta)`` triple read so far in one
-    load to its :class:`CameraParams`, so the cameras of a file share
-    them; a triple's checks do not depend on which camera carries it.
-    """
-    return _pose(data, _camera_params(data, {} if params is None else params))
-
-
-def _camera_params(data: dict, params: dict, k: int | None = None) -> CameraParams:
-    """Check the fields of a camera-file entry, for :func:`camera_from_dict`
-    and :func:`plan_duties` alike: the six numbers, then the
-    ``(r, phi, theta)`` triple (once per distinct triple, through
-    ``params``), then the id, so that an entry with several faults always
-    gets the same error.  An entry that is not an object, or lacks a
-    field, is named by its index ``k``.  Returns the triple's shared
-    :class:`CameraParams`."""
+def _camera_params(data: dict, params: dict, k: int) -> CameraParams:
+    """Check entry ``k`` of a camera list, for :func:`cameras_from_list`
+    and :func:`plan_duties` alike: the six numbers, each a finite JSON
+    number (bools, strings, nulls, NaN and infinities are rejected, not
+    converted), then the ``(r, phi, theta)`` triple (once per distinct
+    triple, through ``params``, so the cameras of one load share their
+    :class:`CameraParams`), then the id, so that an entry with several
+    faults always gets the same error.  An entry that is not an object, or
+    lacks a field, is named by its index ``k``.  Returns the triple's
+    shared :class:`CameraParams`."""
     if type(data) is not dict:
-        raise _not_object(_camera_path(k), data)
+        raise _not_object(f"cameras[{k}]", data)
     try:
         key = _non_finite(data, _CAMERA_NUMBERS)
         if key is not None:
@@ -160,13 +151,8 @@ def _camera_params(data: dict, params: dict, k: int | None = None) -> CameraPara
             shared = params[triple] = CameraParams(r=float(triple[0]), phi=float(triple[1]), theta=float(triple[2]))
         check_integer("camera id", data["id"], 0)
     except KeyError as exc:
-        raise _missing(_camera_path(k), exc) from None
+        raise _missing(f"cameras[{k}]", exc) from None
     return shared
-
-
-def _camera_path(k: int | None) -> str:
-    """The path of entry ``k`` of a camera list, or of a lone entry."""
-    return "camera" if k is None else f"cameras[{k}]"
 
 
 def _not_object(path: str, value) -> ValueError:
@@ -177,18 +163,24 @@ def _missing(path: str, exc: KeyError) -> ValueError:
     return ValueError(f"{path}: missing field {exc.args[0]!r}")
 
 
+#: A facing just below 2*pi is written as this, which is past 2*pi and
+#: would wrap to about 3e-9; it reads back as the largest bearing below
+#: 2*pi, which is written the same way.
+_TAU_TEXT = float(f"{TAU:.9g}")
+_BELOW_TAU = math.nextafter(TAU, 0.0)
+
+
 def _pose(data: dict, params: CameraParams) -> CameraPose:
-    """The pose of a camera-file entry :func:`_camera_params` passed."""
-    return CameraPose(
-        id=data["id"], position=Point2D(float(data["x"]), float(data["y"])), facing=float(data["facing"]), params=params
-    )
+    """The pose of a camera-file entry :func:`_camera_params` passed, its
+    numbers as written."""
+    facing = _BELOW_TAU if data["facing"] == _TAU_TEXT else data["facing"]
+    return CameraPose(id=data["id"], position=Point2D(data["x"], data["y"]), facing=facing, params=params)
 
 
 def cameras_from_list(entries) -> Cameras:
     """The cameras of a camera file, in file order, as arrays; no pose is
-    built.  Every entry is checked by :func:`camera_from_dict`'s checks, in
-    file order, so a file with faults gets the error of the first.  An
-    entry that is not an object, or lacks a field, is named by its index."""
+    built.  Every entry is checked by :func:`_camera_params`, in file
+    order, so a file with faults gets the error of the first."""
     entries = list(entries)
     params = {}
     shared = [_camera_params(entry, params, k) for k, entry in enumerate(entries)]
@@ -408,6 +400,16 @@ def _deficit_tail(j: int) -> str:
     return f'{j}\n      ]\n    }}'
 
 
+def _size(value: int) -> str:
+    """A grid size for an error message: as written up to 12 digits, past
+    that as ``1.00e+400``, so that the message stays one short line."""
+    if value < 10**12:
+        return str(value)
+    from decimal import Decimal  # imported here, off the start-up path
+
+    return f"{Decimal(value):.3g}"
+
+
 def _plan_error(key: str, expected: str, value) -> ValueError:
     return ValueError(f"plan field {key!r} must be {expected}, got {value!r}")
 
@@ -480,13 +482,12 @@ def _plan_list(data: dict, key: str) -> list:
     return entries
 
 
-def _plan_sections(data: dict, params: dict) -> tuple:
+def _plan_sections(data: dict) -> tuple:
     """Check a plan JSON in one walk, for :func:`plan_duties` and
     :func:`plan_from_dict` alike, and return ``(m, n, cells, assignments,
     heads, deficits)``: each cell's camera ids, each vertex's
     ``(stationed, down, up, silent)``, each cell's head and the list of
-    ``(vertex, orientation)`` deficits, keyed by ``(i, j)`` pairs.  The
-    camera triples read go into ``params``, as in :func:`camera_from_dict`."""
+    ``(vertex, orientation)`` deficits, keyed by ``(i, j)`` pairs."""
     gd = _plan_field(data, "grid", "plan")
     for key in ("m", "n"):
         value = _plan_field(gd, key, "grid")
@@ -494,8 +495,9 @@ def _plan_sections(data: dict, params: dict) -> tuple:
             raise _plan_error(key, "an integer >= 1", value)
     m, n = gd["m"], gd["n"]
     if m * n > MAX_CELLS:
-        raise ValueError(f"a {m} x {n} plan grid exceeds {MAX_CELLS} cells")
+        raise ValueError(f"a {_size(m)} x {_size(n)} plan grid exceeds {MAX_CELLS} cells")
     rows, cols = m + 1, n + 1
+    params = {}
     # The ids of the plan's cameras, and None, which stands for an
     # unfilled duty.
     known = {None}
@@ -562,7 +564,7 @@ def plan_duties(data: dict) -> tuple[int, int, dict]:
     pairs of integers in [1, m] x [1, n] and ``vertex`` pairs in
     [1, m+1] x [1, n+1], ``orientation`` ``"down"``, ``"up"`` or null, and
     ``d_within_bound`` a bool.  Camera fields are checked as in
-    :func:`camera_from_dict`.  The plan must be an object, its sections
+    :func:`cameras_from_list`.  The plan must be an object, its sections
     lists and their entries objects, each holding its fields; the error
     names the path of one that is not or does not, as
     ``plan: missing field 'grid'``, ``cells: expected a JSON list, got
@@ -571,31 +573,40 @@ def plan_duties(data: dict) -> tuple[int, int, dict]:
     ``cells``, ``heads`` and ``assignments`` entries that remain must name
     a camera in ``cameras``.  The fields are checked in a fixed order, so
     a plan with several faults always gets the same error."""
-    m, n, _, assignments, _, _ = _plan_sections(data, {})
+    m, n, _, assignments, _, _ = _plan_sections(data)
     return m, n, {v: (down, up) for v, (_, down, up, _) in assignments.items()}
 
 
 def plan_from_dict(data: dict) -> DeploymentPlan:
     """The plan a plan JSON describes, once :func:`plan_duties`' checks
-    have passed; raises what those raise."""
-    params = {}
-    m, n, cells, assignments, heads, deficits = _plan_sections(data, params)
+    have passed; raises what those raise.  Numbers are kept as written, so
+    a plan the library wrote reads back to its own bytes; cameras with
+    the same ``(r, phi, theta)``, written alike, share their
+    :class:`CameraParams`."""
+    m, n, cells, assignments, heads, deficits = _plan_sections(data)
+    shared = {}
     poses = {}
     records = {}
     for c in data["cameras"]:
-        pose = poses[c["id"]] = _pose(c, params[c["r"], c["phi"], c["theta"]])
+        triple = (c["r"], c["phi"], c["theta"])
+        # Keyed by type too: 5 == 5.0, but the plan writes them apart.
+        key = (triple, tuple(map(type, triple)))
+        params = shared.get(key)
+        if params is None:
+            params = shared[key] = CameraParams(*triple)
+        pose = poses[c["id"]] = _pose(c, params)
         records[pose.id] = CameraRecord(
             camera_id=pose.id,
             origin=pose.position,
             vertex=tuple(c["vertex"]),
-            distance=float(c["distance"]),
+            distance=c["distance"],
             orientation=c["orientation"],
         )
     gd = data["grid"]
     grid = GridModel(
-        width=float(gd["width"]),
-        height=float(gd["height"]),
-        d=float(gd["d"]),
+        width=gd["width"],
+        height=gd["height"],
+        d=gd["d"],
         m=m,
         n=n,
         cell_members={cell: tuple(ids) for cell, ids in cells.items()},
@@ -645,7 +656,6 @@ __all__ = [
     "format_number",
     "sweep_csv_text",
     "camera_to_dict",
-    "camera_from_dict",
     "cameras_from_list",
     "line_deployment_to_dict",
     "line_deployment_json",

@@ -75,7 +75,7 @@ def ref_full_view_point(p, cameras, theta, axis=0.0):
 
 
 def boundary_margin(p, cameras):
-    """Smallest distance of the scene from any covers() decision boundary.
+    """Smallest distance of the scene from any ref_covers() decision boundary.
 
     Used by randomized equivalence tests to skip configurations where a
     single float ulp could legitimately flip the verdict.

@@ -401,6 +401,23 @@ class TestGridPipeline:
 
     @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
     @pytest.mark.parametrize(
+        "m, n, sizes",
+        [(10**400, 8, "1.00e+400 x 8"), (3, 2**64, "3 x 1.84e+19"), (10**12 - 1, 10**12, "999999999999 x 1.00e+12")],
+        ids=["huge m", "huge n", "12 and 13 digits"],
+    )
+    def test_an_oversized_plan_grid_is_named_in_one_short_line(self, capsys, plan_file, command, m, n, sizes):
+        plan = json.loads(plan_file.read_text())
+        plan["grid"]["m"], plan["grid"]["n"] = m, n
+        plan_file.write_text(json.dumps(plan))
+        code = main([command, "--plan", str(plan_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: a {sizes} plan grid exceeds {MAX_CELLS} cells\n"
+        assert len(captured.err) < 120
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["barrier", "k-barrier"])
+    @pytest.mark.parametrize(
         "section, key, pair",
         [
             ("cells", "cell", [0, 1]),
@@ -526,7 +543,7 @@ class TestGridPipeline:
             return fail
 
         for module in (serialize, cli):
-            for name in ("plan_from_dict", "camera_from_dict", "cameras_from_list"):
+            for name in ("plan_from_dict", "cameras_from_list"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbid(name))
         for cls in (grid_deploy.DeploymentPlan, grid_deploy.CameraRecord, grid_deploy.VertexAssignment,

@@ -1,11 +1,15 @@
 """The package imports no name it leaves unused, except the shims that the
-benchmark's tracer wraps by module attribute, and defines no private
-module-level helper that nothing in it reads."""
+benchmark's tracer wraps by module attribute, defines no private
+module-level helper that nothing in it reads, and exports no name that
+nothing in it reads unless the name is kept for a stated reason."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import cambarrier
+from cambarrier import serialize
 
 PACKAGE = Path(cambarrier.__file__).parent
 
@@ -109,3 +113,61 @@ def test_the_check_sees_a_dead_helper():
     assert private_definitions(source) == {"_LIMIT", "_USED", "_check_radius", "_Spare"}
     assert private_definitions(source) - names_read(source) == {"_LIMIT", "_check_radius", "_Spare"}
     assert "attr" in names_read(source) and "_USED" in names_read(source)
+
+
+#: Exported names that no package module reads, each with the reason it
+#: stays: "tracer", ``bench/spans.py`` wraps it (ROADMAP item 5);
+#: "reference", the dict view a byte writer's tests compare against;
+#: "paper", a step or check the paper names, which the tests run;
+#: "item 1", the sweep the planned ``count-sweep`` command writes
+#: (ROADMAP item 1).  Delete an entry with its name, or once a module
+#: reads the name.
+KEPT_EXPORTS = {
+    "assign_orientations": "paper",
+    "assign_to_vertices": "paper",
+    "barrier_camera_count_sweep": "item 1",
+    "barrier_exists_mobile": "tracer",
+    "barrier_exists_static": "tracer",
+    "barrier_to_dict": "reference",
+    "build_graph": "tracer",
+    "camera_density": "paper",
+    "cell_full_view_verified": "paper",
+    "distinct_cameras": "tracer",
+    "elect_grid_heads": "paper",
+    "full_view_covered_point": "paper",
+    "graph_to_dict": "tracer",
+    "k_barrier_count": "tracer",
+    "line_deployment_to_dict": "reference",
+    "plan_from_dict": "tracer",
+    "prune_degree_one": "tracer",
+    "random_deploy": "tracer",
+    "shortest_barrier": "tracer",
+    "staffed_cells": "tracer",
+    "validate_params": "paper",
+}
+
+
+def unread_exports(exported, sources: dict) -> set[str]:
+    """The names in ``exported`` that no module of ``sources``, a map from
+    file name to source text, reads; ``__init__.py`` does not count, as
+    it reads every name it re-exports."""
+    read = set().union(*(names_read(source) for name, source in sources.items() if name != "__init__.py"))
+    return set(exported) - read
+
+
+def test_every_export_is_read_in_the_package_or_kept_for_a_reason(monkeypatch):
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_exports(cambarrier.__all__ + serialize.__all__, sources) == KEPT_EXPORTS.keys()
+    assert set(KEPT_EXPORTS.values()) == {"tracer", "reference", "paper", "item 1"}
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    traced = {name for _, name, _ in importlib.import_module("spans").TARGETS}
+    assert {name for name, reason in KEPT_EXPORTS.items() if reason == "tracer"} <= traced
+
+
+def test_the_check_sees_a_stray_export():
+    sources = {
+        "__init__.py": "from .a import stray, used\n\n__all__ = ['stray', 'used']\nstray()\n",
+        "a.py": "def used():\n    return 1\n\n\ndef stray():\n    return used()\n",
+    }
+    assert unread_exports(["stray", "used"], sources) == {"stray"}

@@ -23,16 +23,11 @@ from cambarrier.geometry import (
     _in_range,
     _mod_tau,
     _wrap_negative,
-    bearing_between,
     check_integer,
     check_positive,
     check_real,
-    circular_gaps,
-    covers,
     full_view_covered_point,
     full_view_covered_segment,
-    max_angular_gap,
-    midpoint_shortcut_covered,
     normalize_bearing,
     normalize_bearings,
     segment_points,
@@ -42,7 +37,6 @@ from cambarrier.line_model import place_line_deployment
 from helpers import boundary_margin, ref_covers, ref_full_view_point
 
 NORTH = math.pi / 2
-DEG = math.pi / 180.0
 
 
 def cam(x, y, facing, r=1.0, phi=math.pi / 3, theta=math.pi / 4, cid=0):
@@ -98,9 +92,6 @@ class TestTypes:
             b = normalize_bearing(a)
             assert 0.0 <= b < TAU
 
-    def test_bearing_between_wraps(self):
-        assert bearing_between(350 * DEG, 10 * DEG) == pytest.approx(20 * DEG)
-
     @pytest.mark.parametrize("value", [0, 3, 10**30, np.int64(3), np.uint8(0)], ids=repr)
     def test_check_integer_accepts_integers_at_or_above_the_minimum(self, value):
         check_integer("count", value, 0)
@@ -141,28 +132,33 @@ class TestTypes:
         check_real("length", value)
 
 
-class TestCovers:
+def usable(c, p):
+    """Whether ``c`` gives ``p`` a bearing: with theta = pi/2 and the axis
+    exempt, one camera away from ``p`` passes the full-view test exactly
+    when ``p`` lies in its sector."""
+    return full_view_covered_point(p, [c], math.pi / 2, axis=0.0)
+
+
+class TestSector:
     def test_on_axis_inside_radius(self):
-        assert covers(cam(0, 0, NORTH), Point2D(0, 0.5))
+        assert usable(cam(0, 0, NORTH), Point2D(0, 0.5))
 
     def test_outside_radius(self):
-        assert not covers(cam(0, 0, NORTH), Point2D(0, 1.5))
+        assert not usable(cam(0, 0, NORTH), Point2D(0, 1.5))
 
     def test_off_axis_angle(self):
         # 45 degrees off a 60-degree field of view
-        assert not covers(cam(0, 0, NORTH), Point2D(0.5, 0.5))
-
-    def test_coincident_point_is_covered(self):
-        assert covers(cam(2, 3, 0.1), Point2D(2, 3))
+        assert not usable(cam(0, 0, NORTH), Point2D(0.5, 0.5))
 
     def test_boundary_gets_epsilon_slack(self):
         # exactly on the circle counts, clearly beyond it does not
-        assert covers(cam(0, 0, NORTH, r=1.0), Point2D(0, 1.0))
-        assert not covers(cam(0, 0, NORTH, r=1.0), Point2D(0, 1.0 + 1e-6))
+        assert usable(cam(0, 0, NORTH, r=1.0), Point2D(0, 1.0))
+        assert not usable(cam(0, 0, NORTH, r=1.0), Point2D(0, 1.0 + 1e-6))
         # same for the angular edge: the half-FoV ray itself is in
         edge = cam(0, 0, NORTH, phi=math.pi / 2)
-        on_ray = Point2D(math.sin(math.pi / 4) * 0.5, math.cos(math.pi / 4) * 0.5)
-        assert covers(edge, on_ray)
+        for off, inside in ((0.0, True), (1e-6, False)):
+            ray = math.pi / 4 + off
+            assert usable(edge, Point2D(math.sin(ray) * 0.5, math.cos(ray) * 0.5)) is inside
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(7)
@@ -182,30 +178,57 @@ class TestCovers:
 
             c2 = cam(*move(cx, cy), facing + rot, r=r, phi=phi)
             p2 = Point2D(*move(px, py))
-            assert covers(c, p) == covers(c2, p2)
+            assert usable(c, p) == usable(c2, p2)
 
 
-class TestMaxAngularGap:
-    def test_symmetric_square(self):
-        assert max_angular_gap([0, 90 * DEG, 180 * DEG, 270 * DEG]) == pytest.approx(90 * DEG)
+def ring(p, bearings_deg):
+    """Cameras 0.5 from ``p`` at the given bearings (degrees), each facing
+    ``p``: each covers ``p`` and gives it exactly that bearing."""
+    cams = []
+    for i, deg in enumerate(bearings_deg):
+        b = math.radians(deg)
+        pos = Point2D(p.x + 0.5 * math.cos(b), p.y + 0.5 * math.sin(b))
+        cams.append(CameraPose(i, pos, normalize_bearing(b + math.pi), CameraParams(1.0, math.pi / 2, math.pi / 4)))
+    return cams
 
-    def test_single_bearing_full_circle(self):
-        assert max_angular_gap([0.0]) == pytest.approx(TAU)
 
-    def test_wraparound(self):
-        assert max_angular_gap([350 * DEG, 10 * DEG]) == pytest.approx(340 * DEG)
+def widest_gap(bearings):
+    """The widest circular gap between ``bearings`` (radians), plain math:
+    a full turn for a single bearing."""
+    b = sorted(bearings)
+    return max([b[0] + TAU - b[-1]] + [hi - lo for lo, hi in zip(b, b[1:])])
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no bearings"):
-            max_angular_gap([])
 
-    @given(st.lists(st.floats(0, TAU - 1e-12), min_size=1, max_size=24))
-    def test_gaps_sum_to_full_circle(self, bearings):
-        gaps = circular_gaps(bearings)
-        assert sum(gaps) == pytest.approx(TAU, abs=1e-9)
-        g = max_angular_gap(bearings)
-        assert 0.0 < g <= TAU + 1e-12
-        assert g >= TAU / len(bearings) - 1e-12
+class TestWidestGap:
+    def test_a_gap_of_exactly_two_theta_passes_and_a_wider_one_fails(self):
+        cams = ring(Point2D(0, 0), [0, 90, 180, 270])
+        assert full_view_covered_point(Point2D(0, 0), cams, math.pi / 4, axis=None)
+        assert not full_view_covered_point(Point2D(0, 0), cams, math.pi / 4 - 1e-6, axis=None)
+
+    def test_a_single_bearing_leaves_the_full_circle_open(self):
+        cams = ring(Point2D(0, 0), [90])
+        assert not full_view_covered_point(Point2D(0, 0), cams, math.pi / 2, axis=None)
+        # the exempt axis is what lets the same camera pass
+        assert full_view_covered_point(Point2D(0, 0), cams, math.pi / 2, axis=0.0)
+
+    @pytest.mark.parametrize("turn", [0, -60], ids=["across-zero", "interior"])
+    def test_the_gap_across_zero_counts_like_any_other(self, turn):
+        # gaps 90, 90, 75, 105: the 105-degree one is across bearing 0 or
+        # inside the sorted bearings, depending on the turn
+        p = Point2D(2, -1)
+        cams = ring(p, [deg + turn for deg in (45, 135, 225, 300)])
+        assert not full_view_covered_point(p, cams, math.radians(52), axis=None)
+        assert full_view_covered_point(p, cams, math.radians(53), axis=None)
+
+    @given(
+        st.lists(st.floats(0, 359.999), min_size=1, max_size=12),
+        st.floats(0.05, math.pi / 2),
+    )
+    def test_passes_exactly_when_the_widest_gap_is_at_most_two_theta(self, bearings_deg, theta):
+        gap = TAU if len(bearings_deg) == 1 else widest_gap([math.radians(deg) for deg in bearings_deg])
+        assume(abs(gap - 2 * theta) > 1e-6)
+        p = Point2D(0.25, 0.75)
+        assert full_view_covered_point(p, ring(p, bearings_deg), theta, axis=None) == (gap <= 2 * theta)
 
 
 class TestFullViewPoint:
@@ -807,6 +830,19 @@ class TestSegment:
         with pytest.raises(ValueError):
             full_view_covered_segment(seg, [], math.pi / 4, samples=1)
 
+    def test_every_canonical_subline_passes(self):
+        dep = place_line_deployment(Segment(Point2D(0, 0), Point2D(100, 0)), 5.0)
+        delta = dep.params.delta
+        for k in range(5):
+            sub = Segment(Point2D(k * delta, 0), Point2D((k + 1) * delta, 0))
+            assert full_view_covered_segment(sub, list(dep.cameras), math.pi / 4, samples=1001)
+
+    def test_single_camera_above_the_midpoint_fails(self):
+        # one bearing (north) and the two exempt ones leave the south open
+        seg = Segment(Point2D(0, 0), Point2D(2, 0))
+        lone = cam(1.0, 0.5, 1.5 * math.pi, r=2.0, phi=math.pi)
+        assert not full_view_covered_segment(seg, [lone], math.pi / 4)
+
     def test_canonical_subline_passes_and_halved_radius_fails(self):
         r = 5.0
         barrier = Segment(Point2D(0, 0), Point2D(100, 0))
@@ -822,22 +858,3 @@ class TestSegment:
             for c in dep.cameras
         ]
         assert not full_view_covered_segment(sub, halved, math.pi / 4, samples=101)
-
-
-class TestMidpointShortcut:
-    def test_canonical_sublines_pass(self):
-        dep = place_line_deployment(Segment(Point2D(0, 0), Point2D(100, 0)), 5.0)
-        delta = dep.params.delta
-        for k in range(5):
-            sub = Segment(Point2D(k * delta, 0), Point2D((k + 1) * delta, 0))
-            assert midpoint_shortcut_covered(sub, list(dep.cameras), math.pi / 4)
-            # agreement with the sampling check under canonical geometry
-            assert full_view_covered_segment(sub, list(dep.cameras), math.pi / 4, samples=1001)
-
-    def test_empty_cameras_false(self):
-        assert not midpoint_shortcut_covered(Segment(Point2D(0, 0), Point2D(1, 0)), [], math.pi / 4)
-
-    def test_single_camera_above_midpoint_false(self):
-        seg = Segment(Point2D(0, 0), Point2D(2, 0))
-        lone = cam(1.0, 0.5, 1.5 * math.pi, r=2.0, phi=math.pi)
-        assert not midpoint_shortcut_covered(seg, [lone], math.pi / 4)

@@ -15,11 +15,11 @@ from cambarrier.grid_deploy import (
     cell_counts,
     cell_full_view_verified,
     cell_fully_staffed,
+    duty_mask,
     elect_grid_heads,
     grid_length_bound,
     grid_shape,
     partition,
-    plan_staffed_mask,
     run_algorithm1,
     staffed_cells,
     staffed_mask,
@@ -129,6 +129,12 @@ def staffed_from_plan(width, height, cams, d):
     return mask
 
 
+def duty_mask_of(plan):
+    """The mask the plan commands compute: :func:`duty_mask` of the duties
+    of ``plan``'s assignments."""
+    return duty_mask(plan.grid.m, plan.grid.n, {v: (a.down, a.up) for v, a in plan.assignments.items()})
+
+
 class TestStaffedMask:
     def test_matches_relocation_on_random_deployments(self):
         rng = np.random.default_rng(59)
@@ -176,7 +182,7 @@ class TestStaffedMask:
             width, height = float(rng.uniform(0.5, 6) * d), float(rng.uniform(0.5, 6) * d)
             m, n = grid_shape(width, height, d)
             cams = random_cameras(rng, int(rng.integers(0, 10 * m * n)), width, height)
-            got = plan_staffed_mask(run_algorithm1(width, height, cams, d))
+            got = duty_mask_of(run_algorithm1(width, height, cams, d))
             assert got.shape == (m, n)
             assert (got == staffed_from_plan(width, height, cams, d)).all()
             staffed += int(got.sum())
@@ -188,13 +194,13 @@ class TestStaffedMask:
         # staff nothing more.
         d = grid_length_bound(5.0)
         plan = run_algorithm1(2 * d, d, [cam(k, 0.4 + 0.1 * k, 0.4) for k in range(4)], d)
-        assert plan_staffed_mask(plan).tolist() == [[True, False]]
+        assert duty_mask_of(plan).tolist() == [[True, False]]
         extra = {
             (1, 3): VertexAssignment((1, 3), (9,), None, 9, ()),
             (2, 3): VertexAssignment((2, 3), (8,), 8, None, ()),
         }
         odd = replace(plan, assignments={**plan.assignments, **extra})
-        assert plan_staffed_mask(odd).tolist() == [[True, False]]
+        assert duty_mask_of(odd).tolist() == [[True, False]]
         assert staffed_cells(odd) == {(1, 1)}
 
     def test_no_cameras_staff_nothing(self):

@@ -15,10 +15,10 @@ from cambarrier import geometry
 from cambarrier.cli import main
 from cambarrier.geometry import EPS, CameraParams, CameraPose, Cameras, Point2D, Segment, full_view_covered_segment
 from cambarrier.grid_deploy import partition, run_algorithm1
-from cambarrier.serialize import camera_from_dict, camera_to_dict, cameras_from_list, plan_from_dict, plan_json
+from cambarrier.serialize import camera_to_dict, cameras_from_list, plan_from_dict, plan_json
 from cambarrier.simulate import ScenarioConfig, barrier_exists_mobile
 
-from helpers import ref_plan_from_dict, ref_plan_json, ref_run_algorithm1
+from helpers import ref_plan_json, ref_run_algorithm1
 
 #: Hardware a scenario mixes: integer fields, tiny and huge radii.
 HARDWARE = (
@@ -62,6 +62,13 @@ def scenarios(draw):
     return width, height, d, cameras
 
 
+def pose_of(entry):
+    """The pose a camera-file entry describes, made directly with every
+    number a float, as the camera-file loader reads it."""
+    params = CameraParams(r=float(entry["r"]), phi=float(entry["phi"]), theta=float(entry["theta"]))
+    return CameraPose(entry["id"], Point2D(float(entry["x"]), float(entry["y"])), float(entry["facing"]), params)
+
+
 def assert_same_plan(plan, ref):
     assert plan.grid.cell_members == ref.grid.cell_members
     assert plan.grid.poses == ref.grid.poses
@@ -92,7 +99,7 @@ class TestAgainstTheObjectPipeline:
         width, height, d, cameras = scenario
         entries = json.loads(json.dumps([camera_to_dict(c) for c in cameras]))
         table = cameras_from_list(entries)
-        loaded = [camera_from_dict(e) for e in entries]
+        loaded = [pose_of(e) for e in entries]
         assert list(table) == loaded
         assert plan_json(run_algorithm1(width, height, table, d)) == ref_plan_json(
             ref_run_algorithm1(width, height, loaded, d)
@@ -100,11 +107,20 @@ class TestAgainstTheObjectPipeline:
 
     @settings(max_examples=100, deadline=None)
     @given(scenarios())
-    def test_a_loaded_plan_writes_the_bytes_of_the_object_loader(self, scenario):
-        # A loaded plan holds floats where the plan held ints, as it did.
+    def test_a_loaded_plan_writes_its_own_bytes(self, scenario):
+        # Integer lengths, coordinates and hardware read back as written.
         width, height, d, cameras = scenario
         text = plan_json(run_algorithm1(width, height, cameras, d))
-        assert plan_json(plan_from_dict(json.loads(text))) == ref_plan_json(ref_plan_from_dict(json.loads(text)))
+        assert plan_json(plan_from_dict(json.loads(text))) == text
+
+    def test_a_loaded_plan_keeps_ints_apart_and_a_facing_just_below_a_turn(self):
+        cameras = [
+            CameraPose(0, Point2D(1, 1), -1e-12, HARDWARE[1]),  # facing written as 6.28318531
+            CameraPose(1, Point2D(3, 1), 0.5, CameraParams(r=3.0, phi=2.0, theta=1.0)),  # HARDWARE[1] as floats
+        ]
+        text = plan_json(run_algorithm1(4, 2, cameras, 2))
+        assert '"facing": 6.28318531,' in text and '"r": 3,' in text and '"r": 3.0,' in text and '"d": 2,' in text
+        assert plan_json(plan_from_dict(json.loads(text))) == text
 
     def test_unequal_plans_compare_unequal(self):
         cameras = [CameraPose(k, Point2D(0.5 + k, 0.5), 0.0, HARDWARE[0]) for k in range(6)]
@@ -158,7 +174,7 @@ def test_the_workload_camera_files_write_the_object_pipelines_bytes():
                 for k in range(count)
             ]
             d = 2 * r / math.sqrt(5)
-            loaded = [camera_from_dict(e) for e in entries]
+            loaded = [pose_of(e) for e in entries]
             assert plan_json(run_algorithm1(width, height, cameras_from_list(entries), d)) == ref_plan_json(
                 ref_run_algorithm1(width, height, loaded, d)
             )
@@ -200,20 +216,19 @@ class TestCameras:
         entries = [{"id": 7, "x": 1.5, "y": 2.0, "facing": 7.0, "r": 5.0, "phi": 2.0, "theta": 1.0}]
         cams = cameras_from_list(entries)
         assert cams.poses is None
-        assert cams[0] == camera_from_dict(entries[0])
+        assert cams[0] == pose_of(entries[0])
         assert cams[0].facing == geometry.normalize_bearing(7.0)
 
     def test_entries_may_come_from_a_generator(self):
         entries = [{"id": k, "x": 1.5 * k, "y": 2.0, "facing": 0.5, "r": 5.0, "phi": 2.0, "theta": 1.0} for k in range(4)]
         cams = cameras_from_list(entry for entry in entries)
-        assert cams == cameras_from_list(entries) and list(cams) == [camera_from_dict(e) for e in entries]
+        assert cams == cameras_from_list(entries) and list(cams) == [pose_of(e) for e in entries]
 
     def test_loaded_cameras_hold_the_arrays_of_their_poses(self):
         rng = np.random.default_rng(5)
         for count in (0, 1, 40):
             entries = camera_file(rng, count)
-            params = {}
-            from_poses = Cameras.of([camera_from_dict(e, params) for e in entries])
+            from_poses = Cameras.of([pose_of(e) for e in entries])
             loaded = cameras_from_list(entries)
             for name in ("x", "y", "facing", "r", "half"):
                 a, b = getattr(loaded, name), getattr(from_poses, name)
@@ -226,7 +241,7 @@ class TestCameras:
         rng = np.random.default_rng(6)
         seg = Segment(Point2D(0.0, 0.0), Point2D(4.0, 0.0))
         entries = camera_file(rng, 60)
-        poses = [camera_from_dict(e) for e in entries]
+        poses = [pose_of(e) for e in entries]
         for cams in (cameras_from_list(entries), Cameras.of(poses)):
             order = rng.permutation(len(cams))[:25].tolist()
             for sub, rows in (
@@ -251,7 +266,7 @@ class TestCameras:
         outcomes = set()
         for _ in range(40):
             entries = camera_file(rng, int(rng.integers(0, 80)))
-            loaded, poses = cameras_from_list(entries), [camera_from_dict(e) for e in entries]
+            loaded, poses = cameras_from_list(entries), [pose_of(e) for e in entries]
             for theta in (math.pi / 4, math.pi / 2):
                 verdict = full_view_covered_segment(seg, poses, theta, samples=21)
                 assert full_view_covered_segment(seg, loaded, theta, samples=21) == verdict

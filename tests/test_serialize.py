@@ -5,6 +5,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from hypothesis import strategies as st
 
 from cambarrier.barrier_graph import barrier_json, build_graph, extract_barrier
 from cambarrier.geometry import CameraParams, CameraPose, Point2D, Segment
-from cambarrier.grid_deploy import duty_mask, plan_staffed_mask, run_algorithm1
+from cambarrier.grid_deploy import duty_mask, run_algorithm1, staffed_cells
 from cambarrier.line_model import LineDeploymentParams, place_line_deployment
 from cambarrier.serialize import (
     barrier_to_dict,
-    camera_from_dict,
     camera_to_dict,
     cameras_from_list,
     dumps,
@@ -434,12 +434,28 @@ def fault_node(data, path):
     return value if k is None else value[int(k)]
 
 
+def assert_names_size(text, size):
+    """``text`` names the grid size ``size``: in full up to 12 digits,
+    past that to 3 significant digits."""
+    if size < 10**12:
+        assert text == str(size)
+    else:
+        assert re.fullmatch(r"\d\.\d\de\+\d+", text) and abs(Decimal(text) - size) * 200 <= size
+
+
 def assert_same_fault(data, expected, section, got):
     """``got``, what the plan loaders raised on ``data``, is ``expected``,
     the frozen loader's outcome, except where that loader read the
     ``section`` that is not a list, or raised ``KeyError`` or
-    ``TypeError``: there ``got`` names the path of the fault."""
-    if section is not None:
+    ``TypeError``: there ``got`` names the path of the fault.  The frozen
+    loader wrote an oversized grid's sizes in full, however long."""
+    grid_cap = re.fullmatch(r"a (\S+) x (\S+) (plan grid exceeds \d+ cells)", got[1]) if got[0] is ValueError else None
+    if grid_cap is not None:
+        m, n = data["grid"]["m"], data["grid"]["n"]
+        assert expected == (ValueError, f"a {m} x {n} {grid_cap[3]}")
+        assert_names_size(grid_cap[1], m)
+        assert_names_size(grid_cap[2], n)
+    elif section is not None:
         assert got == (ValueError, f"{section}: expected a JSON list, got {type(data[section]).__name__}")
     elif expected[0] in (KeyError, TypeError):
         assert got[0] is ValueError
@@ -451,6 +467,18 @@ def assert_same_fault(data, expected, section, got):
             assert type(node) is not dict and fault == f"expected a JSON object, got {type(node).__name__}"
     else:
         assert got == expected
+
+
+def floated(data):
+    """A copy of a valid plan ``data`` with every int in a number field
+    made a float, as the frozen loader read it; the library's loader keeps
+    an int as written, so only then are its bytes the frozen loader's."""
+    data = copy.deepcopy(data)
+    for fields in (data["grid"], *data["cameras"]):
+        for key in ("width", "height", "d", "x", "y", "facing", "r", "phi", "theta", "distance"):
+            if type(fields.get(key)) is int:
+                fields[key] = float(fields[key])
+    return data
 
 
 class TestPlanCheck:
@@ -473,9 +501,9 @@ class TestPlanCheck:
         m, n, by_vertex = duties
         assert (m, n) == (expected.grid.m, expected.grid.n)
         assert by_vertex == {v: (a.down, a.up) for v, a in expected.assignments.items()}
-        assert np.array_equal(duty_mask(m, n, by_vertex), plan_staffed_mask(expected))
+        assert {(i + 1, j + 1) for i, j in zip(*np.nonzero(duty_mask(m, n, by_vertex)))} == staffed_cells(expected)
         assert plan == expected
-        assert plan_json(plan) == plan_json(expected)
+        assert plan_json(plan_from_dict(floated(data))) == plan_json(expected)
 
     def test_every_two_faults_get_the_error_the_object_loader_raised(self):
         # One fault per check step (a wrong type, a value off its range, an
@@ -592,17 +620,6 @@ class TestCameraLoading:
         second = cameras_from_list([entry(0)])
         assert first == second
         assert first[0].params is not second[0].params
-        assert camera_from_dict(entry(0)).params is not first[0].params
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [(1, "camera: expected a JSON object, got int"), ({}, "camera: missing field 'x'"),
-         ({key: value for key, value in entry(0).items() if key != "id"}, "camera: missing field 'id'")],
-        ids=["int", "empty", "no id"],
-    )
-    def test_a_lone_entry_of_the_wrong_shape_is_named(self, data, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            camera_from_dict(data)
 
     def test_a_bad_triple_is_rejected_wherever_it_appears(self):
         for entries in ([entry(0, r=-1.0)], [entry(0), entry(1, r=-1.0)], [entry(0, r=-1.0), entry(1)]):
