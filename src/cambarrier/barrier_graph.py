@@ -352,11 +352,13 @@ def _null_or_int(value) -> str:
 
 def barrier_json(result: BarrierResult, mask) -> str:
     """The ``barrier`` command's JSON: the text
-    :func:`~cambarrier.serialize.dumps` writes of
-    :func:`~cambarrier.serialize.barrier_to_dict` of ``result`` with
-    ``"graph"`` set to :func:`~cambarrier.serialize.graph_to_dict` of the
-    graph :func:`build_graph` makes of the covered cells of the (m, n)
-    boolean ``mask``, written from the mask with no graph and no dict tree.
+    :func:`~cambarrier.serialize.dumps` writes of a dict holding
+    ``result``'s ``exists``, ``path`` (a list of ``[i, j]`` cells),
+    ``total_weight`` and ``camera_count``, and ``"graph"`` set to
+    :func:`~cambarrier.serialize.graph_to_dict` of the graph
+    :func:`build_graph` makes of the covered cells of the (m, n) boolean
+    ``mask`` (the dict ``tests/helpers.barrier_to_dict`` builds, with its
+    graph).  It is written from the mask with no graph and no dict tree.
 
     Edges come in the order :meth:`CoverageGraph.edges` gives: the ``s``
     edges, then per cell in row-major order its edges to (i, j+1),

@@ -330,8 +330,9 @@ def _group_ranks(keys) -> np.ndarray:
 
 
 class Relocation:
-    """Algorithm 1's decisions as arrays over ``cameras``, a
-    :class:`Cameras` in ascending id order: camera ``k`` sits in cell
+    """Algorithm 1's decisions on the ``m`` x ``n`` grid of cell side
+    ``d``, as arrays over ``cameras``, a :class:`Cameras` in ascending id
+    order: camera ``k`` sits in cell
     ``(cell_i[k], cell_j[k])``, moves ``distance[k]`` to vertex
     ``(vertex_i[k], vertex_j[k])`` and serves ``role[k]`` (:data:`SILENT`,
     :data:`DOWN` or :data:`UP`).  ``by_cell`` and ``by_vertex`` list the
@@ -344,8 +345,8 @@ class Relocation:
     Its methods build the dict views of :class:`DeploymentPlan` and
     :class:`GridModel`."""
 
-    def __init__(self, width, height, d, m: int, n: int, cameras: Cameras):
-        self.width, self.height, self.d, self.m, self.n = width, height, d, m, n
+    def __init__(self, d, m: int, n: int, cameras: Cameras):
+        self.m, self.n = m, n
         self.cameras = cameras
         count = len(cameras)
         ci, cj = cell_index(cameras.y, d, m), cell_index(cameras.x, d, n)
@@ -473,7 +474,7 @@ def run_algorithm1(width: float, height: float, cameras, d: float) -> Deployment
     cameras = Cameras.of(cameras)
     camera_positions(width, height, cameras)
     order = sorted(range(len(cameras)), key=cameras.ids.__getitem__)
-    relocation = Relocation(width, height, d, m, n, cameras.take(order))
+    relocation = Relocation(d, m, n, cameras.take(order))
     d_ok = not len(cameras) or d <= grid_length_bound(float(cameras.r.min())) + EPS
     grid = GridModel._of(relocation, width=width, height=height, d=d, m=m, n=n)
     return DeploymentPlan._of(relocation, grid=grid, d_within_bound=d_ok)

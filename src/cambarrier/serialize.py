@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .barrier_graph import BarrierResult, CoverageGraph
+from .barrier_graph import CoverageGraph
 from .geometry import TAU, CameraParams, CameraPose, Cameras, Point2D, check_integer, normalize_bearings
 from .grid_deploy import (
     MAX_CELLS,
@@ -100,18 +100,6 @@ def sweep_csv_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def camera_to_dict(camera: CameraPose) -> dict:
-    return {
-        "id": camera.id,
-        "x": camera.position.x,
-        "y": camera.position.y,
-        "facing": camera.facing,
-        "r": camera.params.r,
-        "phi": camera.params.phi,
-        "theta": camera.params.theta,
-    }
-
-
 #: Camera-file fields that must be finite numbers.
 _CAMERA_NUMBERS = ("x", "y", "facing", "r", "phi", "theta")
 
@@ -148,7 +136,7 @@ def _camera_params(data: dict, params: dict, k: int) -> CameraParams:
         triple = (data["r"], data["phi"], data["theta"])
         shared = params.get(triple)
         if shared is None:
-            shared = params[triple] = CameraParams(r=float(triple[0]), phi=float(triple[1]), theta=float(triple[2]))
+            shared = params[triple] = _params(*map(float, triple))
         check_integer("camera id", data["id"], 0)
     except KeyError as exc:
         raise _missing(f"cameras[{k}]", exc) from None
@@ -165,9 +153,20 @@ def _missing(path: str, exc: KeyError) -> ValueError:
 
 #: A facing just below 2*pi is written as this, which is past 2*pi and
 #: would wrap to about 3e-9; it reads back as the largest bearing below
-#: 2*pi, which is written the same way.
+#: 2*pi, which is written the same way.  A field of view of 2*pi is
+#: written the same way too, past its bound by more than ``EPS``, and
+#: reads back as 2*pi; an effective angle of pi/2 is written as
+#: ``_HALF_PI_TEXT`` and reads back as pi/2.
 _TAU_TEXT = float(f"{TAU:.9g}")
 _BELOW_TAU = math.nextafter(TAU, 0.0)
+_HALF_PI = math.pi / 2
+_HALF_PI_TEXT = float(f"{_HALF_PI:.9g}")
+
+
+def _params(r, phi, theta) -> CameraParams:
+    """The hardware of a camera entry, its numbers as written but for the
+    texts of the bounds 2*pi and pi/2 (see ``_TAU_TEXT``)."""
+    return CameraParams(r, TAU if phi == _TAU_TEXT else phi, _HALF_PI if theta == _HALF_PI_TEXT else theta)
 
 
 def _pose(data: dict, params: CameraParams) -> CameraPose:
@@ -189,20 +188,6 @@ def cameras_from_list(entries) -> Cameras:
     r = np.array([p.r for p in shared], dtype=float)
     half = np.array([p.phi / 2.0 for p in shared], dtype=float)
     return Cameras(x, y, normalize_bearings(facing), r, half, ids, shared)
-
-
-def line_deployment_to_dict(dep: LineDeployment) -> dict:
-    return {
-        "barrier": {
-            "ax": dep.barrier.a.x,
-            "ay": dep.barrier.a.y,
-            "bx": dep.barrier.b.x,
-            "by": dep.barrier.b.y,
-        },
-        "params": {"h": dep.params.h, "delta": dep.params.delta, "alpha": dep.params.alpha},
-        "count": len(dep.cameras),
-        "cameras": [camera_to_dict(c) for c in dep.cameras],
-    }
 
 
 def plan_to_dict(plan: DeploymentPlan) -> dict:
@@ -293,9 +278,13 @@ def _hardware(params: CameraParams, cache: dict) -> str:
 
 
 def line_deployment_json(dep: LineDeployment) -> str:
-    """The text :func:`dumps` writes of :func:`line_deployment_to_dict`
-    of ``dep``, written as :func:`plan_json` writes a plan: one f-string
-    per camera record, its keys in sorted order.
+    """The text :func:`dumps` writes of ``dep`` as a dict: ``"barrier"``
+    (``ax``, ``ay``, ``bx``, ``by``), ``"params"`` (``h``, ``delta``,
+    ``alpha``), ``"count"`` and ``"cameras"``, each camera's ``id``,
+    ``x``, ``y``, ``facing``, ``r``, ``phi`` and ``theta`` (the dict
+    ``tests/helpers.line_deployment_to_dict`` builds).  It is written as
+    :func:`plan_json` writes a plan: one f-string per camera record, its
+    keys in sorted order.
 
     The deployment's fields must hold the types :func:`place_line_deployment
     <cambarrier.line_model.place_line_deployment>` gives them: ``int`` or
@@ -593,7 +582,7 @@ def plan_from_dict(data: dict) -> DeploymentPlan:
         key = (triple, tuple(map(type, triple)))
         params = shared.get(key)
         if params is None:
-            params = shared[key] = CameraParams(*triple)
+            params = shared[key] = _params(*triple)
         pose = poses[c["id"]] = _pose(c, params)
         records[pose.id] = CameraRecord(
             camera_id=pose.id,
@@ -641,28 +630,16 @@ def graph_to_dict(g: CoverageGraph) -> dict:
     }
 
 
-def barrier_to_dict(result: BarrierResult) -> dict:
-    return {
-        "exists": result.exists,
-        "path": [list(c) for c in result.path],
-        "total_weight": result.total_weight,
-        "camera_count": result.camera_count,
-    }
-
-
 __all__ = [
     "CSV_HEADER",
     "dumps",
     "format_number",
     "sweep_csv_text",
-    "camera_to_dict",
     "cameras_from_list",
-    "line_deployment_to_dict",
     "line_deployment_json",
     "plan_to_dict",
     "plan_json",
     "plan_duties",
     "plan_from_dict",
     "graph_to_dict",
-    "barrier_to_dict",
 ]

@@ -261,7 +261,7 @@ def barrier_exists_mobile(cameras, config: ScenarioConfig) -> bool:
     (:func:`barrier_exists`); no plan or graph is built.
     """
     d, m, n = config.grid
-    xs, ys = camera_positions(config.width, config.height, list(cameras))
+    xs, ys = camera_positions(config.width, config.height, cameras)
     return barrier_exists(staffed_mask(cell_counts(xs, ys, d, (m, n))))
 
 

@@ -1,11 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's vectorized kernel, graph search,
-JSON writer, plan check and array relocation so they can cross-check
+JSON writers, plan check and array relocation so they can cross-check
 them: plain-math full-view evaluation, exhaustive s-t path enumeration,
-the standard library's JSON encoder, a frozen copy of the object-building
-plan loader, and frozen copies of the object-building relocation and the
-plan writer that read its dicts.
+the standard library's JSON encoder, the dict views of the
+line-deployment and barrier documents (and of one camera-file entry),
+a frozen copy of the object-building plan loader, and frozen copies of
+the object-building relocation and the plan writer that read its dicts.
 """
 
 import json
@@ -147,6 +148,49 @@ def ref_dumps(obj):
     with every float rounded to 9 significant digits, through
     ``json.dumps`` with a two-space indent and sorted keys."""
     return json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"
+
+
+# The dict views of the line-deployment and barrier documents: what
+# ``serialize.line_deployment_json`` and ``barrier_graph.barrier_json``
+# must write, byte for byte, as ``serialize.dumps`` of these.  The tests
+# also write camera files with ``camera_to_dict``.
+
+
+def camera_to_dict(camera):
+    return {
+        "id": camera.id,
+        "x": camera.position.x,
+        "y": camera.position.y,
+        "facing": camera.facing,
+        "r": camera.params.r,
+        "phi": camera.params.phi,
+        "theta": camera.params.theta,
+    }
+
+
+def line_deployment_to_dict(dep):
+    return {
+        "barrier": {
+            "ax": dep.barrier.a.x,
+            "ay": dep.barrier.a.y,
+            "bx": dep.barrier.b.x,
+            "by": dep.barrier.b.y,
+        },
+        "params": {"h": dep.params.h, "delta": dep.params.delta, "alpha": dep.params.alpha},
+        "count": len(dep.cameras),
+        "cameras": [camera_to_dict(c) for c in dep.cameras],
+    }
+
+
+def barrier_to_dict(result):
+    """The barrier document without its ``"graph"``, which the tests add
+    as ``serialize.graph_to_dict`` of the barrier's graph."""
+    return {
+        "exists": result.exists,
+        "path": [list(c) for c in result.path],
+        "total_weight": result.total_weight,
+        "camera_count": result.camera_count,
+    }
 
 
 # A frozen copy of ``serialize.plan_from_dict`` and the camera loader it

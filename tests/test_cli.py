@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 from cambarrier import barrier_graph, cli, geometry, grid_deploy, serialize
 from cambarrier.cli import main
 from cambarrier.grid_deploy import MAX_CELLS
-from cambarrier.serialize import camera_to_dict
 from cambarrier.simulate import MAX_SAMPLES, WORK_BUDGET, random_deploy
 from cambarrier.geometry import CameraParams
+
+from helpers import camera_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -150,6 +151,43 @@ class TestGridPipeline:
         assert code == 0
         kdata = json.loads(out)
         assert kdata["k"] == min(kdata["column_counts"])
+
+    @pytest.mark.parametrize("phi, theta", [(math.tau, math.pi / 4), (2.0, math.pi / 2), (math.tau, math.pi / 2)])
+    def test_plans_at_the_hardware_bounds_read_back(self, tmp_path, capsys, phi, theta):
+        # The plan writes 2*pi as 6.28318531 and pi/2 as 1.57079633, each
+        # past its bound by more than EPS.
+        cams = random_deploy(8.0, 8.0, 16, 5, CameraParams(r=5.0, phi=phi, theta=theta))
+        cam_path, plan_path = tmp_path / "cams.json", tmp_path / "plan.json"
+        cam_path.write_text(json.dumps([camera_to_dict(c) for c in cams]))
+        argv = ("deploy-grid", "--cameras", str(cam_path), "--width", "8", "--height", "8", "--out", str(plan_path))
+        assert run(capsys, *argv) == (0, "")
+        text = plan_path.read_text()
+        assert ('"phi": 6.28318531,' in text) == (phi == math.tau)
+        assert ('"theta": 1.57079633,' in text) == (theta == math.pi / 2)
+        for command in ("barrier", "k-barrier"):
+            assert run(capsys, command, "--plan", str(plan_path))[0] == 0
+        assert serialize.plan_json(serialize.plan_from_dict(json.loads(text))) == text
+
+    def test_the_texts_of_the_hardware_bounds_load_and_are_written_back(self, tmp_path, capsys):
+        path = tmp_path / "cams.json"
+        path.write_text(json.dumps([{**CAMERA, "phi": 6.28318531, "theta": 1.57079633}]))
+        code, out = run(capsys, "deploy-grid", "--cameras", str(path), "--width", "10", "--height", "10")
+        assert code == 0
+        assert '"phi": 6.28318531,' in out and '"theta": 1.57079633,' in out
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("phi", 6.2831854, "error: field of view must be in (0, 2*pi], got 6.2831854\n"),
+            ("theta", 1.5707964, "error: effective angle must be in (0, pi/2], got 1.5707964\n"),
+        ],
+    )
+    def test_a_text_past_the_bound_text_is_refused(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "cams.json"
+        path.write_text(json.dumps([{**CAMERA, field: value}]))
+        code = main(["deploy-grid", "--cameras", str(path), "--width", "10", "--height", "10"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message)
 
     @pytest.mark.parametrize("camera_id", [True, 1.7, 2.0, "3"])
     def test_non_integer_camera_id_exits_2(self, tmp_path, capsys, camera_id):

@@ -1,7 +1,9 @@
 """The package imports no name it leaves unused, except the shims that the
 benchmark's tracer wraps by module attribute, defines no private
 module-level helper that nothing in it reads, and exports no name that
-nothing in it reads unless the name is kept for a stated reason."""
+nothing in it reads unless the name is kept for a stated reason.  A
+module reads a name where it loads it as a bare name: ``obj.name`` reads
+``obj``, not ``name``."""
 
 import ast
 import importlib
@@ -85,20 +87,17 @@ def private_definitions(source: str) -> set[str]:
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
-def names_read(source: str) -> set[str]:
-    """Every name ``source`` reads, as a bare name or as an attribute."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-    return read
+def names_loaded(source: str) -> set[str]:
+    """Every name ``source`` loads as a bare name; an attribute's name is
+    not one."""
+    return {
+        node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def test_every_private_helper_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    read = set().union(*map(names_read, sources.values()))
+    read = set().union(*map(names_loaded, sources.values()))
     dead = {name: sorted(private_definitions(source) - read) for name, source in sources.items()}
     assert {name: helpers for name, helpers in dead.items() if helpers} == {}
 
@@ -108,16 +107,15 @@ def test_the_check_sees_a_dead_helper():
         "_LIMIT = 3\n_USED: int = 1\n__all__ = []\n\n\n"
         "def _check_radius(r):\n    return r > _USED\n\n\n"
         "class _Spare:\n    pass\n\n\n"
-        "def public(x):\n    return x.attr\n"
+        "def public(x):\n    return x._check_radius(x._LIMIT)\n"
     )
     assert private_definitions(source) == {"_LIMIT", "_USED", "_check_radius", "_Spare"}
-    assert private_definitions(source) - names_read(source) == {"_LIMIT", "_check_radius", "_Spare"}
-    assert "attr" in names_read(source) and "_USED" in names_read(source)
+    assert private_definitions(source) - names_loaded(source) == {"_LIMIT", "_check_radius", "_Spare"}
+    assert "_USED" in names_loaded(source) and "x" in names_loaded(source)
 
 
 #: Exported names that no package module reads, each with the reason it
 #: stays: "tracer", ``bench/spans.py`` wraps it (ROADMAP item 5);
-#: "reference", the dict view a byte writer's tests compare against;
 #: "paper", a step or check the paper names, which the tests run;
 #: "item 1", the sweep the planned ``count-sweep`` command writes
 #: (ROADMAP item 1).  Delete an entry with its name, or once a module
@@ -128,7 +126,6 @@ KEPT_EXPORTS = {
     "barrier_camera_count_sweep": "item 1",
     "barrier_exists_mobile": "tracer",
     "barrier_exists_static": "tracer",
-    "barrier_to_dict": "reference",
     "build_graph": "tracer",
     "camera_density": "paper",
     "cell_full_view_verified": "paper",
@@ -137,7 +134,7 @@ KEPT_EXPORTS = {
     "full_view_covered_point": "paper",
     "graph_to_dict": "tracer",
     "k_barrier_count": "tracer",
-    "line_deployment_to_dict": "reference",
+    "partition": "paper",
     "plan_from_dict": "tracer",
     "prune_degree_one": "tracer",
     "random_deploy": "tracer",
@@ -151,14 +148,14 @@ def unread_exports(exported, sources: dict) -> set[str]:
     """The names in ``exported`` that no module of ``sources``, a map from
     file name to source text, reads; ``__init__.py`` does not count, as
     it reads every name it re-exports."""
-    read = set().union(*(names_read(source) for name, source in sources.items() if name != "__init__.py"))
+    read = set().union(*(names_loaded(source) for name, source in sources.items() if name != "__init__.py"))
     return set(exported) - read
 
 
 def test_every_export_is_read_in_the_package_or_kept_for_a_reason(monkeypatch):
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_exports(cambarrier.__all__ + serialize.__all__, sources) == KEPT_EXPORTS.keys()
-    assert set(KEPT_EXPORTS.values()) == {"tracer", "reference", "paper", "item 1"}
+    assert set(KEPT_EXPORTS.values()) == {"tracer", "paper", "item 1"}
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     monkeypatch.delitem(sys.modules, "spans", raising=False)
     traced = {name for _, name, _ in importlib.import_module("spans").TARGETS}
@@ -169,5 +166,6 @@ def test_the_check_sees_a_stray_export():
     sources = {
         "__init__.py": "from .a import stray, used\n\n__all__ = ['stray', 'used']\nstray()\n",
         "a.py": "def used():\n    return 1\n\n\ndef stray():\n    return used()\n",
+        "b.py": "def call(obj):\n    return obj.stray()\n",
     }
     assert unread_exports(["stray", "used"], sources) == {"stray"}

@@ -15,10 +15,10 @@ from cambarrier import geometry
 from cambarrier.cli import main
 from cambarrier.geometry import EPS, CameraParams, CameraPose, Cameras, Point2D, Segment, full_view_covered_segment
 from cambarrier.grid_deploy import partition, run_algorithm1
-from cambarrier.serialize import camera_to_dict, cameras_from_list, plan_from_dict, plan_json
+from cambarrier.serialize import cameras_from_list, plan_from_dict, plan_json
 from cambarrier.simulate import ScenarioConfig, barrier_exists_mobile
 
-from helpers import ref_plan_json, ref_run_algorithm1
+from helpers import camera_to_dict, ref_plan_json, ref_run_algorithm1
 
 #: Hardware a scenario mixes: integer fields, tiny and huge radii.
 HARDWARE = (

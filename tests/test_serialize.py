@@ -17,13 +17,10 @@ from cambarrier.geometry import CameraParams, CameraPose, Point2D, Segment
 from cambarrier.grid_deploy import duty_mask, run_algorithm1, staffed_cells
 from cambarrier.line_model import LineDeploymentParams, place_line_deployment
 from cambarrier.serialize import (
-    barrier_to_dict,
-    camera_to_dict,
     cameras_from_list,
     dumps,
     graph_to_dict,
     line_deployment_json,
-    line_deployment_to_dict,
     plan_duties,
     plan_from_dict,
     plan_json,
@@ -31,7 +28,7 @@ from cambarrier.serialize import (
 )
 from cambarrier.simulate import random_deploy
 
-from helpers import ref_dumps, ref_plan_from_dict
+from helpers import barrier_to_dict, camera_to_dict, line_deployment_to_dict, ref_dumps, ref_plan_from_dict
 
 
 def outcome(write, obj):
@@ -625,6 +622,11 @@ class TestCameraLoading:
         for entries in ([entry(0, r=-1.0)], [entry(0), entry(1, r=-1.0)], [entry(0, r=-1.0), entry(1)]):
             with pytest.raises(ValueError, match="sensing radius"):
                 cameras_from_list(entries)
+
+    def test_the_texts_of_the_hardware_bounds_read_back_as_the_bounds(self):
+        assert (f"{math.tau:.9g}", f"{math.pi / 2:.9g}") == ("6.28318531", "1.57079633")
+        (cam,) = cameras_from_list([entry(0, phi=6.28318531, theta=1.57079633)])
+        assert cam.params == CameraParams(r=5.0, phi=math.tau, theta=math.pi / 2)
 
     def test_to_dict_and_back(self):
         cams = cameras_from_list([entry(4, x=3.25, facing=1.0)])
