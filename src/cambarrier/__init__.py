@@ -6,137 +6,85 @@ minimum-camera barriers from a weighted coverage graph, and runs seeded
 Monte Carlo coverage experiments.
 """
 
-from .barrier_graph import (
-    SINK,
-    SOURCE,
-    BarrierResult,
-    CoverageGraph,
-    barrier_exists,
-    barrier_json,
-    build_graph,
-    column_counts,
-    distinct_cameras,
-    duty_slots,
-    extract_barrier,
-    k_barrier_count,
-    prune_degree_one,
-    shortest_barrier,
-    slot_cameras,
-)
-from .geometry import (
-    EPS,
-    TAU,
-    CameraParams,
-    CameraPose,
-    Point2D,
-    Segment,
-    full_view_covered_point,
-    full_view_covered_segment,
-    normalize_bearing,
-)
-from .grid_deploy import (
-    CameraOutsideRegionError,
-    CameraRecord,
-    DeploymentPlan,
-    GridModel,
-    VertexAssignment,
-    assign_orientations,
-    assign_to_vertices,
-    cell_full_view_verified,
-    cell_fully_staffed,
-    duty_mask,
-    elect_grid_heads,
-    grid_length_bound,
-    partition,
-    run_algorithm1,
-    staffed_cells,
-    staffed_mask,
-)
-from .line_model import (
-    SWING_FOV,
-    DeploymentCheck,
-    LineDeployment,
-    LineDeploymentParams,
-    camera_density,
-    cameras_for_barrier,
-    optimal_params,
-    place_line_deployment,
-    validate_params,
-)
-from .simulate import (
-    ScenarioConfig,
-    SweepResult,
-    SweepRow,
-    barrier_camera_count_sweep,
-    barrier_exists_mobile,
-    barrier_exists_static,
-    coverage_probability_sweep,
-    fig3_sweep,
-    random_deploy,
-    trial_seed,
-)
+import importlib
+
+#: The module of every name in :data:`__all__` but ``__version__``.  Each
+#: is imported from its module the first time it is read (PEP 562), so
+#: that ``import cambarrier.cli`` loads no module a command does not run.
+_EXPORTS = {
+    "EPS": "geometry",
+    "TAU": "geometry",
+    "Point2D": "geometry",
+    "Segment": "geometry",
+    "CameraParams": "geometry",
+    "CameraPose": "geometry",
+    "normalize_bearing": "geometry",
+    "full_view_covered_point": "full_view",
+    "full_view_covered_segment": "full_view",
+    "SWING_FOV": "line_model",
+    "LineDeploymentParams": "line_model",
+    "LineDeployment": "line_model",
+    "DeploymentCheck": "line_model",
+    "optimal_params": "line_model",
+    "validate_params": "line_model",
+    "camera_density": "line_model",
+    "cameras_for_barrier": "line_model",
+    "place_line_deployment": "line_model",
+    "GridModel": "grid_model",
+    "VertexAssignment": "grid_model",
+    "CameraRecord": "grid_model",
+    "DeploymentPlan": "grid_model",
+    "CameraOutsideRegionError": "grid_deploy",
+    "grid_length_bound": "grid_model",
+    "partition": "grid_deploy",
+    "elect_grid_heads": "grid_deploy",
+    "assign_to_vertices": "grid_deploy",
+    "assign_orientations": "grid_deploy",
+    "run_algorithm1": "grid_deploy",
+    "cell_fully_staffed": "grid_model",
+    "staffed_cells": "grid_model",
+    "staffed_mask": "grid_deploy",
+    "duty_mask": "grid_model",
+    "cell_full_view_verified": "grid_deploy",
+    "SOURCE": "barrier_graph",
+    "SINK": "barrier_graph",
+    "CoverageGraph": "barrier_graph",
+    "BarrierResult": "barrier_graph",
+    "build_graph": "barrier_graph",
+    "prune_degree_one": "barrier_graph",
+    "shortest_barrier": "barrier_graph",
+    "extract_barrier": "barrier_graph",
+    "barrier_json": "barrier_graph",
+    "distinct_cameras": "barrier_graph",
+    "duty_slots": "barrier_graph",
+    "slot_cameras": "barrier_graph",
+    "column_counts": "barrier_graph",
+    "k_barrier_count": "barrier_graph",
+    "ScenarioConfig": "simulate",
+    "SweepRow": "simulate",
+    "SweepResult": "simulate",
+    "random_deploy": "simulate",
+    "trial_seed": "simulate",
+    "barrier_exists": "barrier_graph",
+    "barrier_exists_mobile": "simulate",
+    "barrier_exists_static": "simulate",
+    "coverage_probability_sweep": "simulate",
+    "barrier_camera_count_sweep": "simulate",
+    "fig3_sweep": "simulate",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "EPS",
-    "TAU",
-    "Point2D",
-    "Segment",
-    "CameraParams",
-    "CameraPose",
-    "normalize_bearing",
-    "full_view_covered_point",
-    "full_view_covered_segment",
-    "SWING_FOV",
-    "LineDeploymentParams",
-    "LineDeployment",
-    "DeploymentCheck",
-    "optimal_params",
-    "validate_params",
-    "camera_density",
-    "cameras_for_barrier",
-    "place_line_deployment",
-    "GridModel",
-    "VertexAssignment",
-    "CameraRecord",
-    "DeploymentPlan",
-    "CameraOutsideRegionError",
-    "grid_length_bound",
-    "partition",
-    "elect_grid_heads",
-    "assign_to_vertices",
-    "assign_orientations",
-    "run_algorithm1",
-    "cell_fully_staffed",
-    "staffed_cells",
-    "staffed_mask",
-    "duty_mask",
-    "cell_full_view_verified",
-    "SOURCE",
-    "SINK",
-    "CoverageGraph",
-    "BarrierResult",
-    "build_graph",
-    "prune_degree_one",
-    "shortest_barrier",
-    "extract_barrier",
-    "barrier_json",
-    "distinct_cameras",
-    "duty_slots",
-    "slot_cameras",
-    "column_counts",
-    "k_barrier_count",
-    "ScenarioConfig",
-    "SweepRow",
-    "SweepResult",
-    "random_deploy",
-    "trial_seed",
-    "barrier_exists",
-    "barrier_exists_mobile",
-    "barrier_exists_static",
-    "coverage_probability_sweep",
-    "barrier_camera_count_sweep",
-    "fig3_sweep",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,9 +11,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .grid_deploy import DeploymentPlan, cell_fully_staffed
+from .grid_model import DeploymentPlan, cell_fully_staffed
 
 SOURCE = "s"
 SINK = "t"
@@ -125,18 +123,40 @@ def prune_degree_one(g: CoverageGraph) -> CoverageGraph:
     return CoverageGraph(m=g.m, n=g.n, cells=cells, adj=adj)
 
 
+def _rows(mask) -> list[list]:
+    """The rows of the (m, n) boolean ``mask`` as lists: a numpy array's
+    ``tolist()``, or the mask itself when it is a list of m lists of n
+    values, as :func:`~cambarrier.grid_model.duty_mask` gives.  Anything
+    else raises ``ValueError``."""
+    if hasattr(mask, "tolist"):
+        if mask.ndim == 2 and mask.size:
+            return mask.tolist()
+        got = f"shape {mask.shape}"
+    else:
+        if type(mask) is list and mask and type(mask[0]) is list and mask[0]:
+            n = len(mask[0])
+            if all(type(row) is list and len(row) == n and list not in map(type, row) for row in mask):
+                return mask
+        got = f"a {type(mask).__name__} of other than m lists of n values"
+    raise ValueError(f"mask must be a non-empty (m, n) array, got {got}")
+
+
 def _framed(mask):
-    """``(free, m, n)`` of the (m, n) boolean ``mask``: ``free`` lists the
-    cells of the mask with a border of uncovered cells around it, row by
-    row, so that cell (i, j) (1-based) is item ``i * (n + 2) + j`` and no
-    step to a neighbour leaves the grid or wraps."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or 0 in mask.shape:
-        raise ValueError(f"mask must be a non-empty (m, n) array, got shape {mask.shape}")
-    m, n = mask.shape
-    framed = np.zeros((m + 2, n + 2), dtype=bool)
-    framed[1:-1, 1:-1] = mask
-    return framed.ravel().tolist(), m, n
+    """``(free, m, n)`` of the (m, n) boolean ``mask`` (see :func:`_rows`):
+    ``free`` lists the cells of the mask with a border of uncovered cells
+    around it, row by row, so that cell (i, j) (1-based) is item
+    ``i * (n + 2) + j`` and no step to a neighbour leaves the grid or
+    wraps."""
+    rows = _rows(mask)
+    m, n = len(rows), len(rows[0])
+    # The top border and the left border of row 1, then each row followed
+    # by its right border and the left border of the next row.
+    free = [False] * (n + 3)
+    for row in rows:
+        free += row
+        free += (False, False)
+    free += [False] * (n + 1)
+    return free, m, n
 
 
 def barrier_exists(mask, covered=None) -> bool:
@@ -311,18 +331,16 @@ def distinct_cameras(result: BarrierResult, plan: DeploymentPlan) -> int:
 def column_counts(mask) -> list[int]:
     """Number of covered cells in each column of an (m, n) boolean mask,
     columns 1 to n in order."""
-    # Summed in Python: a first numpy reduction costs ~0.2 MiB of peak RSS.
-    return [sum(column) for column in zip(*mask.tolist())]
+    return [sum(column) for column in zip(*_rows(mask))]
 
 
 def k_barrier_count(covered, m: int, n: int) -> int:
     """Barrier multiplicity estimate: the minimum, over columns, of the
     number of covered cells in that column."""
-    cells = _validate_cells(covered, m, n)
-    mask = np.zeros((m, n), dtype=bool)
-    for i, j in cells:
-        mask[i - 1, j - 1] = True
-    return min(column_counts(mask))
+    counts = [0] * n
+    for _, j in _validate_cells(covered, m, n):
+        counts[j - 1] += 1
+    return min(counts)
 
 
 # Pieces of the barrier document, indented as `serialize.dumps` indents them.

@@ -11,41 +11,89 @@ input (for example cameras outside the region).
 """
 
 import argparse
+import functools
+import importlib
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .barrier_graph import barrier_json, column_counts, extract_barrier, slot_cameras
-from .geometry import EPS, Point2D, Segment, check_positive
-from .grid_deploy import CameraOutsideRegionError, duty_mask, grid_length_bound, run_algorithm1
-from .line_model import place_line_deployment
-from .serialize import (
-    cameras_from_list,
-    dumps,
-    line_deployment_json,
-    plan_duties,
-    plan_json,
-    sweep_csv_text,
-)
-from .simulate import (
-    ScenarioConfig,
-    coverage_probability_sweep,
-    fig3_sweep,
-    with_overrides,
-)
+#: The module of each package name a handler reads, and of each name the
+#: benchmark's tracer wraps here (``bench/spans.py``, ROADMAP item 5).
+#: A name is imported from its module the first time it is read, as an
+#: attribute (PEP 562) or by its handler (see :func:`_handler`) before the
+#: handler runs, so a command loads only the modules it runs and
+#: ``import cambarrier.cli`` loads none.
+_LAZY = {
+    "EPS": "geometry",
+    "Point2D": "geometry",
+    "Segment": "geometry",
+    "check_positive": "geometry",
+    "place_line_deployment": "line_model",
+    "duty_mask": "grid_model",
+    "grid_length_bound": "grid_model",
+    "staffed_cells": "grid_model",
+    "CameraOutsideRegionError": "grid_deploy",
+    "run_algorithm1": "grid_deploy",
+    "barrier_json": "barrier_graph",
+    "build_graph": "barrier_graph",
+    "column_counts": "barrier_graph",
+    "distinct_cameras": "barrier_graph",
+    "extract_barrier": "barrier_graph",
+    "k_barrier_count": "barrier_graph",
+    "prune_degree_one": "barrier_graph",
+    "shortest_barrier": "barrier_graph",
+    "slot_cameras": "barrier_graph",
+    "cameras_from_list": "serialize",
+    "dumps": "serialize",
+    "graph_to_dict": "serialize",
+    "line_deployment_json": "serialize",
+    "plan_duties": "serialize",
+    "plan_from_dict": "serialize",
+    "plan_json": "serialize",
+    "plan_to_dict": "serialize",
+    "sweep_csv_text": "serialize",
+    "ScenarioConfig": "simulate",
+    "coverage_probability_sweep": "simulate",
+    "fig3_sweep": "simulate",
+    "with_overrides": "simulate",
+}
 
-# Not called here; bench/spans.py wraps these names in this module (ROADMAP item 5).
-from .barrier_graph import (  # noqa: F401
-    build_graph,
-    distinct_cameras,
-    k_barrier_count,
-    prune_degree_one,
-    shortest_barrier,
-)
-from .grid_deploy import staffed_cells  # noqa: F401
-from .serialize import graph_to_dict, plan_from_dict, plan_to_dict  # noqa: F401
+
+def __getattr__(name):
+    """Bind ``name``, a name of :data:`_LAZY`, to its value in its module."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    return value
+
+
+def _reads(code) -> set[str]:
+    """The names of :data:`_LAZY` that ``code``, a handler's code or that
+    of a comprehension in it, reads."""
+    names = {name for name in code.co_names if name in _LAZY}
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _reads(const)
+    return names
+
+
+def _handler(func):
+    """``func``, a command's handler, binding first each name of
+    :data:`_LAZY` it reads that is not bound yet.  A bound name keeps its
+    value, so a wrapper the tracer put in its place is the one the handler
+    calls."""
+    names = _reads(func.__code__)
+
+    @functools.wraps(func)
+    def run(args):
+        for name in names:
+            if name not in globals():
+                __getattr__(name)
+        return func(args)
+
+    return run
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -62,6 +110,7 @@ def _load_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply to load") from None
 
 
+@_handler
 def _cmd_plan_line(args) -> int:
     check_positive("barrier length", args.length)
     barrier = Segment(Point2D(0.0, 0.0), Point2D(args.length, 0.0))
@@ -70,6 +119,7 @@ def _cmd_plan_line(args) -> int:
     return 0
 
 
+@_handler
 def _cmd_deploy_grid(args) -> int:
     entries = _load_json(args.cameras)
     if not isinstance(entries, list):
@@ -81,12 +131,19 @@ def _cmd_deploy_grid(args) -> int:
         if not cameras:
             raise ValueError("--d is required when the camera file is empty")
         d = grid_length_bound(float(cameras.r.min()))
-    plan = run_algorithm1(args.width, args.height, cameras, d)
+    try:
+        plan = run_algorithm1(args.width, args.height, cameras, d)
+    except CameraOutsideRegionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     _emit(plan_json(plan), args.out)
     return 0
 
 
+@_handler
 def _cmd_barrier(args) -> int:
+    from dataclasses import replace  # here, with the modules the command loads anyway
+
     m, n, duties = plan_duties(_load_json(args.plan))
     mask = duty_mask(m, n, duties)
     result = extract_barrier(mask)
@@ -96,12 +153,14 @@ def _cmd_barrier(args) -> int:
     return 0
 
 
+@_handler
 def _cmd_k_barrier(args) -> int:
     counts = column_counts(duty_mask(*plan_duties(_load_json(args.plan))))
     _emit(dumps({"k": min(counts), "column_counts": counts}), args.out)
     return 0
 
 
+@_handler
 def _cmd_simulate(args) -> int:
     config = ScenarioConfig.from_dict(_load_json(args.config))
     config = with_overrides(
@@ -116,6 +175,7 @@ def _cmd_simulate(args) -> int:
 MAX_RADII = 100_000
 
 
+@_handler
 def _cmd_fig3(args) -> int:
     for name, value in (("length", args.length), ("r-min", args.r_min), ("r-max", args.r_max), ("step", args.step)):
         if not math.isfinite(value):
@@ -266,9 +326,6 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except CameraOutsideRegionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,41 +1,34 @@
-"""Grid partition and the relocation/orientation pipeline for mobile cameras.
-
-The region is cut into square cells of side ``d``.  Grid coordinates use
-screen convention: cell (1, 1) is the top-left cell, rows grow downward
-(+y) and columns grow rightward (+x).  Vertex (i, j) of the lattice sits
-at ``((j - 1) * d, (i - 1) * d)``; boundary cells are clipped by the
-region but the lattice keeps its uniform spacing, so vertices of clipped
-cells may fall outside the region.
+"""The relocation pipeline for mobile cameras, on the grid of
+:mod:`cambarrier.grid_model`, and the staffed cells of many grids at once
+from their camera counts.
 
 The relocation pipeline is deterministic: wherever a coordinator would
 pick "any" camera, the smallest id wins, and remaining ids act as
 substitutes in ascending order.
 """
 
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .geometry import (
-    EPS,
-    CameraParams,
-    CameraPose,
-    Cameras,
-    Point2D,
-    Segment,
-    full_view_covered_segment,
-    slack_ceil,
+from .full_view import Cameras, full_view_covered_segment
+from .geometry import EPS
+from .grid_model import (
+    CORNER_DUTIES,
+    DOWN,
+    ORIENTATIONS,
+    SILENT,
+    UP,
+    CameraRecord,
+    DeploymentPlan,
+    GridModel,
+    VertexAssignment,
+    cell_mid_segment,
+    grid_length_bound,
+    grid_shape,
 )
-from .line_model import SWING_FOV, optimal_params
-
-ORIENT_DOWN = "down"
-ORIENT_UP = "up"
-
-FACE_DOWN = 0.5 * math.pi  # +y: downward on the screen, into the grid
-FACE_UP = 1.5 * math.pi
 
 
 class CameraOutsideRegionError(ValueError):
@@ -44,158 +37,6 @@ class CameraOutsideRegionError(ValueError):
     def __init__(self, ids):
         self.ids = tuple(ids)
         super().__init__(f"cameras outside the region: {list(self.ids)}")
-
-
-def grid_length_bound(r: float) -> float:
-    """Largest cell side that keeps a staffed cell verifiable: 2*r/sqrt(5).
-
-    Using d equal to the bound minimizes the camera count.
-    """
-    return optimal_params(r).delta
-
-
-class _Views:
-    """Base of the plan types :func:`run_algorithm1` makes from a
-    :class:`Relocation`.  Such an instance holds the relocation in place of
-    the fields named in ``_VIEWS`` and builds each of them, with the
-    relocation's method of the same name, the first time it is read.  An
-    instance made by its constructor holds every field."""
-
-    relocation = None
-    _VIEWS = ()
-
-    def __getattr__(self, name):
-        # Reached only for an attribute the instance does not hold.
-        if self.relocation is None or name not in self._VIEWS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self.__dict__[name] = getattr(self.relocation, name)()
-        return value
-
-    @classmethod
-    def _of(cls, relocation, **fields):
-        obj = object.__new__(cls)
-        obj.__dict__.update(fields, relocation=relocation)
-        return obj
-
-
-@dataclass(frozen=True)
-class GridModel(_Views):
-    """An m x n partition with camera occupancy."""
-
-    _VIEWS = ("cell_members", "poses")
-
-    width: float
-    height: float
-    d: float
-    m: int
-    n: int
-    cell_members: dict[tuple[int, int], tuple[int, ...]]
-    poses: dict[int, CameraPose]
-
-    def count(self, cell: tuple[int, int]) -> int:
-        return len(self.cell_members.get(cell, ()))
-
-    def vertex_position(self, i: int, j: int) -> Point2D:
-        return Point2D((j - 1) * self.d, (i - 1) * self.d)
-
-    def cells(self):
-        for i in range(1, self.m + 1):
-            for j in range(1, self.n + 1):
-                yield (i, j)
-
-
-@dataclass(frozen=True)
-class VertexAssignment:
-    """Cameras stationed at one lattice vertex and their duties.
-
-    At most one camera serves each orientation.  Row-1 vertices never
-    serve "up", row-(m+1) vertices never serve "down".  Cameras neither
-    facing down nor up stay silent as substitutes.
-    """
-
-    vertex: tuple[int, int]
-    stationed: tuple[int, ...]
-    down: int | None
-    up: int | None
-    silent: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CameraRecord:
-    """Relocation outcome for a single camera."""
-
-    camera_id: int
-    origin: Point2D
-    vertex: tuple[int, int]
-    distance: float
-    orientation: str | None
-
-
-@dataclass(frozen=True)
-class DeploymentPlan(_Views):
-    """Everything the relocation pipeline decided for one scenario.
-
-    A plan :func:`run_algorithm1` makes keeps its :class:`Relocation` and
-    builds ``heads``, ``assignments``, ``records``, ``deficits`` and the
-    grid's ``cell_members`` and ``poses`` the first time they are read,
-    which comparing two plans does."""
-
-    _VIEWS = ("heads", "assignments", "records", "deficits")
-
-    grid: GridModel
-    heads: dict[tuple[int, int], int]
-    assignments: dict[tuple[int, int], VertexAssignment]
-    records: dict[int, CameraRecord]
-    deficits: tuple[tuple[tuple[int, int], str], ...]
-    d_within_bound: bool
-
-    @cached_property
-    def active_cameras(self) -> tuple[CameraPose, ...]:
-        """Poses of every oriented camera: at its vertex, facing straight
-        down or up, with the swing modeled as a static sector."""
-        out = []
-        for v in sorted(self.assignments):
-            a = self.assignments[v]
-            pos = self.grid.vertex_position(*v)
-            for cid, face in ((a.down, FACE_DOWN), (a.up, FACE_UP)):
-                if cid is None:
-                    continue
-                src = self.grid.poses[cid].params
-                out.append(CameraPose(cid, pos, face, CameraParams(src.r, SWING_FOV, src.theta)))
-        return tuple(out)
-
-
-def cell_mid_segment(cell, d: float) -> Segment:
-    """Horizontal segment through the middle of ``cell``, spanning its
-    full width: the segment every coverage verdict is taken on."""
-    i, j = cell
-    y = (i - 0.5) * d
-    return Segment(Point2D((j - 1) * d, y), Point2D(j * d, y))
-
-
-#: Largest grid, in cells, that is partitioned or swept.  It is about 20
-#: times the largest grid the tests, demos and benchmark use; relocation
-#: visits every lattice vertex, so a larger grid mostly means a run that
-#: does not finish or a plan that does not fit in memory.
-MAX_CELLS = 250_000
-
-
-def grid_shape(width: float, height: float, d: float) -> tuple[int, int]:
-    """Rows and columns of the partition: ceil(height/d) x ceil(width/d),
-    at least 1 x 1.
-
-    Raises ``ValueError`` unless the three lengths are positive and finite
-    and the grid has at most :data:`MAX_CELLS` cells.
-    """
-    if not all(math.isfinite(v) and v > 0 for v in (width, height, d)):
-        raise ValueError(f"width, height and d must be positive and finite, got {width}, {height}, {d}")
-    rows, cols = height / d, width / d
-    if math.isfinite(rows) and math.isfinite(cols):
-        m, n = max(1, slack_ceil(rows)), max(1, slack_ceil(cols))
-        if m * n <= MAX_CELLS:
-            return m, n
-    # Named by the region, not by the row count, which may run to hundreds of digits.
-    raise ValueError(f"a {height} x {width} region in cells of side {d} exceeds {MAX_CELLS} cells")
 
 
 def cell_index(v, d: float, size: int) -> np.ndarray:
@@ -316,12 +157,6 @@ def assign_orientations(grid: GridModel, vertex_sets) -> dict[tuple[int, int], V
     return out
 
 
-#: A camera's duty in :attr:`Relocation.role`.
-SILENT, DOWN, UP = 0, 1, 2
-
-#: The orientation of each duty code, as records and plans write it.
-ORIENTATIONS = (None, ORIENT_DOWN, ORIENT_UP)
-
 
 def _group_ranks(keys) -> np.ndarray:
     """The rank of each entry of sorted array ``keys`` among the entries
@@ -419,7 +254,7 @@ class Relocation:
         rows, cols = np.divmod(vertex, self.n + 1)
         return rows + 1, cols + 1, duty + DOWN
 
-    @cached_property
+    @functools.cached_property
     def _poses(self) -> list:
         return list(self.cameras)
 
@@ -480,23 +315,6 @@ def run_algorithm1(width: float, height: float, cameras, d: float) -> Deployment
     return DeploymentPlan._of(relocation, grid=grid, d_within_bound=d_ok)
 
 
-def cell_fully_staffed(cell, plan: DeploymentPlan) -> bool:
-    """True iff the cell's two top vertices serve "down" and its two
-    bottom vertices serve "up"."""
-    i, j = cell
-    asg = plan.assignments
-    top = (asg.get((i, j)), asg.get((i, j + 1)))
-    bottom = (asg.get((i + 1, j)), asg.get((i + 1, j + 1)))
-    return all(a is not None and a.down is not None for a in top) and all(
-        a is not None and a.up is not None for a in bottom
-    )
-
-
-def staffed_cells(plan: DeploymentPlan) -> set[tuple[int, int]]:
-    """All cells that pass :func:`cell_fully_staffed`."""
-    return {cell for cell in plan.grid.cells() if cell_fully_staffed(cell, plan)}
-
-
 def staffed_mask(counts) -> np.ndarray:
     """The cells :func:`run_algorithm1` staffs, from the number of cameras
     in each cell alone: a boolean array shaped like the (m, n) ``counts``.
@@ -514,9 +332,9 @@ def staffed_mask(counts) -> np.ndarray:
       holds at least 1 camera and a row-(m+1) vertex serves "up" when it
       holds at least 1; an interior vertex serves "down" with at least 1
       and "up" with at least 2.
-    * By :func:`cell_fully_staffed`, a cell is staffed when both its top
-      vertices serve "down" and both its bottom vertices serve "up"
-      (:func:`_staffed`).
+    * A cell is staffed when its corners serve the duties
+      :data:`~cambarrier.grid_model.CORNER_DUTIES` names: both its top
+      vertices "down" and both its bottom vertices "up" (:func:`_staffed`).
 
     A ``(..., m, n)`` stack of grids gives the stack of their masks.
     """
@@ -536,24 +354,14 @@ def staffed_mask(counts) -> np.ndarray:
     return _staffed(down, up)
 
 
-def duty_mask(m: int, n: int, duties: dict) -> np.ndarray:
-    """The staffed cells of an m x n grid as an (m, n) boolean mask, from
-    the duties of its (m+1) x (n+1) lattice: ``duties`` maps a vertex
-    ``(i, j)`` to its ``(down, up)`` camera ids, None for an unfilled
-    duty, and a vertex it leaves out serves neither."""
-    cols = n + 1
-    down = np.zeros((m + 1) * cols, dtype=bool)
-    up = np.zeros((m + 1) * cols, dtype=bool)
-    down[[(i - 1) * cols + j - 1 for (i, j), (d, _) in duties.items() if d is not None]] = True
-    up[[(i - 1) * cols + j - 1 for (i, j), (_, u) in duties.items() if u is not None]] = True
-    return _staffed(down.reshape(m + 1, cols), up.reshape(m + 1, cols))
-
-
 def _staffed(down, up) -> np.ndarray:
-    """Cells whose two top vertices serve "down" and whose two bottom
-    vertices serve "up", from (..., m+1, n+1) boolean arrays of the
-    lattice vertices that serve each duty."""
-    return down[..., :-1, :-1] & down[..., :-1, 1:] & up[..., 1:, :-1] & up[..., 1:, 1:]
+    """Cells whose corners serve the duties of
+    :data:`~cambarrier.grid_model.CORNER_DUTIES`, from (..., m+1, n+1)
+    boolean arrays of the lattice vertices that serve "down" and "up"."""
+    serves = (down, up)
+    m, n = down.shape[-2] - 1, down.shape[-1] - 1
+    corners = (serves[k][..., di : di + m, dj : dj + n] for di, dj, k in CORNER_DUTIES)
+    return functools.reduce(np.logical_and, corners)
 
 
 def cell_full_view_verified(cell, plan: DeploymentPlan, theta: float, samples: int = 101) -> bool:

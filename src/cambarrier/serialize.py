@@ -11,11 +11,8 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-import numpy as np
-
-from .barrier_graph import CoverageGraph
-from .geometry import TAU, CameraParams, CameraPose, Cameras, Point2D, check_integer, normalize_bearings
-from .grid_deploy import (
+from .geometry import TAU, CameraParams, CameraPose, Point2D, check_integer
+from .grid_model import (
     MAX_CELLS,
     ORIENT_DOWN,
     ORIENT_UP,
@@ -26,7 +23,6 @@ from .grid_deploy import (
     VertexAssignment,
 )
 from .line_model import LineDeployment
-from .simulate import SweepResult
 
 CSV_HEADER = "x,estimate,trials,successes,stderr"
 
@@ -88,7 +84,9 @@ def format_number(value) -> str:
     return f"{value:.9g}"
 
 
-def sweep_csv_text(result: SweepResult) -> str:
+def sweep_csv_text(result) -> str:
+    """The CSV of a :class:`~cambarrier.simulate.SweepResult`: the header
+    and one line per row."""
     lines = [CSV_HEADER]
     for row in result.rows:
         lines.append(
@@ -176,10 +174,15 @@ def _pose(data: dict, params: CameraParams) -> CameraPose:
     return CameraPose(id=data["id"], position=Point2D(data["x"], data["y"]), facing=facing, params=params)
 
 
-def cameras_from_list(entries) -> Cameras:
+def cameras_from_list(entries):
     """The cameras of a camera file, in file order, as arrays; no pose is
     built.  Every entry is checked by :func:`_camera_params`, in file
     order, so a file with faults gets the error of the first."""
+    # Imported here: the commands that only read a plan never load numpy.
+    import numpy as np
+
+    from .full_view import Cameras, normalize_bearings
+
     entries = list(entries)
     params = {}
     shared = [_camera_params(entry, params, k) for k, entry in enumerate(entries)]
@@ -254,7 +257,7 @@ def _role(role) -> str:
 
 
 #: The text of each duty code of a :class:`~cambarrier.grid_deploy.Relocation`.
-_ROLE_TEXT = np.array([_role(role) for role in ORIENTATIONS], dtype=object)
+_ROLE_TEXT = tuple(_role(role) for role in ORIENTATIONS)
 
 
 def _section(items: list) -> str:
@@ -349,7 +352,7 @@ def plan_json(plan: DeploymentPlan) -> str:
             _numbers(rel.distance),
             _numbers(cameras.facing.tolist()),
             ids,
-            _ROLE_TEXT[rel.role].tolist(),
+            map(_ROLE_TEXT.__getitem__, rel.role.tolist()),
             map(hardware.__getitem__, map(id, cameras.params)),
             rel.vertex_i.tolist(),
             rel.vertex_j.tolist(),
@@ -373,12 +376,13 @@ def _relocation_deficits(rel) -> str:
     rows, cols, duties = rel.deficit_columns()
     if not rows.size:
         return "[]"
-    heads = np.array([_deficit_head(text, i) for i in range(1, rel.m + 2) for text in _ROLE_TEXT], dtype=object)
-    tails = np.array([_deficit_tail(j) + ",\n" for j in range(1, rel.n + 2)], dtype=object)
-    pieces = np.empty(2 * rows.size + 2, dtype=object)
-    pieces[0], pieces[1:-1:2], pieces[2:-1:2] = "[\n", heads[len(_ROLE_TEXT) * (rows - 1) + duties], tails[cols - 1]
-    pieces[-2], pieces[-1] = _deficit_tail(int(cols[-1])), "\n  ]"
-    return "".join(pieces.tolist())
+    heads = [_deficit_head(text, i) for i in range(1, rel.m + 2) for text in _ROLE_TEXT]
+    tails = [_deficit_tail(j) + ",\n" for j in range(1, rel.n + 2)]
+    pieces = [None] * (2 * rows.size + 2)
+    pieces[1:-1:2] = map(heads.__getitem__, (len(_ROLE_TEXT) * (rows - 1) + duties).tolist())
+    pieces[2:-1:2] = map(tails.__getitem__, (cols - 1).tolist())
+    pieces[0], pieces[-2], pieces[-1] = "[\n", _deficit_tail(int(cols[-1])), "\n  ]"
+    return "".join(pieces)
 
 
 def _deficit_head(role: str, i: int) -> str:
@@ -618,7 +622,8 @@ def _node_to_json(node):
     return node if isinstance(node, str) else list(node)
 
 
-def graph_to_dict(g: CoverageGraph) -> dict:
+def graph_to_dict(g) -> dict:
+    """The dict view of a :class:`~cambarrier.barrier_graph.CoverageGraph`."""
     return {
         "m": g.m,
         "n": g.n,

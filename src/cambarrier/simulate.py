@@ -12,7 +12,7 @@ Both pipelines end in one flood fill on an (m, n) cell mask,
 covers a cell when its mid-segment passes the full-view test with the
 cameras as deployed; the fill runs that test on the cells it reaches,
 and the sweep hands the drawn arrays to the kernel as a
-:class:`~cambarrier.geometry.Cameras`.  The mobile pipeline
+:class:`~cambarrier.full_view.Cameras`.  The mobile pipeline
 covers the cells relocation staffs, which follow from the number of
 cameras in each cell alone (:func:`~cambarrier.grid_deploy.staffed_mask`),
 so its sweep bins the drawn position arrays.  The camera-count sweep
@@ -35,33 +35,23 @@ from functools import cached_property
 import numpy as np
 
 from .barrier_graph import barrier_exists, duty_slots, extract_barrier
-from .geometry import (
-    MAX_CAMERAS,
-    TAU,
-    CameraParams,
-    CameraPose,
+from .full_view import (
     Cameras,
-    Point2D,
     _full_view_mask,
-    check_integer,
-    check_real,
     full_view_covered_segment,
     normalize_bearings,
+    sample_fractions,
     segment_points,
 )
-from .grid_deploy import (
-    camera_positions,
-    cell_counts,
-    cell_mid_segment,
-    grid_length_bound,
-    grid_shape,
-    staffed_mask,
-)
+from .geometry import MAX_CAMERAS, TAU, CameraParams, CameraPose, Point2D, check_integer, check_real
+from .grid_deploy import camera_positions, cell_counts, staffed_mask
+from .grid_model import cell_mid_segment, grid_length_bound, grid_shape
 from .line_model import cameras_for_barrier
 
 # Not called here; bench/spans.py wraps these names in this module (ROADMAP item 5).
 from .barrier_graph import build_graph, prune_degree_one, shortest_barrier  # noqa: F401
-from .grid_deploy import run_algorithm1, staffed_cells  # noqa: F401
+from .grid_deploy import run_algorithm1  # noqa: F401
+from .grid_model import staffed_cells  # noqa: F401
 
 MODES = ("static", "mobile")
 
@@ -297,7 +287,7 @@ class _StaticLayout:
         self.d, self.m, self.n = config.grid
         last = config.samples - 1
         picks = sorted({round(k * last / (_COARSE_SAMPLES - 1)) for k in range(_COARSE_SAMPLES)})
-        self.coarse = np.linspace(0.0, 1.0, config.samples)[picks]
+        self.coarse = sample_fractions(config.samples)[picks]
         # With every sample among the coarse ones the coarse check is the
         # full test.
         self.exhaustive = len(picks) == config.samples

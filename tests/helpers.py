@@ -16,7 +16,8 @@ from json.encoder import encode_basestring_ascii
 
 from cambarrier.barrier_graph import SINK, SOURCE
 from cambarrier.geometry import CameraParams, CameraPose, Point2D
-from cambarrier.grid_deploy import (
+from cambarrier.grid_deploy import assign_orientations, assign_to_vertices, elect_grid_heads, partition
+from cambarrier.grid_model import (
     MAX_CELLS,
     ORIENT_DOWN,
     ORIENT_UP,
@@ -24,11 +25,7 @@ from cambarrier.grid_deploy import (
     DeploymentPlan,
     GridModel,
     VertexAssignment,
-    assign_orientations,
-    assign_to_vertices,
-    elect_grid_heads,
     grid_length_bound,
-    partition,
 )
 
 TAU = 2.0 * math.pi

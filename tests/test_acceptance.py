@@ -13,13 +13,10 @@ import numpy as np
 
 from cambarrier.barrier_graph import build_graph, k_barrier_count, shortest_barrier
 from cambarrier.cli import main
-from cambarrier.geometry import CameraParams, CameraPose, Point2D, Segment, full_view_covered_point
-from cambarrier.grid_deploy import (
-    cell_full_view_verified,
-    grid_length_bound,
-    run_algorithm1,
-    staffed_cells,
-)
+from cambarrier.full_view import full_view_covered_point
+from cambarrier.geometry import CameraParams, CameraPose, Point2D, Segment
+from cambarrier.grid_deploy import cell_full_view_verified, run_algorithm1
+from cambarrier.grid_model import grid_length_bound, staffed_cells
 from cambarrier.line_model import optimal_params, place_line_deployment
 from cambarrier.simulate import (
     ScenarioConfig,

@@ -17,7 +17,8 @@ from cambarrier.barrier_graph import (
     shortest_barrier,
 )
 from cambarrier.geometry import CameraParams, CameraPose, Point2D
-from cambarrier.grid_deploy import grid_length_bound, run_algorithm1, staffed_cells
+from cambarrier.grid_deploy import run_algorithm1
+from cambarrier.grid_model import grid_length_bound, staffed_cells
 
 from helpers import brute_force_lex_best_path, brute_force_min_weight
 

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cambarrier import barrier_graph, cli, geometry, grid_deploy, serialize
+from cambarrier import barrier_graph, cli, geometry, grid_deploy, grid_model, serialize
 from cambarrier.cli import main
-from cambarrier.grid_deploy import MAX_CELLS
+from cambarrier.grid_model import MAX_CELLS
 from cambarrier.simulate import MAX_SAMPLES, WORK_BUDGET, random_deploy
 from cambarrier.geometry import CameraParams
 
@@ -563,7 +563,9 @@ class TestGridPipeline:
             return fail
 
         names = OBJECT_PIPELINE + (("dumps",) if command == "barrier" else ())
-        for module in (barrier_graph, grid_deploy, serialize, cli):
+        # cli first: a name of its lazy table is bound from its module when
+        # first read, and must be bound to the function, not to a stand-in.
+        for module in (cli, barrier_graph, grid_deploy, grid_model, serialize):
             for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbid(name))
@@ -580,12 +582,12 @@ class TestGridPipeline:
 
             return fail
 
-        for module in (serialize, cli):
+        for module in (cli, serialize):  # cli first, as above
             for name in ("plan_from_dict", "cameras_from_list"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbid(name))
-        for cls in (grid_deploy.DeploymentPlan, grid_deploy.CameraRecord, grid_deploy.VertexAssignment,
-                    grid_deploy.GridModel, geometry.CameraPose):
+        for cls in (grid_model.DeploymentPlan, grid_model.CameraRecord, grid_model.VertexAssignment,
+                    grid_model.GridModel, geometry.CameraPose):
             monkeypatch.setattr(cls, "__init__", forbid(cls.__name__))
         assert run(capsys, command, "--plan", str(plan_file)) == before
 
@@ -601,6 +603,23 @@ class TestGridPipeline:
             "5",
         )
         assert code == 3
+
+
+#: The grid-cap error for a region 1e300 wide and 32 high, at the cell
+#: side of a 5 m radius: the width comes first, as every command takes it.
+WIDE_REGION_ERROR = "error: a 1e+300 x 32.0 region in cells of side 4.47213595499958 exceeds 250000 cells\n"
+
+
+def test_the_grid_cap_error_names_the_width_first(tmp_path, capsys):
+    cameras = tmp_path / "cams.json"
+    cameras.write_text(json.dumps([CAMERA]))
+    assert main(["deploy-grid", "--cameras", str(cameras), "--width", "1e300", "--height", "32"]) == 2
+    assert capsys.readouterr().err == WIDE_REGION_ERROR
+    config = tmp_path / "config.json"
+    fields = {"width": 1e300, "height": 32.0, "r": 5.0, "theta": 0.8, "phi": 2.0, "counts": [10], "seed": 1}
+    config.write_text(json.dumps(fields))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == WIDE_REGION_ERROR
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
-"""The package imports no name it leaves unused, except the shims that the
-benchmark's tracer wraps by module attribute, defines no private
+"""The package imports no name it leaves unused, and lists no name in the
+command line's lazy name table that no handler reads, except the shims
+that the benchmark's tracer wraps by module attribute, defines no private
 module-level helper that nothing in it reads, and exports no name that
 nothing in it reads unless the name is kept for a stated reason.  A
 module reads a name where it loads it as a bare name: ``obj.name`` reads
@@ -15,10 +16,12 @@ from cambarrier import serialize
 
 PACKAGE = Path(cambarrier.__file__).parent
 
-#: Names imported only so that ``bench/spans.py`` can wrap them in the
-#: module where its targets look them up (ROADMAP item 5).  Listed here,
-#: not read from the tracer, so the list stays what ``src`` holds; delete
-#: each one from its module and from here once the tracer no longer wraps it.
+#: Names kept only so that ``bench/spans.py`` can wrap them in the module
+#: where its targets look them up (ROADMAP item 5): imported and never read
+#: in ``simulate.py``, and in ``cli.py`` entries of its lazy name table
+#: (``_LAZY``) that no handler reads.  Listed here, not read from the
+#: tracer, so the list stays what ``src`` holds; delete each one from its
+#: module and from here once the tracer no longer wraps it.
 TRACER_SHIMS = {
     "cli.py": {
         "build_graph",
@@ -43,7 +46,7 @@ TRACER_SHIMS = {
 
 def unused_imports(source: str) -> set[str]:
     """The names ``source`` binds by an import, at any depth, and never
-    reads; a name listed in ``__all__`` counts as read."""
+    reads; a name written as a string in ``__all__`` counts as read."""
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
@@ -54,24 +57,60 @@ def unused_imports(source: str) -> set[str]:
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
+            read.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant) and isinstance(n.value, str))
     return imported - read
 
 
-def test_unused_imports_are_exactly_the_tracer_shims():
+def handler_reads(source: str) -> set[str]:
+    """The names that the command handlers of ``source``, its module-level
+    functions named ``_cmd_*``, load as bare names."""
+    return {
+        name.id
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+    }
+
+
+def unread_lazy_names(source: str) -> set[str]:
+    """The names of the lazy name table ``source`` assigns to ``_LAZY`` at
+    module level that no handler of it reads; none without a table."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_LAZY" for t in node.targets):
+            return ast.literal_eval(node.value).keys() - handler_reads(source)
+    return set()
+
+
+def test_unused_imports_are_exactly_the_tracer_shims(monkeypatch):
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        names = unused_imports(path.read_text())
+        source = path.read_text()
+        names = unused_imports(source) | unread_lazy_names(source)
         if names:
             found[path.name] = names
     assert found == TRACER_SHIMS
     assert sum(map(len, found.values())) == 14
+    assert unused_imports((PACKAGE / "cli.py").read_text()) == set()
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    traced = {(module, name) for module, name, _ in importlib.import_module("spans").TARGETS}
+    for path, names in TRACER_SHIMS.items():
+        assert {(path.removesuffix(".py"), name) for name in names} <= traced
 
 
 def test_the_check_sees_a_stray_import():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\n\n\ndef f():\n    import sys\n    return np.pi + tau\n"
     assert unused_imports(source) == {"os", "pi", "sys"}
     assert unused_imports('from math import pi\n__all__ = ["pi"]\n') == set()
+    # A lazy table entry: "stray" is read, but not by a handler; "shim" by none.
+    source = (
+        '_LAZY = {"dumps": "serialize", "EPS": "geometry", "stray": "serialize", "shim": "serialize"}\n\n\n'
+        "def _cmd_write(args):\n    return dumps([r for r in args if r > EPS])\n\n\n"
+        "def helper(stray):\n    return stray\n"
+    )
+    assert unread_lazy_names(source) == {"stray", "shim"}
+    assert unread_lazy_names(source.replace(', "stray": "serialize", "shim": "serialize"', "")) == set()
 
 
 def private_definitions(source: str) -> set[str]:

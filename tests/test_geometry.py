@@ -6,31 +6,34 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import cambarrier.geometry as geometry_module
-from cambarrier.geometry import (
+import cambarrier.full_view as full_view_module
+from cambarrier.full_view import (
     CULL_ANGLE,
     CULL_LINE,
     CULL_MARGIN,
     CULL_SCALE,
-    EPS,
-    TAU,
-    CameraParams,
-    CameraPose,
     Cameras,
-    Point2D,
-    Segment,
     _full_view_mask,
     _in_range,
     _mod_tau,
     _wrap_negative,
+    full_view_covered_point,
+    full_view_covered_segment,
+    normalize_bearings,
+    sample_fractions,
+    segment_points,
+)
+from cambarrier.geometry import (
+    EPS,
+    TAU,
+    CameraParams,
+    CameraPose,
+    Point2D,
+    Segment,
     check_integer,
     check_positive,
     check_real,
-    full_view_covered_point,
-    full_view_covered_segment,
     normalize_bearing,
-    normalize_bearings,
-    segment_points,
 )
 from cambarrier.line_model import place_line_deployment
 
@@ -618,15 +621,15 @@ class TestChunking:
         whole = {axis: _full_view_mask(xs, ys, view, math.pi / 3, axis) for axis in (0.0, None)}
         assert whole[0.0].any() and not whole[0.0].all()
         sizes = []
-        real = geometry_module._full_view_chunk
+        real = full_view_module._full_view_chunk
 
         def spy(cx, cy, cameras, *args):
             sizes.append(len(cameras) * cx.size)
             return real(cx, cy, cameras, *args)
 
-        monkeypatch.setattr(geometry_module, "_full_view_chunk", spy)
+        monkeypatch.setattr(full_view_module, "_full_view_chunk", spy)
         for budget in (1, 69, 70, 71, 500, 70 * 119):
-            monkeypatch.setattr(geometry_module, "KERNEL_BUDGET", budget)
+            monkeypatch.setattr(full_view_module, "KERNEL_BUDGET", budget)
             for axis in (0.0, None):
                 sizes.clear()
                 assert np.array_equal(_full_view_mask(xs, ys, view, math.pi / 3, axis), whole[axis])
@@ -638,8 +641,8 @@ class TestChunking:
         rng = np.random.default_rng(9)
         view, xs, ys = self.scene(rng, k=300, npts=101)
         calls = []
-        real = geometry_module._full_view_chunk
-        monkeypatch.setattr(geometry_module, "_full_view_chunk", lambda *a: calls.append(1) or real(*a))
+        real = full_view_module._full_view_chunk
+        monkeypatch.setattr(full_view_module, "_full_view_chunk", lambda *a: calls.append(1) or real(*a))
         _full_view_mask(xs, ys, view, math.pi / 3, 0.0)
         assert calls == [1]
 
@@ -829,6 +832,14 @@ class TestSegment:
         seg = Segment(Point2D(0, 0), Point2D(1, 0))
         with pytest.raises(ValueError):
             full_view_covered_segment(seg, [], math.pi / 4, samples=1)
+
+    @pytest.mark.parametrize("samples", [2, 6, 101, 1001])
+    def test_fractions_are_made_once_read_only_and_equal_linspace(self, samples):
+        t = sample_fractions(samples)
+        assert sample_fractions(samples) is t and not t.flags.writeable
+        assert np.array_equal(t, np.linspace(0.0, 1.0, samples))
+        with pytest.raises(ValueError):
+            t[0] = 0.5
 
     def test_every_canonical_subline_passes(self):
         dep = place_line_deployment(Segment(Point2D(0, 0), Point2D(100, 0)), 5.0)

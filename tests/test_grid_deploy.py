@@ -3,26 +3,31 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cambarrier.geometry import EPS, CameraParams, CameraPose, Point2D
 from cambarrier.grid_deploy import (
-    MAX_CELLS,
     CameraOutsideRegionError,
-    VertexAssignment,
+    _staffed,
     assign_orientations,
     assign_to_vertices,
     camera_positions,
     cell_counts,
     cell_full_view_verified,
-    cell_fully_staffed,
-    duty_mask,
     elect_grid_heads,
-    grid_length_bound,
-    grid_shape,
     partition,
     run_algorithm1,
-    staffed_cells,
     staffed_mask,
+)
+from cambarrier.grid_model import (
+    MAX_CELLS,
+    VertexAssignment,
+    cell_fully_staffed,
+    duty_mask,
+    grid_length_bound,
+    grid_shape,
+    staffed_cells,
 )
 from cambarrier.line_model import optimal_params
 
@@ -103,6 +108,8 @@ class TestGridShape:
             grid_shape(1e300, 1.0, 1e-300)  # width / d overflows to inf
         with pytest.raises(ValueError, match=rf"^a 32 x 32 region in cells of side 1e-300 exceeds {MAX_CELLS} cells$"):
             grid_shape(32, 32, 1e-300)  # finite, but 3.2e301 rows
+        with pytest.raises(ValueError, match=rf"^a 1e\+300 x 32.0 region in cells of side 4.0 exceeds {MAX_CELLS} cells$"):
+            grid_shape(1e300, 32.0, 4.0)  # width first, as every command takes it
 
     @pytest.mark.parametrize(
         "width, height, d", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (math.inf, 1, 1), (1, math.nan, 1), (1, 1, math.nan)]
@@ -182,7 +189,7 @@ class TestStaffedMask:
             width, height = float(rng.uniform(0.5, 6) * d), float(rng.uniform(0.5, 6) * d)
             m, n = grid_shape(width, height, d)
             cams = random_cameras(rng, int(rng.integers(0, 10 * m * n)), width, height)
-            got = duty_mask_of(run_algorithm1(width, height, cams, d))
+            got = np.array(duty_mask_of(run_algorithm1(width, height, cams, d)))
             assert got.shape == (m, n)
             assert (got == staffed_from_plan(width, height, cams, d)).all()
             staffed += int(got.sum())
@@ -194,13 +201,13 @@ class TestStaffedMask:
         # staff nothing more.
         d = grid_length_bound(5.0)
         plan = run_algorithm1(2 * d, d, [cam(k, 0.4 + 0.1 * k, 0.4) for k in range(4)], d)
-        assert duty_mask_of(plan).tolist() == [[True, False]]
+        assert duty_mask_of(plan) == [[True, False]]
         extra = {
             (1, 3): VertexAssignment((1, 3), (9,), None, 9, ()),
             (2, 3): VertexAssignment((2, 3), (8,), 8, None, ()),
         }
         odd = replace(plan, assignments={**plan.assignments, **extra})
-        assert duty_mask_of(odd).tolist() == [[True, False]]
+        assert duty_mask_of(odd) == [[True, False]]
         assert staffed_cells(odd) == {(1, 1)}
 
     def test_no_cameras_staff_nothing(self):
@@ -245,6 +252,22 @@ class TestStaffedMask:
     def test_rejects_bad_counts(self, counts):
         with pytest.raises(ValueError, match="counts"):
             staffed_mask(counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_plan_path_and_the_array_path_staff_the_same_cells(self, data):
+        # The same duties, as the plan commands read them and as the
+        # (T, m, n) numpy path reads them, give the same masks.
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        ids = st.none() | st.integers(0, 40)
+        vertex = st.tuples(st.integers(1, m + 1), st.integers(1, n + 1))
+        stack = data.draw(st.lists(st.dictionaries(vertex, st.tuples(ids, ids)), min_size=1, max_size=4))
+        down = np.zeros((len(stack), m + 1, n + 1), dtype=bool)
+        up = np.zeros_like(down)
+        for t, duties in enumerate(stack):
+            for (i, j), (d, u) in duties.items():
+                down[t, i - 1, j - 1], up[t, i - 1, j - 1] = d is not None, u is not None
+        assert _staffed(down, up).tolist() == [duty_mask(m, n, duties) for duties in stack]
 
     def test_positions_raise_what_partition_raises(self):
         for cams in ([cam(3, 11, 5), cam(1, 5, -2)], [cam(1, 1, 1), cam(1, 2, 2)]):

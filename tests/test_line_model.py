@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cambarrier import cli, line_model
-from cambarrier.geometry import MAX_CAMERAS, CameraParams, Point2D, Segment, full_view_covered_segment
+from cambarrier.full_view import full_view_covered_segment
+from cambarrier.geometry import MAX_CAMERAS, CameraParams, Point2D, Segment
 from cambarrier.line_model import (
     SWING_FOV,
     LineDeploymentParams,

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from cambarrier import geometry
 from cambarrier.cli import main
-from cambarrier.geometry import EPS, CameraParams, CameraPose, Cameras, Point2D, Segment, full_view_covered_segment
+from cambarrier.full_view import Cameras, full_view_covered_segment
+from cambarrier.geometry import EPS, CameraParams, CameraPose, Point2D, Segment
 from cambarrier.grid_deploy import partition, run_algorithm1
 from cambarrier.serialize import cameras_from_list, plan_from_dict, plan_json
 from cambarrier.simulate import ScenarioConfig, barrier_exists_mobile

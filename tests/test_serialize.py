@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from cambarrier.barrier_graph import barrier_json, build_graph, extract_barrier
 from cambarrier.geometry import CameraParams, CameraPose, Point2D, Segment
-from cambarrier.grid_deploy import duty_mask, run_algorithm1, staffed_cells
+from cambarrier.grid_deploy import run_algorithm1
+from cambarrier.grid_model import duty_mask, staffed_cells
 from cambarrier.line_model import LineDeploymentParams, place_line_deployment
 from cambarrier.serialize import (
     cameras_from_list,

@@ -7,19 +7,13 @@ import pytest
 
 import cambarrier.barrier_graph as barrier_graph_module
 import cambarrier.grid_deploy as grid_deploy_module
+import cambarrier.grid_model as grid_model_module
 import cambarrier.simulate as simulate_module
 from cambarrier.barrier_graph import build_graph, duty_slots, extract_barrier, prune_degree_one, shortest_barrier
-from cambarrier.geometry import CULL_MARGIN, EPS, CameraParams, CameraPose, Cameras, Point2D
-from cambarrier.grid_deploy import (
-    FACE_DOWN,
-    FACE_UP,
-    cell_counts,
-    grid_length_bound,
-    grid_shape,
-    run_algorithm1,
-    staffed_cells,
-    staffed_mask,
-)
+from cambarrier.full_view import CULL_MARGIN, Cameras
+from cambarrier.geometry import EPS, CameraParams, CameraPose, Point2D
+from cambarrier.grid_deploy import cell_counts, run_algorithm1, staffed_mask
+from cambarrier.grid_model import FACE_DOWN, FACE_UP, grid_length_bound, grid_shape, staffed_cells
 from cambarrier.line_model import SWING_FOV
 from cambarrier.serialize import CSV_HEADER, sweep_csv_text
 from cambarrier.simulate import (
@@ -840,7 +834,8 @@ class TestCameraCountSweep:
         # the path weight obeys 4 + 3*(len-1); realized heads obey 4*len
         cfg = small_config(counts=(30, 60), trials=10)
         from cambarrier.barrier_graph import build_graph, prune_degree_one, shortest_barrier, distinct_cameras
-        from cambarrier.grid_deploy import run_algorithm1, staffed_cells
+        from cambarrier.grid_deploy import run_algorithm1
+        from cambarrier.grid_model import staffed_cells
 
         params = cfg.camera_params()
         d = grid_length_bound(cfg.r)
@@ -878,7 +873,7 @@ class TestCameraCountSweep:
             "random_deploy", "run_algorithm1", "staffed_cells", "cell_fully_staffed", "build_graph",
             "prune_degree_one", "shortest_barrier", "distinct_cameras",
         )
-        for module in (barrier_graph_module, grid_deploy_module, simulate_module):
+        for module in (barrier_graph_module, grid_deploy_module, grid_model_module, simulate_module):
             for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbid(name))
