@@ -133,6 +133,7 @@ class Cameras:
         Conservative: every camera left out is farther than ``r + EPS``
         from every point of the box, so the full-view test of any point
         in it gives the same verdict on the result as on all cameras.
+        When the box keeps every camera the result is ``self``, not a copy.
         """
         keep = (
             (self.x >= x0 - self.reach)
@@ -141,7 +142,8 @@ class Cameras:
             & (self.y <= y1 + self.reach)
         )
         # One index array is cheaper to apply five times than a mask.
-        return self.take(np.flatnonzero(keep))
+        rows = np.flatnonzero(keep)
+        return self if rows.size == len(self) else self.take(rows)
 
     def near(self, seg: Segment) -> "Cameras":
         """The cameras whose sensing sector can reach ``seg``, in input
@@ -213,8 +215,9 @@ def _wrap_negative(v):
     """``np.mod(v, TAU)``, bit for bit, for ``v`` in (-TAU, TAU), such as
     an ``arctan2`` result: ``TAU`` is added to the negative values.
     Adding ``0.0`` to the rest turns ``-0.0`` into ``+0.0``, as ``np.mod``
-    does."""
-    return v + np.where(v < 0.0, TAU, 0.0)
+    does.  ``(v < 0.0) * TAU`` is exactly ``TAU`` or ``0.0``, and cheaper
+    than ``np.where`` on two scalars."""
+    return v + (v < 0.0) * TAU
 
 
 #: Relative half-width of the band around a squared threshold inside
@@ -235,22 +238,32 @@ def _in_range(dx, dy, r):
     cannot settle: ``s`` within a relative ``_SQUARE_BAND`` of either
     squared threshold, ``s`` not finite, and every pair of a row whose
     squared threshold overflows.  An ``s`` that overflows past a finite
-    band is settled: the pair is out of range."""
+    band is settled: the pair is out of range.
+
+    The common case is told apart in one minimum, one maximum and two
+    counts: no pair is near ``EPS`` (nor NaN), no row overflows, and as
+    many pairs lie at or below the upper band as below the lower one, so
+    none lies in a band.  Then the pairs below the lower band are the
+    usable ones."""
     s = dx * dx
     s += dy * dy
     reach = r + EPS
     square = reach * reach
     lo, hi = square * (1.0 - _SQUARE_BAND), square * (1.0 + _SQUARE_BAND)
+    usable = s < lo[:, None]
+    if (
+        s.size
+        and hi.max() < np.inf
+        and s.min() > _EPS2_HI
+        and np.count_nonzero(s <= hi[:, None]) == np.count_nonzero(usable)
+    ):
+        return usable
     overflow = ~(hi < np.inf)
     if overflow.any():
         lo[overflow] = hi[overflow] = np.nan  # NaN settles nothing
-    inside = s < lo[:, None]
-    usable = inside & (s > _EPS2_HI)
-    outside = s > hi[:, None]
-    n_in, n_usable = np.count_nonzero(inside), np.count_nonzero(usable)
-    if n_in + np.count_nonzero(outside) == s.size and n_usable == n_in:
-        return usable
-    unsure = ~(usable | outside | (s < _EPS2_LO))
+        usable = s < lo[:, None]
+    usable &= s > _EPS2_HI
+    unsure = ~(usable | (s > hi[:, None]) | (s < _EPS2_LO))
     dist = np.hypot(dx[unsure], dy[unsure])
     usable[unsure] = (dist > EPS) & (dist < np.broadcast_to(reach[:, None], s.shape)[unsure])
     return usable
@@ -291,20 +304,22 @@ def _full_view_chunk(xs, ys, cameras: Cameras, theta, axis):
     every row.  When no row survives every point fails.
     """
     npts = xs.size
-    fail = np.zeros(npts, dtype=bool)
     if not len(cameras):
-        return fail
+        return np.zeros(npts, dtype=bool)
 
     dx = xs[None, :] - cameras.x[:, None]
     dy = ys[None, :] - cameras.y[:, None]
     # Covering cameras that contribute a bearing; co-located ones do not.
     usable = _in_range(dx, dy, cameras.r)
     rows = usable.any(axis=1)
-    if not rows.any():
-        return fail
+    kept = np.count_nonzero(rows)
+    if not kept:
+        return np.zeros(npts, dtype=bool)
     half, fac = cameras.half, cameras.facing
-    if not rows.all():
-        dx, dy, usable = dx[rows], dy[rows], usable[rows]
+    if kept < rows.size:
+        # Taking rows by index copies faster than a boolean mask does.
+        rows = np.flatnonzero(rows)
+        dx, dy, usable = dx.take(rows, axis=0), dy.take(rows, axis=0), usable.take(rows, axis=0)
         half, fac = half[rows], fac[rows]
     aim = np.arctan2(dy, dx)
     aim -= fac[:, None]
@@ -314,33 +329,49 @@ def _full_view_chunk(xs, ys, cameras: Cameras, theta, axis):
     np.abs(aim, out=aim)
     usable &= aim < half[:, None] + EPS
     rows = usable.any(axis=1)
-    if not rows.any():
-        return fail
-    if not rows.all():
-        dx, dy, usable = dx[rows], dy[rows], usable[rows]
+    kept = np.count_nonzero(rows)
+    if not kept:
+        return np.zeros(npts, dtype=bool)
+    if kept < rows.size:
+        rows = np.flatnonzero(rows)
+        dx, dy, usable = dx.take(rows, axis=0), dy.take(rows, axis=0), usable.take(rows, axis=0)
 
     # Bearings point -> camera, then the two free bearings along the axis.
     free = () if axis is None else (normalize_bearing(axis), normalize_bearing(axis + math.pi))
-    k = usable.shape[0]
-    bearings = np.empty((k + len(free), npts))
-    np.arctan2(np.negative(dy, out=dy), np.negative(dx, out=dx), out=bearings[:k])
-    bearings[:k] += np.where(bearings[:k] < 0.0, TAU, 0.0)  # _wrap_negative
-    bearings[k:] = np.array(free)[:, None]
-    # An unusable bearing becomes a copy of its point's smallest bearing:
-    # that adds only zero gaps and keeps the first and last sorted
+    bearings = np.empty((kept + len(free), npts))
+    head = bearings[:kept]
+    np.arctan2(np.negative(dy, out=dy), np.negative(dx, out=dx), out=head)
+    head += (head < 0.0) * TAU  # _wrap_negative
+    # An unusable bearing becomes a copy of a bearing its point already
+    # has: that adds only zero gaps and keeps the first and last sorted
     # bearings and the largest gap, so no NaN has to be swept around.
-    unusable = ~usable
-    np.copyto(bearings[:k], np.inf, where=unusable)
-    low = bearings.min(axis=0)
-    low[low == np.inf] = 0.0  # no bearing at all; the point fails below
-    np.copyto(bearings[:k], low, where=unusable)
+    # With an axis, a free bearing serves every point; without one, each
+    # point's smallest bearing.
+    if free:
+        bearings[kept:] = np.array(free)[:, None]
+        np.putmask(head, ~usable, free[0])
+    else:
+        unusable = ~usable
+        np.copyto(head, np.inf, where=unusable)
+        low = bearings.min(axis=0)
+        low[low == np.inf] = 0.0  # no bearing at all; the point fails below
+        np.copyto(head, low, where=unusable)
     bearings.sort(axis=0)
     gap = bearings[0] + TAU - bearings[-1]
     if bearings.shape[0] > 1:
         np.maximum(gap, (bearings[1:] - bearings[:-1]).max(axis=0), out=gap)
+    bound = 2.0 * theta + EPS
     if axis is None:
         gap[np.count_nonzero(usable, axis=0) <= 1] = TAU
-    return usable.any(axis=0) & (gap <= 2.0 * theta + EPS)
+    else:
+        # A point with no usable camera keeps only the free bearings and
+        # copies of one of them.  When their largest gap, taken in the
+        # float operations above, fails, the gap test alone fails such a
+        # point, and no point needs to be asked for a usable camera.
+        first, last = sorted(free)
+        if not max(first + TAU - last, last - first) <= bound:
+            return gap <= bound
+    return usable.any(axis=0) & (gap <= bound)
 
 
 def full_view_covered_point(p: Point2D, cameras, theta: float, axis: float | None = 0.0) -> bool:

@@ -217,10 +217,14 @@ def duty_mask(m: int, n: int, duties: dict) -> list[list[bool]]:
     rows of n bools, from the duties of its (m+1) x (n+1) lattice:
     ``duties`` maps a vertex ``(i, j)`` to its ``(down, up)`` camera ids,
     None for an unfilled duty, and a vertex it leaves out serves neither.
-    A cell is staffed by :data:`CORNER_DUTIES`."""
-    cols = n + 1
-    serves = ([False] * ((m + 1) * cols), [False] * ((m + 1) * cols))
+    A cell is staffed by :data:`CORNER_DUTIES`.  A vertex outside
+    ``[1, m+1] x [1, n+1]`` raises ``ValueError`` naming it: it would
+    otherwise set the flag of another vertex."""
+    rows, cols = m + 1, n + 1
+    serves = ([False] * (rows * cols), [False] * (rows * cols))
     for (i, j), pair in duties.items():
+        if not (0 < i <= rows and 0 < j <= cols):
+            raise ValueError(f"vertex ({i}, {j}) is outside the lattice [1, {rows}] x [1, {cols}]")
         for flags, cid in zip(serves, pair):
             if cid is not None:
                 flags[(i - 1) * cols + j - 1] = True

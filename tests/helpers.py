@@ -5,8 +5,10 @@ JSON writers, plan check and array relocation so they can cross-check
 them: plain-math full-view evaluation, exhaustive s-t path enumeration,
 the standard library's JSON encoder, the dict views of the
 line-deployment and barrier documents (and of one camera-file entry),
-a frozen copy of the object-building plan loader, and frozen copies of
-the object-building relocation and the plan writer that read its dicts.
+a frozen copy of the object-building plan loader, frozen copies of
+the object-building relocation and the plan writer that read its dicts,
+and a frozen copy of the full-view kernel as it stood before its passes
+were cut, which the kernel must match bit for bit.
 """
 
 import json
@@ -14,8 +16,11 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from cambarrier.barrier_graph import SINK, SOURCE
-from cambarrier.geometry import CameraParams, CameraPose, Point2D
+from cambarrier.full_view import _mod_tau
+from cambarrier.geometry import CameraParams, CameraPose, Point2D, normalize_bearing
 from cambarrier.grid_deploy import assign_orientations, assign_to_vertices, elect_grid_heads, partition
 from cambarrier.grid_model import (
     MAX_CELLS,
@@ -70,6 +75,91 @@ def ref_full_view_point(p, cameras, theta, axis=0.0):
         bearings.append(axis % TAU)
         bearings.append((axis + math.pi) % TAU)
     return max(ref_gaps(bearings)) <= 2.0 * theta + EPS
+
+
+_SQUARE_BAND = 1e-12
+_EPS2_LO = EPS * EPS * (1.0 - _SQUARE_BAND)
+_EPS2_HI = EPS * EPS * (1.0 + _SQUARE_BAND)
+
+
+def _ref_in_range(dx, dy, r):
+    """The range test as it stood before its common case was cut to one
+    minimum, one maximum and two counts."""
+    s = dx * dx
+    s += dy * dy
+    reach = r + EPS
+    square = reach * reach
+    lo, hi = square * (1.0 - _SQUARE_BAND), square * (1.0 + _SQUARE_BAND)
+    overflow = ~(hi < np.inf)
+    if overflow.any():
+        lo[overflow] = hi[overflow] = np.nan  # NaN settles nothing
+    inside = s < lo[:, None]
+    usable = inside & (s > _EPS2_HI)
+    outside = s > hi[:, None]
+    n_in, n_usable = np.count_nonzero(inside), np.count_nonzero(usable)
+    if n_in + np.count_nonzero(outside) == s.size and n_usable == n_in:
+        return usable
+    unsure = ~(usable | outside | (s < _EPS2_LO))
+    dist = np.hypot(dx[unsure], dy[unsure])
+    usable[unsure] = (dist > EPS) & (dist < np.broadcast_to(reach[:, None], s.shape)[unsure])
+    return usable
+
+
+def ref_full_view_chunk(xs, ys, cameras, theta, axis):
+    """``full_view._full_view_chunk`` as it stood before its passes were
+    cut: every unusable bearing filled with its point's smallest one, and
+    ``usable.any(axis=0)`` taken on every call."""
+    npts = xs.size
+    fail = np.zeros(npts, dtype=bool)
+    if not len(cameras):
+        return fail
+
+    dx = xs[None, :] - cameras.x[:, None]
+    dy = ys[None, :] - cameras.y[:, None]
+    # Covering cameras that contribute a bearing; co-located ones do not.
+    usable = _ref_in_range(dx, dy, cameras.r)
+    rows = usable.any(axis=1)
+    if not rows.any():
+        return fail
+    half, fac = cameras.half, cameras.facing
+    if not rows.all():
+        dx, dy, usable = dx[rows], dy[rows], usable[rows]
+        half, fac = half[rows], fac[rows]
+    aim = np.arctan2(dy, dx)
+    aim -= fac[:, None]
+    aim += math.pi
+    aim = _mod_tau(aim)
+    aim -= math.pi
+    np.abs(aim, out=aim)
+    usable &= aim < half[:, None] + EPS
+    rows = usable.any(axis=1)
+    if not rows.any():
+        return fail
+    if not rows.all():
+        dx, dy, usable = dx[rows], dy[rows], usable[rows]
+
+    # Bearings point -> camera, then the two free bearings along the axis.
+    free = () if axis is None else (normalize_bearing(axis), normalize_bearing(axis + math.pi))
+    k = usable.shape[0]
+    bearings = np.empty((k + len(free), npts))
+    np.arctan2(np.negative(dy, out=dy), np.negative(dx, out=dx), out=bearings[:k])
+    bearings[:k] += np.where(bearings[:k] < 0.0, TAU, 0.0)  # _wrap_negative
+    bearings[k:] = np.array(free)[:, None]
+    # An unusable bearing becomes a copy of its point's smallest bearing:
+    # that adds only zero gaps and keeps the first and last sorted
+    # bearings and the largest gap, so no NaN has to be swept around.
+    unusable = ~usable
+    np.copyto(bearings[:k], np.inf, where=unusable)
+    low = bearings.min(axis=0)
+    low[low == np.inf] = 0.0  # no bearing at all; the point fails below
+    np.copyto(bearings[:k], low, where=unusable)
+    bearings.sort(axis=0)
+    gap = bearings[0] + TAU - bearings[-1]
+    if bearings.shape[0] > 1:
+        np.maximum(gap, (bearings[1:] - bearings[:-1]).max(axis=0), out=gap)
+    if axis is None:
+        gap[np.count_nonzero(usable, axis=0) <= 1] = TAU
+    return usable.any(axis=0) & (gap <= 2.0 * theta + EPS)
 
 
 def boundary_margin(p, cameras):

@@ -13,6 +13,7 @@ from cambarrier.full_view import (
     CULL_MARGIN,
     CULL_SCALE,
     Cameras,
+    _full_view_chunk,
     _full_view_mask,
     _in_range,
     _mod_tau,
@@ -36,8 +37,9 @@ from cambarrier.geometry import (
     normalize_bearing,
 )
 from cambarrier.line_model import place_line_deployment
+from cambarrier.simulate import ScenarioConfig, coverage_probability_sweep
 
-from helpers import boundary_margin, ref_covers, ref_full_view_point
+from helpers import boundary_margin, ref_covers, ref_full_view_chunk, ref_full_view_point
 
 NORTH = math.pi / 2
 
@@ -477,6 +479,20 @@ def camera_rows(view):
     return list(zip(*(a.tolist() for a in (view.x, view.y, view.r, view.half, view.facing))))
 
 
+class TestCamerasWithin:
+    def test_a_box_that_keeps_every_camera_returns_the_cameras_themselves(self):
+        view = Cameras.of([cam(float(k), 2.0 * k, k / 3.0, r=1.0 + k, cid=k) for k in range(5)])
+        assert view.within(0.0, 4.0, 0.0, 8.0) is view
+        # The box grown by the largest radius plus CULL_MARGIN reaches the
+        # last camera, or falls short of it by a nanometre.
+        assert view.within(0.0, 4.0, 0.0, 8.0 - view.reach) is view
+        part = view.within(0.0, 4.0, 0.0, 8.0 - view.reach - 1e-9)
+        assert part is not view and part == view.take([0, 1, 2, 3])
+        assert len(view.within(100.0, 101.0, 100.0, 101.0)) == 0
+        empty = Cameras.of([])
+        assert empty.within(0.0, 1.0, 0.0, 1.0) is empty
+
+
 class TestCamerasNear:
     SEG = Segment(Point2D(2.0, 3.0), Point2D(4.0, 3.0))
 
@@ -645,6 +661,101 @@ class TestChunking:
         monkeypatch.setattr(full_view_module, "_full_view_chunk", lambda *a: calls.append(1) or real(*a))
         _full_view_mask(xs, ys, view, math.pi / 3, 0.0)
         assert calls == [1]
+
+
+#: Unit directions along which a camera's offset from a point is exact or
+#: nearly so: the axes and a 3-4-5 triangle.
+DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6), (0.8, -0.6))
+
+
+@st.composite
+def kernel_scenes(draw):
+    """Points on a lattice and cameras placed against them: anywhere, on a
+    lattice point (possibly a sampled one), at ``r + EPS`` and its
+    neighbours from a point, or within ``EPS`` of one; each facing
+    anywhere, at a multiple of pi/4, or on an edge of the arc that holds
+    its bearing to the point.  Zero cameras included."""
+    step = draw(st.sampled_from((1.0, 0.5, 0.1, 2.5)))
+    lattice = st.integers(-4, 4).map(lambda k: k * step)
+    npts = draw(st.integers(1, 8))
+    xs = np.array(draw(st.lists(lattice, min_size=npts, max_size=npts)))
+    ys = np.array(draw(st.lists(lattice, min_size=npts, max_size=npts)))
+    columns = []
+    for _ in range(draw(st.integers(0, 10))):
+        r = draw(st.sampled_from((0.5, 1.0, 2.5, 5.0)))
+        half = draw(st.sampled_from((math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, math.pi)))
+        j = draw(st.integers(0, npts - 1))
+        px, py = float(xs[j]), float(ys[j])
+        place = draw(st.sampled_from(("anywhere", "lattice", "range edge", "co-located")))
+        if place == "anywhere":
+            x, y = draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0))
+        elif place == "lattice":
+            x, y = draw(lattice), draw(lattice)
+        else:
+            if place == "range edge":
+                dist = r + draw(st.sampled_from((-EPS, 0.0, EPS, EPS * (1.0 - 1e-12), EPS * (1.0 + 1e-12))))
+            else:
+                dist = draw(st.sampled_from((0.0, EPS, EPS * (1.0 - 1e-12), EPS * (1.0 + 1e-12), 2 * EPS)))
+            ux, uy = draw(st.sampled_from(DIRECTIONS))
+            x, y = px + dist * ux, py + dist * uy
+        aim = draw(st.sampled_from(("anywhere", "pi/4", "arc edge")))
+        if aim == "anywhere":
+            facing = draw(st.floats(0.0, TAU, exclude_max=True))
+        elif aim == "pi/4":
+            facing = draw(st.integers(0, 7)) * math.pi / 4
+        else:
+            side = draw(st.sampled_from((-1.0, 1.0)))
+            slack = draw(st.sampled_from((-EPS, -1e-15, 0.0, 1e-15, EPS)))
+            facing = math.atan2(py - y, px - x) + side * (half + slack)
+        columns.append((x, y, normalize_bearing(facing), r, half))
+    x, y, facing, r, half = (np.array(c, dtype=float) for c in zip(*columns)) if columns else [np.empty(0)] * 5
+    return xs, ys, Cameras(x, y, facing, r, half)
+
+
+class TestKernelMatchesFrozenKernel:
+    """The kernel against ``helpers.ref_full_view_chunk``, a copy of it
+    taken before its passes were cut: the verdicts must match bit for bit.
+    At theta = pi/2 the two free bearings pass the gap test alone, so the
+    kernel asks which points have a usable camera; at pi/6 and pi/3 it
+    need not, and does not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_scenes())
+    def test_adversarial_scenes(self, scene):
+        xs, ys, view = scene
+        for axis in (0.0, 1.0, None):
+            for theta in (math.pi / 6, math.pi / 3, math.pi / 2):
+                want = ref_full_view_chunk(xs, ys, view, theta, axis)
+                assert np.array_equal(_full_view_chunk(xs, ys, view, theta, axis), want)
+
+    def test_a_point_that_no_camera_sees_fails_when_the_free_bearings_pass(self):
+        # A camera at (0.5, 0) looking back at the origin gives the origin
+        # bearing 0; with the free bearings 0 and pi every gap is pi, which
+        # passes at theta = pi/2.  The point at (10, 0) has only the free
+        # bearings, whose gaps also pass: it fails for want of a camera.
+        xs, ys = np.array([0.0, 10.0]), np.array([0.0, 0.0])
+        view = Cameras.of([cam(0.5, 0.0, math.pi, r=1.0, phi=math.pi / 2)])
+        for theta, want in ((math.pi / 2, [True, False]), (math.pi / 3, [False, False])):
+            assert _full_view_chunk(xs, ys, view, theta, 0.0).tolist() == want
+            assert ref_full_view_chunk(xs, ys, view, theta, 0.0).tolist() == want
+
+    def test_captured_sweep_calls(self, monkeypatch):
+        # Every call a small static sweep makes, through the real caller.
+        calls = []
+        real = full_view_module._full_view_chunk
+
+        def spy(xs, ys, cameras, theta, axis):
+            got = real(xs, ys, cameras, theta, axis)
+            calls.append(np.array_equal(got, ref_full_view_chunk(xs, ys, cameras, theta, axis)))
+            return got
+
+        monkeypatch.setattr(full_view_module, "_full_view_chunk", spy)
+        config = ScenarioConfig(
+            width=50.0, height=100.0, r=30.0, theta=math.pi / 3, phi=2 * math.pi / 3,
+            counts=(50, 150, 300), trials=3, seed=5, mode="static", samples=101,
+        )
+        coverage_probability_sweep(config)
+        assert len(calls) > 10 and all(calls)
 
 
 def kernel_usable(xs, ys, view):

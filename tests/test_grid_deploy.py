@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,19 @@ class TestStaffedMask:
         odd = replace(plan, assignments={**plan.assignments, **extra})
         assert duty_mask_of(odd) == [[True, False]]
         assert staffed_cells(odd) == {(1, 1)}
+
+    CORNERS = {(1, 1): (1, None), (1, 2): (2, None), (2, 1): (None, 3)}
+
+    @pytest.mark.parametrize("vertex", [(1, 4), (0, 1), (-1, 2), (1, 0), (3, 1), (2, 3)])
+    def test_a_vertex_outside_the_lattice_is_named(self, vertex):
+        # (1, 4) of a 1 x 1 grid used to land on vertex (2, 2) and staff
+        # the cell; (0, 1) and negative indices wrapped to the list's end.
+        with pytest.raises(ValueError, match=re.escape(f"vertex {vertex} is outside the lattice [1, 2] x [1, 2]")):
+            duty_mask(1, 1, {**self.CORNERS, vertex: (None, 4)})
+
+    def test_every_lattice_vertex_is_accepted(self):
+        assert duty_mask(1, 1, {**self.CORNERS, (2, 2): (None, 4)}) == [[True]]
+        assert duty_mask(1, 1, self.CORNERS) == [[False]]
 
     def test_no_cameras_staff_nothing(self):
         for m, n in ((1, 1), (3, 2)):

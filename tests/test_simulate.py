@@ -819,6 +819,33 @@ class TestSweeps:
         assert "version" in res.metadata
 
 
+class TestPinnedStaticSweep:
+    """The benchmark's ``dominance`` scenario as a static sweep at 20
+    trials per count, 260 trials in all.  The CSVs were taken before the
+    full-view kernel's passes were cut and before ``Cameras.within``
+    returned its own cameras when it keeps them all."""
+
+    PINNED = {
+        1: "x,estimate,trials,successes,stderr\n0,0,20,0,0\n25,0,20,0,0\n50,0,20,0,0\n"
+        "75,0.25,20,5,0.0968245837\n100,0.25,20,5,0.0968245837\n125,0.7,20,14,0.102469508\n"
+        "150,0.95,20,19,0.0487339717\n175,0.9,20,18,0.0670820393\n200,0.85,20,17,0.0798435971\n"
+        "225,0.95,20,19,0.0487339717\n250,0.95,20,19,0.0487339717\n275,0.9,20,18,0.0670820393\n"
+        "300,1,20,20,0\n",
+        97: "x,estimate,trials,successes,stderr\n0,0,20,0,0\n25,0,20,0,0\n50,0,20,0,0\n"
+        "75,0.1,20,2,0.0670820393\n100,0.45,20,9,0.111242977\n125,0.65,20,13,0.106653645\n"
+        "150,0.7,20,14,0.102469508\n175,0.75,20,15,0.0968245837\n200,0.95,20,19,0.0487339717\n"
+        "225,0.9,20,18,0.0670820393\n250,1,20,20,0\n275,1,20,20,0\n300,1,20,20,0\n",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_dominance_at_20_trials_per_count(self, seed):
+        cfg = small_config(
+            width=50.0, height=100.0, r=30.0, counts=tuple(range(0, 301, 25)), trials=20, seed=seed,
+            mode="static", samples=101,
+        )
+        assert sweep_csv_text(coverage_probability_sweep(cfg)) == self.PINNED[seed]
+
+
 class TestCameraCountSweep:
     def test_requires_mobile_mode(self):
         with pytest.raises(ValueError, match="mobile"):
