@@ -11,39 +11,21 @@ input (for example cameras outside the region).
 """
 
 import argparse
-import functools
 import importlib
 import json
 import math
 import sys
 from pathlib import Path
 
-#: The module of each package name a handler reads, and of each name the
-#: benchmark's tracer wraps here (``bench/spans.py``, ROADMAP item 5).
-#: A name is imported from its module the first time it is read, as an
-#: attribute (PEP 562) or by its handler (see :func:`_handler`) before the
-#: handler runs, so a command loads only the modules it runs and
-#: ``import cambarrier.cli`` loads none.
+#: The module of each name a handler reads, or the benchmark's tracer wraps
+#: here (``bench/spans.py``, ROADMAP item 5), that the package does not
+#: export.  Handlers read every such name as an attribute of this module,
+#: ``_cli.<name>``, so :func:`__getattr__` (PEP 562) imports it the first
+#: time it is read: a command loads only the modules it runs,
+#: ``import cambarrier.cli`` loads none, and a name already set on ``cli``,
+#: such as a tracer's wrapper, is the one the command calls.
 _LAZY = {
-    "EPS": "geometry",
-    "Point2D": "geometry",
-    "Segment": "geometry",
     "check_positive": "geometry",
-    "place_line_deployment": "line_model",
-    "duty_mask": "grid_model",
-    "grid_length_bound": "grid_model",
-    "staffed_cells": "grid_model",
-    "CameraOutsideRegionError": "grid_deploy",
-    "run_algorithm1": "grid_deploy",
-    "barrier_json": "barrier_graph",
-    "build_graph": "barrier_graph",
-    "column_counts": "barrier_graph",
-    "distinct_cameras": "barrier_graph",
-    "extract_barrier": "barrier_graph",
-    "k_barrier_count": "barrier_graph",
-    "prune_degree_one": "barrier_graph",
-    "shortest_barrier": "barrier_graph",
-    "slot_cameras": "barrier_graph",
     "cameras_from_list": "serialize",
     "dumps": "serialize",
     "graph_to_dict": "serialize",
@@ -53,47 +35,26 @@ _LAZY = {
     "plan_json": "serialize",
     "plan_to_dict": "serialize",
     "sweep_csv_text": "serialize",
-    "ScenarioConfig": "simulate",
-    "coverage_probability_sweep": "simulate",
-    "fig3_sweep": "simulate",
     "with_overrides": "simulate",
 }
 
 
 def __getattr__(name):
-    """Bind ``name``, a name of :data:`_LAZY`, to its value in its module."""
-    module = _LAZY.get(name)
-    if module is None:
+    """Bind ``name`` to its value: a name of :data:`_LAZY` from its module,
+    any other name of the package's ``__all__`` from the package."""
+    package = sys.modules[__package__]
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+    elif name in package.__all__:
+        value = getattr(package, name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
     return value
 
 
-def _reads(code) -> set[str]:
-    """The names of :data:`_LAZY` that ``code``, a handler's code or that
-    of a comprehension in it, reads."""
-    names = {name for name in code.co_names if name in _LAZY}
-    for const in code.co_consts:
-        if isinstance(const, type(code)):
-            names |= _reads(const)
-    return names
-
-
-def _handler(func):
-    """``func``, a command's handler, binding first each name of
-    :data:`_LAZY` it reads that is not bound yet.  A bound name keeps its
-    value, so a wrapper the tracer put in its place is the one the handler
-    calls."""
-    names = _reads(func.__code__)
-
-    @functools.wraps(func)
-    def run(args):
-        for name in names:
-            if name not in globals():
-                __getattr__(name)
-        return func(args)
-
-    return run
+#: This module, whose attributes the handlers read.
+_cli = sys.modules[__name__]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -110,64 +71,59 @@ def _load_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply to load") from None
 
 
-@_handler
 def _cmd_plan_line(args) -> int:
-    check_positive("barrier length", args.length)
-    barrier = Segment(Point2D(0.0, 0.0), Point2D(args.length, 0.0))
-    dep = place_line_deployment(barrier, args.r, theta=args.theta)
-    _emit(line_deployment_json(dep), args.out)
+    _cli.check_positive("barrier length", args.length)
+    barrier = _cli.Segment(_cli.Point2D(0.0, 0.0), _cli.Point2D(args.length, 0.0))
+    dep = _cli.place_line_deployment(barrier, args.r, theta=args.theta)
+    _emit(_cli.line_deployment_json(dep), args.out)
     return 0
 
 
-@_handler
 def _cmd_deploy_grid(args) -> int:
     entries = _load_json(args.cameras)
     if not isinstance(entries, list):
         raise ValueError(f"{args.cameras}: the camera file must be a JSON list")
-    cameras = cameras_from_list(entries)
+    cameras = _cli.cameras_from_list(entries)
     if args.d is not None:
         d = args.d
     else:
         if not cameras:
             raise ValueError("--d is required when the camera file is empty")
-        d = grid_length_bound(float(cameras.r.min()))
+        d = _cli.grid_length_bound(float(cameras.r.min()))
     try:
-        plan = run_algorithm1(args.width, args.height, cameras, d)
-    except CameraOutsideRegionError as exc:
+        plan = _cli.run_algorithm1(args.width, args.height, cameras, d)
+    except _cli.CameraOutsideRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(plan_json(plan), args.out)
+    _emit(_cli.plan_json(plan), args.out)
     return 0
 
 
-@_handler
 def _cmd_barrier(args) -> int:
     from dataclasses import replace  # here, with the modules the command loads anyway
 
-    m, n, duties = plan_duties(_load_json(args.plan))
-    mask = duty_mask(m, n, duties)
-    result = extract_barrier(mask)
+    m, n, duties = _cli.plan_duties(_load_json(args.plan))
+    mask = _cli.duty_mask(m, n, duties)
+    result = _cli.extract_barrier(mask)
     if result.exists:
-        result = replace(result, camera_count=slot_cameras(result.path, duties))
-    _emit(barrier_json(result, mask), args.out)
+        result = replace(result, camera_count=_cli.slot_cameras(result.path, duties))
+    _emit(_cli.barrier_json(result, mask), args.out)
     return 0
 
 
-@_handler
 def _cmd_k_barrier(args) -> int:
-    counts = column_counts(duty_mask(*plan_duties(_load_json(args.plan))))
-    _emit(dumps({"k": min(counts), "column_counts": counts}), args.out)
+    counts = _cli.column_counts(_cli.duty_mask(*_cli.plan_duties(_load_json(args.plan))))
+    _emit(_cli.dumps({"k": min(counts), "column_counts": counts}), args.out)
     return 0
 
 
-@_handler
 def _cmd_simulate(args) -> int:
-    config = ScenarioConfig.from_dict(_load_json(args.config))
-    config = with_overrides(
+    config = _cli.ScenarioConfig.from_dict(_load_json(args.config))
+    config = _cli.with_overrides(
         config, seed=args.seed, trials=args.trials, mode=args.mode, samples=args.samples
     )
-    result = coverage_probability_sweep(config)
-    _emit(sweep_csv_text(result), args.out)
+    result = _cli.coverage_probability_sweep(config)
+    _emit(_cli.sweep_csv_text(result), args.out)
     return 0
 
 
@@ -175,7 +131,6 @@ def _cmd_simulate(args) -> int:
 MAX_RADII = 100_000
 
 
-@_handler
 def _cmd_fig3(args) -> int:
     for name, value in (("length", args.length), ("r-min", args.r_min), ("r-max", args.r_max), ("step", args.step)):
         if not math.isfinite(value):
@@ -184,14 +139,15 @@ def _cmd_fig3(args) -> int:
         raise ValueError(f"step must be positive, got {args.step}")
     # Radius k is r_min + k * step, kept while it is at most r_max + EPS,
     # so k runs up to about ``span`` (which may overflow to +-inf).
-    span = (args.r_max + EPS - args.r_min) / args.step
+    top = args.r_max + _cli.EPS
+    span = (top - args.r_min) / args.step
     if span >= MAX_RADII:
         raise ValueError(f"the radius range holds more than {MAX_RADII} values")
     radii = (args.r_min + k * args.step for k in range(math.floor(max(span, -1.0)) + 2))
-    r_values = [r for r in radii if r <= args.r_max + EPS]
+    r_values = [r for r in radii if r <= top]
     if not r_values:
         raise ValueError("empty radius range")
-    _emit(sweep_csv_text(fig3_sweep(args.length, r_values)), args.out)
+    _emit(_cli.sweep_csv_text(_cli.fig3_sweep(args.length, r_values)), args.out)
     return 0
 
 

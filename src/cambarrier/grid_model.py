@@ -13,6 +13,7 @@ cells may fall outside the region.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -176,7 +177,7 @@ def grid_shape(width: float, height: float, d: float) -> tuple[int, int]:
     Raises ``ValueError`` unless the three lengths are positive and finite
     and the grid has at most :data:`MAX_CELLS` cells.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (width, height, d)):
+    if not all(0.0 < v <= sys.float_info.max for v in (width, height, d)):
         raise ValueError(f"width, height and d must be positive and finite, got {width}, {height}, {d}")
     rows, cols = height / d, width / d
     if math.isfinite(rows) and math.isfinite(cols):

@@ -57,6 +57,10 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="out of range"):
             build_graph({(4, 1)}, 3, 3)
 
+    def test_an_empty_grid_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid dimensions must be positive, got 0 x 3$"):
+            build_graph(set(), 0, 3)
+
 
 class TestPrune:
     def test_chain_off_the_path_collapses(self):
@@ -445,6 +449,10 @@ class TestKBarrier:
 
     def test_empty_column_gives_zero(self):
         assert k_barrier_count({(1, 1), (2, 1)}, 2, 2) == 0
+
+    def test_an_empty_grid_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid dimensions must be positive, got 2 x 0$"):
+            k_barrier_count(set(), 2, 0)
 
     def test_full_grid_gives_row_count(self):
         m, n = 4, 3

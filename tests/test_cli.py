@@ -878,6 +878,11 @@ class TestFig3:
     def test_bad_step_exits_2(self, capsys):
         assert run(capsys, "fig3", "--length", "100", "--r-min", "2", "--r-max", "10", "--step", "0")[0] == 2
 
+    def test_r_min_past_r_max_exits_2(self, capsys):
+        code = main(["fig3", "--length", "10", "--r-min", "5", "--r-max", "4.5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: empty radius range\n")
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -4,7 +4,9 @@ that the benchmark's tracer wraps by module attribute, defines no private
 module-level helper that nothing in it reads, and exports no name that
 nothing in it reads unless the name is kept for a stated reason.  A
 module reads a name where it loads it as a bare name: ``obj.name`` reads
-``obj``, not ``name``."""
+``obj``, not ``name``.  The one exception is ``_cli.name``, which reads
+``name`` too: the command line's handlers read its names as attributes
+of their own module, ``_cli``."""
 
 import ast
 import importlib
@@ -21,18 +23,13 @@ PACKAGE = Path(cambarrier.__file__).parent
 #: in ``simulate.py``, and in ``cli.py`` entries of its lazy name table
 #: (``_LAZY``) that no handler reads.  Listed here, not read from the
 #: tracer, so the list stays what ``src`` holds; delete each one from its
-#: module and from here once the tracer no longer wraps it.
+#: module and from here once the tracer no longer wraps it.  The tracer's
+#: other ``cli`` names resolve through the package's exports.
 TRACER_SHIMS = {
     "cli.py": {
-        "build_graph",
-        "distinct_cameras",
         "graph_to_dict",
-        "k_barrier_count",
         "plan_from_dict",
         "plan_to_dict",
-        "prune_degree_one",
-        "shortest_barrier",
-        "staffed_cells",
     },
     "simulate.py": {
         "build_graph",
@@ -61,16 +58,24 @@ def unused_imports(source: str) -> set[str]:
     return imported - read
 
 
+def reads(tree) -> set[str]:
+    """Every name ``tree`` loads as a bare name or as ``_cli.name``; any
+    other attribute's name is not one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) == "_cli":
+            names.add(node.attr)
+    return names
+
+
 def handler_reads(source: str) -> set[str]:
     """The names that the command handlers of ``source``, its module-level
-    functions named ``_cmd_*``, load as bare names."""
-    return {
-        name.id
-        for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
-        for name in ast.walk(node)
-        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
-    }
+    functions named ``_cmd_*``, read."""
+    return set().union(
+        *(reads(node) for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"))
+    )
 
 
 def unread_lazy_names(source: str) -> set[str]:
@@ -90,7 +95,7 @@ def test_unused_imports_are_exactly_the_tracer_shims(monkeypatch):
         if names:
             found[path.name] = names
     assert found == TRACER_SHIMS
-    assert sum(map(len, found.values())) == 14
+    assert sum(map(len, found.values())) == 8
     assert unused_imports((PACKAGE / "cli.py").read_text()) == set()
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     monkeypatch.delitem(sys.modules, "spans", raising=False)
@@ -111,6 +116,15 @@ def test_the_check_sees_a_stray_import():
     )
     assert unread_lazy_names(source) == {"stray", "shim"}
     assert unread_lazy_names(source.replace(', "stray": "serialize", "shim": "serialize"', "")) == set()
+    # The same through "_cli": an entry read as "_cli.stray" outside a
+    # handler, or as "args.shim" by one, is still unread.
+    source = (
+        '_LAZY = {"dumps": "serialize", "EPS": "geometry", "stray": "serialize", "shim": "serialize"}\n\n\n'
+        "def _cmd_write(args):\n    return _cli.dumps([r for r in args.shim if r > _cli.EPS])\n\n\n"
+        "def helper():\n    return _cli.stray\n"
+    )
+    assert unread_lazy_names(source) == {"stray", "shim"}
+    assert handler_reads(source) == {"_cli", "args", "r", "dumps", "EPS"}
 
 
 def private_definitions(source: str) -> set[str]:
@@ -127,11 +141,8 @@ def private_definitions(source: str) -> set[str]:
 
 
 def names_loaded(source: str) -> set[str]:
-    """Every name ``source`` loads as a bare name; an attribute's name is
-    not one."""
-    return {
-        node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
+    """Every name ``source`` reads (see :func:`reads`)."""
+    return reads(ast.parse(source))
 
 
 def test_every_private_helper_is_read_in_the_package():
@@ -208,3 +219,5 @@ def test_the_check_sees_a_stray_export():
         "b.py": "def call(obj):\n    return obj.stray()\n",
     }
     assert unread_exports(["stray", "used"], sources) == {"stray"}
+    sources["b.py"] = "def call(obj):\n    return obj.stray() + _cli.stray()\n"
+    assert unread_exports(["stray", "used"], sources) == set()

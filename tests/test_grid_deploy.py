@@ -113,11 +113,27 @@ class TestGridShape:
             grid_shape(1e300, 32.0, 4.0)  # width first, as every command takes it
 
     @pytest.mark.parametrize(
-        "width, height, d", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (math.inf, 1, 1), (1, math.nan, 1), (1, 1, math.nan)]
+        "width, height, d",
+        [
+            (0, 1, 1),
+            (1, -1, 1),
+            (1, 1, 0),
+            (math.inf, 1, 1),
+            (1, math.nan, 1),
+            (1, 1, math.nan),
+            # An int too large for a float is refused, not overflowed.
+            pytest.param(10**400, 1, 1, id="10**400-1-1"),
+            pytest.param(1, 10**400, 1, id="1-10**400-1"),
+            pytest.param(1, 1, 10**400, id="1-1-10**400"),
+        ],
     )
     def test_rejects_non_positive_and_non_finite_lengths(self, width, height, d):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=f"^width, height and d must be positive and finite, got {width}, {height}, {d}$"):
             grid_shape(width, height, d)
+
+    def test_run_algorithm1_applies_it(self):
+        with pytest.raises(ValueError, match="^width, height and d must be positive and finite"):
+            run_algorithm1(10**400, 10.0, [cam(0, 1, 1)], 2.0)
 
     def test_partition_applies_it(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -7,6 +7,7 @@ command line's names resolve when first read, and a name the benchmark's
 tracer replaces on ``cli`` is the one the command calls, whether it is
 replaced before or after its module is loaded."""
 
+import ast
 import importlib
 import json
 import os
@@ -110,6 +111,41 @@ def test_every_lazy_cli_name_resolves_in_its_module():
         assert getattr(cli, name) is getattr(importlib.import_module(f"cambarrier.{module}"), name), name
     with pytest.raises(AttributeError, match="'bogus'"):
         cli.bogus  # noqa: B018
+
+
+def test_every_cli_name_is_the_object_in_its_home_module(monkeypatch):
+    """Each name the tracer wraps on ``cli`` or a handler reads as
+    ``_cli.<name>`` resolves through ``cli._LAZY`` or, for a name the
+    package exports, through the package's table, never both."""
+    from cambarrier import cli
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    traced = {name for module, name, _ in importlib.import_module("spans").TARGETS if module == "cli"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_cli"
+    }
+    assert len(read) == 23 and "main" in traced
+    for name in (traced | read) - {"main"}:
+        assert (name in cli._LAZY) != (name in cambarrier._EXPORTS), name
+        home = importlib.import_module(f"cambarrier.{cli._LAZY.get(name) or cambarrier._EXPORTS[name]}")
+        assert cli.__getattr__(name) is getattr(home, name), name
+
+
+def test_an_unknown_cli_name_imports_nothing():
+    script = (
+        "from cambarrier import cli\n"
+        "try:\n"
+        "    cli.cell_index\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    ) + PRINT_LOADED
+    refused, _, loaded = fresh(script).partition("\n")
+    assert refused == "module 'cambarrier.cli' has no attribute 'cell_index'"
+    assert json.loads(loaded) == ["cambarrier", "cambarrier.cli"]
 
 
 def test_a_handler_runs_without_main_in_a_fresh_interpreter():
