@@ -111,9 +111,14 @@ def _cmd_barrier(args) -> int:
     return 0
 
 
+#: The ``k-barrier`` document, indented and sorted as ``serialize.dumps``
+#: writes it: the column counts (a grid has at least one column) and k.
+_K_BARRIER_DOC = '{\n  "column_counts": [\n    %s\n  ],\n  "k": %d\n}\n'
+
+
 def _cmd_k_barrier(args) -> int:
     counts = _cli.column_counts(_cli.duty_mask(*_cli.plan_duties(_load_json(args.plan))))
-    _emit(_cli.dumps({"k": min(counts), "column_counts": counts}), args.out)
+    _emit(_K_BARRIER_DOC % (",\n    ".join(map(str, counts)), min(counts)), args.out)
     return 0
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 TAU = 2.0 * math.pi
 EPS = 1e-9
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def normalize_bearing(angle: float) -> float:
     """Wrap an angle in radians to [0, 2*pi)."""
@@ -59,6 +61,17 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def size_text(value) -> str:
+    """``value`` for an error message: as ``str`` writes it, but an int of
+    more than 12 digits to 3 significant digits, as ``1.00e+400``, so that
+    the message stays one short line."""
+    if not isinstance(value, int) or -(10**12) < value < 10**12:
+        return str(value)
+    from decimal import Decimal  # imported here, off the start-up path
+
+    return f"{Decimal(value):.3g}"
+
+
 def check_integer(name: str, value, minimum: int) -> None:
     """Reject anything but an integer >= ``minimum``; bools and integral
     floats are rejected too, so that no value is silently converted."""
@@ -78,8 +91,10 @@ class Point2D:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
+        # A range test, not math.isfinite: an int too large for a float
+        # fails it rather than raising OverflowError.
+        if not (-_FLOAT_MAX <= self.x <= _FLOAT_MAX and -_FLOAT_MAX <= self.y <= _FLOAT_MAX):
+            raise ValueError(f"coordinates must be finite, got ({size_text(self.x)}, {size_text(self.y)})")
 
     def distance_to(self, other: "Point2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)

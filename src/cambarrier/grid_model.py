@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import CameraParams, CameraPose, Point2D, Segment, slack_ceil
+from .geometry import CameraParams, CameraPose, Point2D, Segment, size_text, slack_ceil
 from .line_model import SWING_FOV, optimal_params
 
 ORIENT_DOWN = "down"
@@ -178,14 +178,17 @@ def grid_shape(width: float, height: float, d: float) -> tuple[int, int]:
     and the grid has at most :data:`MAX_CELLS` cells.
     """
     if not all(0.0 < v <= sys.float_info.max for v in (width, height, d)):
-        raise ValueError(f"width, height and d must be positive and finite, got {width}, {height}, {d}")
+        w, h, side = map(size_text, (width, height, d))
+        raise ValueError(f"width, height and d must be positive and finite, got {w}, {h}, {side}")
     rows, cols = height / d, width / d
     if math.isfinite(rows) and math.isfinite(cols):
         m, n = max(1, slack_ceil(rows)), max(1, slack_ceil(cols))
         if m * n <= MAX_CELLS:
             return m, n
-    # Named by the region, not by the row count, which may run to hundreds of digits.
-    raise ValueError(f"a {width} x {height} region in cells of side {d} exceeds {MAX_CELLS} cells")
+    # Named by the region, not by the row count, which may run to hundreds
+    # of digits; a length given as a huge int is cut to 3 digits too.
+    w, h, side = map(size_text, (width, height, d))
+    raise ValueError(f"a {w} x {h} region in cells of side {side} exceeds {MAX_CELLS} cells")
 
 
 #: The staffed rule, one entry per corner of a cell: cell (i, j) is

@@ -10,8 +10,9 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
-from .geometry import TAU, CameraParams, CameraPose, Point2D, check_integer
+from .geometry import TAU, CameraParams, CameraPose, Point2D, check_integer, size_text
 from .grid_model import (
     MAX_CELLS,
     ORIENT_DOWN,
@@ -101,6 +102,12 @@ def sweep_csv_text(result) -> str:
 #: Camera-file fields that must be finite numbers.
 _CAMERA_NUMBERS = ("x", "y", "facing", "r", "phi", "theta")
 
+#: The fields of a plan's camera record, read at once: a camera-file
+#: entry's seven (``_CAMERA``) and then the relocation's three.
+_PLAN_CAMERA = itemgetter(*_CAMERA_NUMBERS, "id", "distance", "vertex", "orientation")
+_CAMERA = itemgetter(*_CAMERA_NUMBERS, "id")
+_ASSIGNMENT = itemgetter("vertex", "stationed", "down", "up", "silent")
+
 
 def _non_finite(data: dict, keys) -> str | None:
     """The first of ``keys`` whose value in ``data`` is not a finite JSON
@@ -176,7 +183,9 @@ def _pose(data: dict, params: CameraParams) -> CameraPose:
 
 def cameras_from_list(entries):
     """The cameras of a camera file, in file order, as arrays; no pose is
-    built.  Every entry is checked by :func:`_camera_params`, in file
+    built.  An entry whose six numbers are finite floats, whose id is an
+    int >= 0 and whose ``(r, phi, theta)`` an earlier entry checked passes
+    one test; any other is checked by :func:`_camera_params`, in file
     order, so a file with faults gets the error of the first."""
     # Imported here: the commands that only read a plan never load numpy.
     import numpy as np
@@ -185,7 +194,25 @@ def cameras_from_list(entries):
 
     entries = list(entries)
     params = {}
-    shared = [_camera_params(entry, params, k) for k, entry in enumerate(entries)]
+    shared = []
+    for k, e in enumerate(entries):
+        hardware = None
+        if type(e) is dict:
+            try:
+                x, y, facing, r, phi, theta, cid = _CAMERA(e)
+            except KeyError:
+                pass
+            else:
+                # Zero times a sum of finite floats is zero; an infinity or
+                # a NaN makes it NaN.
+                if (
+                    type(x) is type(y) is type(facing) is type(r) is type(phi) is type(theta) is float
+                    and 0.0 * (x + y + facing + r + phi + theta) == 0.0
+                    and type(cid) is int
+                    and cid >= 0
+                ):
+                    hardware = params.get((r, phi, theta))
+        shared.append(hardware or _camera_params(e, params, k))
     ids = [entry["id"] for entry in entries]
     x, y, facing = (np.array([entry[key] for entry in entries], dtype=float) for key in ("x", "y", "facing"))
     r = np.array([p.r for p in shared], dtype=float)
@@ -393,16 +420,6 @@ def _deficit_tail(j: int) -> str:
     return f'{j}\n      ]\n    }}'
 
 
-def _size(value: int) -> str:
-    """A grid size for an error message: as written up to 12 digits, past
-    that as ``1.00e+400``, so that the message stays one short line."""
-    if value < 10**12:
-        return str(value)
-    from decimal import Decimal  # imported here, off the start-up path
-
-    return f"{Decimal(value):.3g}"
-
-
 def _plan_error(key: str, expected: str, value) -> ValueError:
     return ValueError(f"plan field {key!r} must be {expected}, got {value!r}")
 
@@ -488,7 +505,7 @@ def _plan_sections(data: dict) -> tuple:
             raise _plan_error(key, "an integer >= 1", value)
     m, n = gd["m"], gd["n"]
     if m * n > MAX_CELLS:
-        raise ValueError(f"a {_size(m)} x {_size(n)} plan grid exceeds {MAX_CELLS} cells")
+        raise ValueError(f"a {size_text(m)} x {size_text(n)} plan grid exceeds {MAX_CELLS} cells")
     rows, cols = m + 1, n + 1
     params = {}
     # The ids of the plan's cameras, and None, which stands for an
@@ -500,6 +517,31 @@ def _plan_sections(data: dict) -> tuple:
     k = None
     try:
         for k, e in enumerate(_plan_list(data, section := "cameras")):
+            # One test passes a record whose fields hold their usual types
+            # and ranges (as cameras_from_list's) and whose (r, phi, theta)
+            # an earlier record checked; the ordered checks below name the
+            # first fault of any other.
+            if type(e) is dict:
+                try:
+                    x, y, facing, r, phi, theta, cid, distance, vertex, orientation = _PLAN_CAMERA(e)
+                    i, j = vertex
+                except (KeyError, TypeError, ValueError):
+                    pass
+                else:
+                    if (
+                        type(x) is type(y) is type(facing) is type(r) is type(phi) is type(theta) is float
+                        and type(distance) is float
+                        and 0.0 * (x + y + facing + r + phi + theta + distance) == 0.0
+                        and type(cid) is type(i) is type(j) is int
+                        and type(vertex) is list
+                        and cid >= 0
+                        and 0 < i <= rows
+                        and 0 < j <= cols
+                        and (orientation is None or orientation == ORIENT_DOWN or orientation == ORIENT_UP)
+                        and (r, phi, theta) in params
+                    ):
+                        known.add(cid)
+                        continue
             _camera_params(e, params, k)
             known.add(e["id"])
             _plan_pair(e["vertex"], "vertex", rows, cols)
@@ -513,6 +555,25 @@ def _plan_sections(data: dict) -> tuple:
             cell = _plan_pair(e["cell"], "cell", m, n)
             cells[cell] = _plan_ids(e["cameras"], "cameras")
         for k, e in enumerate(_plan_list(data, section := "assignments")):
+            # One test, as for the cameras, but for the id lists, which
+            # _plan_ids checks in the order of the fields.
+            if type(e) is dict:
+                try:
+                    vertex, stationed, down, up, silent = _ASSIGNMENT(e)
+                    i, j = vertex
+                except (KeyError, TypeError, ValueError):
+                    pass
+                else:
+                    if (
+                        type(i) is type(j) is int
+                        and type(vertex) is list
+                        and 0 < i <= rows
+                        and 0 < j <= cols
+                        and (down is None or type(down) is int and down >= 0)
+                        and (up is None or type(up) is int and up >= 0)
+                    ):
+                        assignments[i, j] = (_plan_ids(stationed, "stationed"), down, up, _plan_ids(silent, "silent"))
+                        continue
             if type(e) is not dict:
                 raise _not_object(f"{section}[{k}]", e)
             v = _plan_pair(e["vertex"], "vertex", rows, cols)

@@ -494,6 +494,13 @@ def fig3_sweep(length: float, r_values) -> SweepResult:
 
 
 def with_overrides(config: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    """Config copy with the given fields replaced (None values ignored)."""
+    """Config copy with the given fields replaced (None values ignored),
+    and checked as a new config is.  ``config`` itself when each given
+    value is already its field's, of the same type: a copy would repeat
+    every check to the same end."""
     updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(config, **updates) if updates else config
+    same = all(
+        k in config.__dataclass_fields__ and type(v) is type(getattr(config, k)) and v == getattr(config, k)
+        for k, v in updates.items()
+    )
+    return config if same else replace(config, **updates)

@@ -7,8 +7,10 @@ the standard library's JSON encoder, the dict views of the
 line-deployment and barrier documents (and of one camera-file entry),
 a frozen copy of the object-building plan loader, frozen copies of
 the object-building relocation and the plan writer that read its dicts,
-and a frozen copy of the full-view kernel as it stood before its passes
-were cut, which the kernel must match bit for bit.
+a frozen copy of the full-view kernel as it stood before its passes
+were cut, which the kernel must match bit for bit, and a frozen copy of
+the plan and camera-file walk as it stood before an entry could pass one
+test, whose results and error texts the loaders must match.
 """
 
 import json
@@ -19,8 +21,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from cambarrier.barrier_graph import SINK, SOURCE
-from cambarrier.full_view import _mod_tau
-from cambarrier.geometry import CameraParams, CameraPose, Point2D, normalize_bearing
+from cambarrier.full_view import Cameras, _mod_tau, normalize_bearings
+from cambarrier.geometry import CameraParams, CameraPose, Point2D, check_integer, normalize_bearing
 from cambarrier.grid_deploy import assign_orientations, assign_to_vertices, elect_grid_heads, partition
 from cambarrier.grid_model import (
     MAX_CELLS,
@@ -544,4 +546,211 @@ def ref_plan_json(plan):
         f'  "deficits": {_writer_section(deficits)},\n  "grid": {{\n    "d": {_writer_number(g.d)},\n'
         f'    "height": {_writer_number(g.height)},\n    "m": {int.__repr__(g.m)},\n    "n": {int.__repr__(g.n)},\n'
         f'    "width": {_writer_number(g.width)}\n  }},\n  "heads": {_writer_section(heads)}\n}}\n'
+    )
+
+
+# A frozen copy of ``serialize``'s plan and camera-file walk as it was
+# before a well-formed entry could pass one test: every entry takes the
+# ordered checks.  The reference for the result, and the error text, of
+# each malformed plan or camera file.
+
+_CAMERA_NUMBERS = ("x", "y", "facing", "r", "phi", "theta")
+_TAU_TEXT = float(f"{TAU:.9g}")
+_BELOW_TAU = math.nextafter(TAU, 0.0)
+_HALF_PI_TEXT = float(f"{math.pi / 2:.9g}")
+
+
+def _walk_non_finite(data, keys):
+    for key in keys:
+        value = data[key]
+        if (type(value) is not float and type(value) is not int) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return key
+    return None
+
+
+def _walk_params(r, phi, theta):
+    return CameraParams(r, TAU if phi == _TAU_TEXT else phi, math.pi / 2 if theta == _HALF_PI_TEXT else theta)
+
+
+def _walk_not_object(path, value):
+    return ValueError(f"{path}: expected a JSON object, got {type(value).__name__}")
+
+
+def _walk_missing(path, exc):
+    return ValueError(f"{path}: missing field {exc.args[0]!r}")
+
+
+def _walk_camera_params(data, params, k):
+    if type(data) is not dict:
+        raise _walk_not_object(f"cameras[{k}]", data)
+    try:
+        key = _walk_non_finite(data, _CAMERA_NUMBERS)
+        if key is not None:
+            raise ValueError(f"camera field {key!r} must be a finite number, got {data[key]!r}")
+        triple = (data["r"], data["phi"], data["theta"])
+        shared = params.get(triple)
+        if shared is None:
+            shared = params[triple] = _walk_params(*map(float, triple))
+        check_integer("camera id", data["id"], 0)
+    except KeyError as exc:
+        raise _walk_missing(f"cameras[{k}]", exc) from None
+    return shared
+
+
+def walk_cameras_from_list(entries):
+    """The cameras of a camera file, as the frozen walk read them."""
+    entries = list(entries)
+    params = {}
+    shared = [_walk_camera_params(entry, params, k) for k, entry in enumerate(entries)]
+    ids = [entry["id"] for entry in entries]
+    x, y, facing = (np.array([entry[key] for entry in entries], dtype=float) for key in ("x", "y", "facing"))
+    r = np.array([p.r for p in shared], dtype=float)
+    half = np.array([p.phi / 2.0 for p in shared], dtype=float)
+    return Cameras(x, y, normalize_bearings(facing), r, half, ids, shared)
+
+
+def _walk_size(value):
+    if value < 10**12:
+        return str(value)
+    from decimal import Decimal
+
+    return f"{Decimal(value):.3g}"
+
+
+def _walk_number(data, keys):
+    key = _walk_non_finite(data, keys)
+    if key is not None:
+        raise _ref_error(key, "a finite number", data[key])
+
+
+def _walk_ids(value, key):
+    if type(value) is list:
+        for cid in value:
+            if type(cid) is not int or cid < 0:
+                break
+        else:
+            return value
+    raise _ref_error(key, "a list of non-negative integers", value)
+
+
+def _walk_unknown_camera(known, *fields):
+    key, cid = next((key, cid) for key, ids in fields for cid in ids if cid not in known)
+    return _ref_error(key, "the id of a camera in 'cameras'", cid)
+
+
+def _walk_field(obj, key, path):
+    if type(obj) is not dict:
+        raise _walk_not_object(path, obj)
+    try:
+        return obj[key]
+    except KeyError as exc:
+        raise _walk_missing(path, exc) from None
+
+
+def _walk_list(data, key):
+    entries = _walk_field(data, key, "plan")
+    if type(entries) is not list:
+        raise ValueError(f"{key}: expected a JSON list, got {type(entries).__name__}")
+    return entries
+
+
+def _walk_plan_sections(data):
+    gd = _walk_field(data, "grid", "plan")
+    for key in ("m", "n"):
+        value = _walk_field(gd, key, "grid")
+        if type(value) is not int or value < 1:
+            raise _ref_error(key, "an integer >= 1", value)
+    m, n = gd["m"], gd["n"]
+    if m * n > MAX_CELLS:
+        raise ValueError(f"a {_walk_size(m)} x {_walk_size(n)} plan grid exceeds {MAX_CELLS} cells")
+    rows, cols = m + 1, n + 1
+    params = {}
+    known = {None}
+    cells, assignments, heads, deficits = {}, {}, {}, []
+    k = None
+    try:
+        for k, e in enumerate(_walk_list(data, section := "cameras")):
+            _walk_camera_params(e, params, k)
+            known.add(e["id"])
+            _ref_pair(e["vertex"], "vertex", rows, cols)
+            _walk_number(e, ("distance",))
+            _ref_orientation(e["orientation"], "orientation")
+        section, k = "grid", None
+        _walk_number(gd, ("width", "height", "d"))
+        for k, e in enumerate(_walk_list(data, section := "cells")):
+            if type(e) is not dict:
+                raise _walk_not_object(f"{section}[{k}]", e)
+            cell = _ref_pair(e["cell"], "cell", m, n)
+            cells[cell] = _walk_ids(e["cameras"], "cameras")
+        for k, e in enumerate(_walk_list(data, section := "assignments")):
+            if type(e) is not dict:
+                raise _walk_not_object(f"{section}[{k}]", e)
+            v = _ref_pair(e["vertex"], "vertex", rows, cols)
+            assignments[v] = (_walk_ids(e["stationed"], "stationed"), _ref_duty(e["down"], "down"),
+                              _ref_duty(e["up"], "up"), _walk_ids(e["silent"], "silent"))
+        for k, e in enumerate(_walk_list(data, section := "heads")):
+            if type(e) is not dict:
+                raise _walk_not_object(f"{section}[{k}]", e)
+            cell = _ref_pair(e["cell"], "cell", m, n)
+            heads[cell] = _ref_id(e["id"], "id")
+        for ids in cells.values():
+            if not known.issuperset(ids):
+                raise _walk_unknown_camera(known, ("cameras", ids))
+        if not known.issuperset(heads.values()):
+            raise _walk_unknown_camera(known, ("id", heads.values()))
+        for stationed, down, up, silent in assignments.values():
+            if not (down in known and up in known and known.issuperset(stationed) and known.issuperset(silent)):
+                fields = (("stationed", stationed), ("down", (down,)), ("up", (up,)), ("silent", silent))
+                raise _walk_unknown_camera(known, *fields)
+        if type(_walk_field(data, "d_within_bound", "plan")) is not bool:
+            raise _ref_error("d_within_bound", "true or false", data["d_within_bound"])
+        for k, e in enumerate(_walk_list(data, section := "deficits")):
+            if type(e) is not dict:
+                raise _walk_not_object(f"{section}[{k}]", e)
+            v = _ref_pair(e["vertex"], "vertex", rows, cols)
+            deficits.append((v, _ref_orientation(e["orientation"], "orientation")))
+    except KeyError as exc:
+        raise _walk_missing(section if k is None else f"{section}[{k}]", exc) from None
+    return m, n, cells, assignments, heads, deficits
+
+
+def walk_plan_duties(data):
+    """The grid size and duties of a plan, as the frozen walk read them."""
+    m, n, _, assignments, _, _ = _walk_plan_sections(data)
+    return m, n, {v: (down, up) for v, (_, down, up, _) in assignments.items()}
+
+
+def walk_plan_from_dict(data):
+    """The plan a plan JSON describes, as the frozen walk read it."""
+    m, n, cells, assignments, heads, deficits = _walk_plan_sections(data)
+    shared = {}
+    poses = {}
+    records = {}
+    for c in data["cameras"]:
+        triple = (c["r"], c["phi"], c["theta"])
+        key = (triple, tuple(map(type, triple)))
+        params = shared.get(key)
+        if params is None:
+            params = shared[key] = _walk_params(*triple)
+        facing = _BELOW_TAU if c["facing"] == _TAU_TEXT else c["facing"]
+        pose = poses[c["id"]] = CameraPose(id=c["id"], position=Point2D(c["x"], c["y"]), facing=facing, params=params)
+        records[pose.id] = CameraRecord(
+            camera_id=pose.id, origin=pose.position, vertex=tuple(c["vertex"]), distance=c["distance"],
+            orientation=c["orientation"],
+        )
+    gd = data["grid"]
+    grid = GridModel(
+        width=gd["width"], height=gd["height"], d=gd["d"], m=m, n=n,
+        cell_members={cell: tuple(ids) for cell, ids in cells.items()}, poses=poses,
+    )
+    return DeploymentPlan(
+        grid=grid,
+        heads=heads,
+        assignments={
+            v: VertexAssignment(vertex=v, stationed=tuple(stationed), down=down, up=up, silent=tuple(silent))
+            for v, (stationed, down, up, silent) in assignments.items()
+        },
+        records=records,
+        deficits=tuple(deficits),
+        d_within_bound=data["d_within_bound"],
     )

@@ -151,6 +151,21 @@ class TestGridPipeline:
         assert code == 0
         kdata = json.loads(out)
         assert kdata["k"] == min(kdata["column_counts"])
+        assert out == serialize.dumps(kdata)
+
+    @pytest.mark.parametrize("width", [1.0, 20.0, 40.0])
+    def test_k_barrier_writes_what_dumps_writes(self, tmp_path, capsys, width):
+        # One column, and several; the template is the encoder's layout.
+        cams = random_deploy(width, 10.0, 200, 3, CameraParams(r=5.0, phi=2.0, theta=1.0))
+        cam_path, plan_path = tmp_path / "cams.json", tmp_path / "plan.json"
+        cam_path.write_text(json.dumps([camera_to_dict(c) for c in cams]))
+        argv = ("deploy-grid", "--cameras", str(cam_path), "--width", str(width), "--height", "10", "--out", str(plan_path))
+        assert run(capsys, *argv) == (0, "")
+        m, n, duties = serialize.plan_duties(json.loads(plan_path.read_text()))
+        counts = [sum(column) for column in zip(*grid_model.duty_mask(m, n, duties))]
+        assert len(counts) == n and (n == 1) == (width == 1.0)
+        code, out = run(capsys, "k-barrier", "--plan", str(plan_path))
+        assert (code, out) == (0, serialize.dumps({"k": min(counts), "column_counts": counts}))
 
     @pytest.mark.parametrize("phi, theta", [(math.tau, math.pi / 4), (2.0, math.pi / 2), (math.tau, math.pi / 2)])
     def test_plans_at_the_hardware_bounds_read_back(self, tmp_path, capsys, phi, theta):

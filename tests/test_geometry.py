@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,20 @@ class TestTypes:
             Point2D(float("nan"), 0.0)
         with pytest.raises(ValueError):
             Point2D(0.0, float("inf"))
+
+    @pytest.mark.parametrize(
+        "x, y, named",
+        [(10**400, 0.0, "(1.00e+400, 0.0)"), (0.0, -(10**309), "(0.0, -1.00e+309)"), (1, 2**1024, "(1, 1.80e+308)")],
+    )
+    def test_point_rejects_an_int_no_float_holds(self, x, y, named):
+        with pytest.raises(ValueError) as info:
+            Point2D(x, y)
+        assert str(info.value) == f"coordinates must be finite, got {named}"
+
+    def test_point_keeps_the_largest_floats_and_ints(self):
+        big = int(sys.float_info.max)
+        assert Point2D(big, -big) == Point2D(big, -big)
+        assert Point2D(sys.float_info.max, -sys.float_info.max).x == sys.float_info.max
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

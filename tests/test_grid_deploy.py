@@ -128,8 +128,27 @@ class TestGridShape:
         ],
     )
     def test_rejects_non_positive_and_non_finite_lengths(self, width, height, d):
-        with pytest.raises(ValueError, match=f"^width, height and d must be positive and finite, got {width}, {height}, {d}$"):
+        # An int of more than 12 digits is named to 3 significant digits.
+        w, h, side = ("1.00e+400" if v == 10**400 else v for v in (width, height, d))
+        expected = re.escape(f"width, height and d must be positive and finite, got {w}, {h}, {side}")
+        with pytest.raises(ValueError, match=f"^{expected}$"):
             grid_shape(width, height, d)
+
+    @pytest.mark.parametrize(
+        "lengths, named",
+        [
+            ((10**400, 1.0, 1.0), "got 1.00e+400, 1.0, 1.0"),
+            ((1.0, -(10**309), 1.0), "got 1.0, -1.00e+309, 1.0"),
+            ((10**300, 1.0, 1.0), "a 1.00e+300 x 1.0 region in cells of side 1.0 exceeds"),
+            ((1.0, 1.0, 1 / 10**300), "a 1.0 x 1.0 region in cells of side 1e-300 exceeds"),
+            ((999_999_999_999, 1, 1), "a 999999999999 x 1 region in cells of side 1 exceeds"),
+            ((10**12, 1, 1), "a 1.00e+12 x 1 region in cells of side 1 exceeds"),
+        ],
+    )
+    def test_names_a_huge_int_length_to_three_digits(self, lengths, named):
+        with pytest.raises(ValueError) as info:
+            grid_shape(*lengths)
+        assert named in str(info.value) and len(str(info.value)) < 100
 
     def test_run_algorithm1_applies_it(self):
         with pytest.raises(ValueError, match="^width, height and d must be positive and finite"):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 from decimal import Decimal
 
@@ -29,7 +30,16 @@ from cambarrier.serialize import (
 )
 from cambarrier.simulate import random_deploy
 
-from helpers import barrier_to_dict, camera_to_dict, line_deployment_to_dict, ref_dumps, ref_plan_from_dict
+from helpers import (
+    barrier_to_dict,
+    camera_to_dict,
+    line_deployment_to_dict,
+    ref_dumps,
+    ref_plan_from_dict,
+    walk_cameras_from_list,
+    walk_plan_duties,
+    walk_plan_from_dict,
+)
 
 
 def outcome(write, obj):
@@ -545,6 +555,166 @@ class TestPlanCheck:
         data["assignments"].append(stale)
         with pytest.raises(ValueError, match="plan field 'stationed' must be the id of a camera"):
             plan_duties(data)
+
+
+#: What a mutation puts in one field of a camera record, a camera-file
+#: entry or an assignment: every JSON type, numbers no float holds or
+#: only just holds, ints in float fields, pairs of a bad length, type or
+#: range, and orientations that are not one.
+FIELD_VALUES = (
+    True, False, "1", "", None, [], {}, [1, 1], math.nan, math.inf, -math.inf, 10**400, -(10**400),
+    int(sys.float_info.max) + 2**970, int(sys.float_info.max), sys.float_info.max, 0, 1, 3, -1, 2**64,
+    0.0, -0.0, -1.0, 1e-300, [1], [1, 1, 1], [0, 1], [1, 0], [1.0, 1], [True, 1], [1, None], "11", {"i": 1},
+    [10**400, 1], "down", "up", "Down", "left", 0.5, [999999],
+)
+
+#: Values just off (or just on) what one field takes, drawn for it as
+#: often as the general ones; a pair's range is past the grid's 5 x 5.
+NUMBER_VALUES = (math.nan, math.inf, -math.inf, 10**400, int(sys.float_info.max) + 2**970, 3, -1, True, None, "1")
+ID_VALUES = (-1, 0, 2**64, True, 1.0, None, "1", [1])
+FIELD_EDGES = {
+    **dict.fromkeys(("x", "y", "facing", "r", "phi", "theta", "distance"), NUMBER_VALUES),
+    "id": ID_VALUES,
+    "vertex": ([0, 1], [1, 0], [1, 99], [99, 1], [-1, 1], [1], [1, 1, 1], [1.0, 1], [True, 1], "11", {"1": 1, "2": 2}),
+    "orientation": ("left", "Down", "", 0, None, "up", "down", ["down"]),
+    "down": ID_VALUES,
+    "up": ID_VALUES,
+    "stationed": ([-1], [1.0], [True], [0, -1], "1", None, []),
+    "silent": ([-1], [1.0], [True], [0, -1], "1", None, []),
+}
+
+#: Hardware triples a mutation gives one camera and, often, some later
+#: ones: new and valid, off a bound, at a bound's text, or of ints.
+TRIPLES = (
+    (12.5, 2.0, 1.0), (12, 2, 1), (5.0, 2.0, 1.0), (0.0, 2.0, 1.0), (-1.0, 2.0, 1.0), (5.0, 0.0, 1.0),
+    (5.0, math.tau + 2e-9, 1.0), (5.0, 6.28318531, 1.0), (5.0, 7.0, 1.0), (5.0, 2.0, math.pi / 2 + 2e-9),
+    (5.0, 2.0, 1.57079633), (5.0, 6.28318531, 1.57079633), (5.0, 2.0, 0.0), (5.0, 2.0, 2.0),
+    (math.inf, 2.0, 1.0), (5.0, math.nan, 1.0), (10**400, 2.0, 1.0), (5.0, True, 1.0),
+)
+
+#: What an entry becomes when it is not an object.
+NOT_OBJECTS = (1, 1.5, "camera", None, True, [], [1, 2], [{"id": 0}])
+
+#: The fields of a camera-file entry.
+CAMERA_FIELDS = ("id", "x", "y", "facing", "r", "phi", "theta")
+
+#: Camera files: the cameras of the base plans, as camera-file entries.
+BASE_CAMERA_LISTS = tuple(
+    [{key: cam[key] for key in CAMERA_FIELDS} for cam in plan["cameras"]] for plan in BASE_PLANS if plan["cameras"]
+)
+
+
+@st.composite
+def one_field_mutations(draw, bases, section):
+    """A copy of one of ``bases`` (a plan, or a camera list when
+    ``section`` is None) with one entry of ``section`` changed: a field
+    replaced or deleted, the entry replaced by a value that is not an
+    object, or its hardware triple set to a new one that some later
+    entries share."""
+    data = copy.deepcopy(draw(st.sampled_from(bases)))
+    entries = data if section is None else data[section]
+    if not entries:
+        return data
+    k = draw(st.integers(0, len(entries) - 1))
+    entry = entries[k]
+    kind = draw(st.sampled_from(("replace", "replace", "delete", "not object", "hardware")))
+    if kind == "not object":
+        entries[k] = copy.deepcopy(draw(st.sampled_from(NOT_OBJECTS)))
+    elif kind == "hardware" and "r" in entry:
+        triple = draw(st.sampled_from(TRIPLES))
+        for later in entries[k:]:
+            if later is entry or draw(st.booleans()):
+                later.update(zip(("r", "phi", "theta"), triple))
+    else:
+        key = draw(st.sampled_from(sorted(entry)))
+        if kind == "delete":
+            del entry[key]
+        else:
+            values = draw(st.sampled_from((FIELD_VALUES, FIELD_EDGES[key])))
+            entry[key] = copy.deepcopy(draw(st.sampled_from(values)))
+    return data
+
+
+def sharing(cameras):
+    """Which cameras share their :class:`CameraParams` object: for each,
+    the index of the first camera holding the same object."""
+    first = {}
+    return [first.setdefault(id(p), k) for k, p in enumerate(cameras.params)]
+
+
+class TestOneTestAccept:
+    """A well-formed entry passes one test and any other takes the ordered
+    checks, so every loader returns what the frozen walk returned, or
+    raises its error text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(("cameras", "assignments")).flatmap(lambda section: one_field_mutations(BASE_PLANS, section)))
+    def test_plan_loaders_match_the_frozen_walk(self, data):
+        assert load_outcome(plan_duties, data) == load_outcome(walk_plan_duties, data)
+        assert load_outcome(plan_from_dict, data) == load_outcome(walk_plan_from_dict, data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(one_field_mutations(BASE_CAMERA_LISTS, None))
+    def test_the_camera_file_loader_matches_the_frozen_walk(self, entries):
+        got, expected = load_outcome(cameras_from_list, entries), load_outcome(walk_cameras_from_list, entries)
+        assert got == expected
+        if not isinstance(expected, tuple):
+            assert sharing(got) == sharing(expected)
+
+    def test_every_value_in_every_field_of_a_first_and_a_last_entry(self):
+        plan = max(BASE_PLANS, key=lambda plan: len({(c["r"], c["phi"], c["theta"]) for c in plan["cameras"]}))
+        camera_file = [{key: cam[key] for key in CAMERA_FIELDS} for cam in plan["cameras"]]
+        loaders = ((plan_duties, walk_plan_duties), (plan_from_dict, walk_plan_from_dict))
+        cases = [(plan, section, loaders) for section in ("cameras", "assignments")]
+        cases.append((camera_file, None, ((cameras_from_list, walk_cameras_from_list),)))
+        seen = set()
+        for base, section, pairs in cases:
+            entries = base if section is None else base[section]
+            for k in (0, len(entries) - 1):
+                changes = [(key, value) for key in entries[k] for value in (KeyError, *FIELD_VALUES, *FIELD_EDGES[key])]
+                changes += [(None, value) for value in NOT_OBJECTS]
+                changes += [("hardware", triple) for triple in TRIPLES] if section != "assignments" else []
+                for key, value in changes:
+                    data = copy.deepcopy(base)
+                    entry = (data if section is None else data[section])[k]
+                    if key is None:
+                        (data if section is None else data[section])[k] = copy.deepcopy(value)
+                    elif key == "hardware":
+                        entry.update(zip(("r", "phi", "theta"), value))
+                    elif value is KeyError:
+                        del entry[key]
+                    else:
+                        entry[key] = copy.deepcopy(value)
+                    for load, walk in pairs:
+                        got = load_outcome(load, data)
+                        assert got == load_outcome(walk, data), (section, k, key, value)
+                        seen.add(got[1] if isinstance(got, tuple) and isinstance(got[0], type) else "loaded")
+        assert len(seen) > 60
+
+    def test_valid_files_and_a_shared_new_triple_load_as_the_frozen_walk_loads(self):
+        for data in BASE_PLANS:
+            assert plan_from_dict(data) == walk_plan_from_dict(data)
+        for entries in BASE_CAMERA_LISTS:
+            assert cameras_from_list(entries) == walk_cameras_from_list(entries)
+        data = copy.deepcopy(next(plan for plan in BASE_PLANS if len(plan["cameras"]) > 2))
+        cams = data["cameras"]
+        cams[1].update(r=12.5, phi=6.28318531, theta=1.57079633)
+        cams[2].update(r=12.5, phi=6.28318531, theta=1.57079633)
+        plan = plan_from_dict(data)
+        assert plan == walk_plan_from_dict(data)
+        assert plan.grid.poses[cams[2]["id"]].params == CameraParams(12.5, math.tau, math.pi / 2)
+        for key, value, error in (
+            ("x", 10**400, "camera field 'x' must be a finite number, got 1" + "0" * 400),
+            ("distance", math.inf, "plan field 'distance' must be a finite number, got inf"),
+            ("vertex", [1.0, 1], "plan field 'vertex' must be a pair of integers in"),
+            ("orientation", "left", "plan field 'orientation' must be 'down', 'up' or null, got 'left'"),
+            ("theta", math.pi / 2 + 2e-9, "effective angle must be in (0, pi/2]"),
+        ):
+            bad = copy.deepcopy(data)
+            bad["cameras"][2][key] = value
+            for load in (plan_duties, plan_from_dict):
+                got = load_outcome(load, bad)
+                assert got == load_outcome(walk_plan_from_dict, bad) and got[1].startswith(error)
 
 
 def barrier_document(result, mask):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -166,6 +167,39 @@ class TestConfig:
         cfg = small_config(counts=(0, 5, 6), trials=10)
         with pytest.raises(ValueError, match="more than 120"):
             with_overrides(cfg, trials=11)
+
+    def test_overrides_equal_to_the_config_return_it_unchecked(self, monkeypatch):
+        cfg = small_config(mode="mobile", seed=7, trials=10)
+        checks = []
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", lambda self: checks.append(self))
+        assert with_overrides(cfg) is cfg
+        assert with_overrides(cfg, mode="mobile", seed=7, trials=None, samples=51) is cfg
+        assert checks == []
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"mode": "static", "seed": 7}, None),
+            ({"seed": 7, "trials": 0}, "trials must be an integer >= 1, got 0"),
+            ({"trials": 10.0}, "trials must be an integer >= 1, got 10.0"),
+            ({"seed": True}, "seed must be an integer >= 0, got True"),
+            ({"counts": [0, 20, 40]}, None),
+            ({"mode": "Mobile"}, "mode must be one of"),
+        ],
+    )
+    def test_an_override_of_another_value_or_type_is_checked(self, overrides, error):
+        cfg = small_config(mode="mobile", seed=7, trials=10)
+        if error is None:
+            copy = with_overrides(cfg, **overrides)
+            assert copy is not cfg and copy == dataclasses.replace(cfg, **overrides)
+        else:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                with_overrides(cfg, **overrides)
+
+    def test_an_unknown_override_still_raises(self):
+        cfg = small_config()
+        with pytest.raises(TypeError):
+            with_overrides(cfg, grid=cfg.grid)
 
     def test_work_budget_admits_the_default_trials_at_the_camera_limit(self):
         assert WORK_BUDGET == 100 * MAX_CAMERAS
