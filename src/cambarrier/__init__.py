@@ -8,9 +8,11 @@ Monte Carlo coverage experiments.
 
 import importlib
 
-#: The module of every name in :data:`__all__` but ``__version__``.  Each
-#: is imported from its module the first time it is read (PEP 562), so
-#: that ``import cambarrier.cli`` loads no module a command does not run.
+#: The module of every name in :data:`__all__` but ``__version__``: the
+#: package's one map from a name to its module.  Each is imported from its
+#: module the first time it is read (PEP 562), here or as an attribute of
+#: :mod:`cambarrier.cli`, so that ``import cambarrier.cli`` loads no module
+#: a command does not run.
 _EXPORTS = {
     "EPS": "geometry",
     "TAU": "geometry",
@@ -19,6 +21,7 @@ _EXPORTS = {
     "CameraParams": "geometry",
     "CameraPose": "geometry",
     "normalize_bearing": "geometry",
+    "check_positive": "geometry",
     "full_view_covered_point": "full_view",
     "full_view_covered_segment": "full_view",
     "SWING_FOV": "line_model",
@@ -71,6 +74,18 @@ _EXPORTS = {
     "coverage_probability_sweep": "simulate",
     "barrier_camera_count_sweep": "simulate",
     "fig3_sweep": "simulate",
+    "with_overrides": "simulate",
+    "CSV_HEADER": "serialize",
+    "format_number": "serialize",
+    "dumps": "serialize",
+    "sweep_csv_text": "serialize",
+    "cameras_from_list": "serialize",
+    "line_deployment_json": "serialize",
+    "plan_to_dict": "serialize",
+    "plan_json": "serialize",
+    "plan_duties": "serialize",
+    "plan_from_dict": "serialize",
+    "graph_to_dict": "serialize",
 }
 
 __version__ = "0.1.0"

@@ -11,45 +11,24 @@ input (for example cameras outside the region).
 """
 
 import argparse
-import importlib
 import json
 import math
 import sys
 from pathlib import Path
 
-#: The module of each name a handler reads, or the benchmark's tracer wraps
-#: here (``bench/spans.py``, ROADMAP item 5), that the package does not
-#: export.  Handlers read every such name as an attribute of this module,
-#: ``_cli.<name>``, so :func:`__getattr__` (PEP 562) imports it the first
-#: time it is read: a command loads only the modules it runs,
-#: ``import cambarrier.cli`` loads none, and a name already set on ``cli``,
-#: such as a tracer's wrapper, is the one the command calls.
-_LAZY = {
-    "check_positive": "geometry",
-    "cameras_from_list": "serialize",
-    "dumps": "serialize",
-    "graph_to_dict": "serialize",
-    "line_deployment_json": "serialize",
-    "plan_duties": "serialize",
-    "plan_from_dict": "serialize",
-    "plan_json": "serialize",
-    "plan_to_dict": "serialize",
-    "sweep_csv_text": "serialize",
-    "with_overrides": "simulate",
-}
-
 
 def __getattr__(name):
-    """Bind ``name`` to its value: a name of :data:`_LAZY` from its module,
-    any other name of the package's ``__all__`` from the package."""
+    """Bind ``name``, a name of the package's ``__all__``, to its value,
+    which the package imports from its module.  Handlers read every such
+    name as an attribute of this module, ``_cli.<name>``, so a command
+    loads only the modules it runs, ``import cambarrier.cli`` loads none,
+    and a name already set on ``cli``, such as the wrapper of the
+    benchmark's tracer (``bench/spans.py``), is the one the command
+    calls."""
     package = sys.modules[__package__]
-    if name in _LAZY:
-        value = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
-    elif name in package.__all__:
-        value = getattr(package, name)
-    else:
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 

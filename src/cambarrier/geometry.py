@@ -48,7 +48,7 @@ def check_real(name: str, value) -> None:
     if type(value) is not float and type(value) is not int and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {size_text(value, repr)}")
 
 
 def check_positive(name: str, value) -> None:
@@ -58,18 +58,33 @@ def check_positive(name: str, value) -> None:
     float fails it rather than raising ``OverflowError``."""
     check_real(name, value)
     if not 0.0 < value <= sys.float_info.max:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {size_text(value)}")
 
 
-def size_text(value) -> str:
-    """``value`` for an error message: as ``str`` writes it, but an int of
-    more than 12 digits to 3 significant digits, as ``1.00e+400``, so that
-    the message stays one short line."""
+def size_text(value, text=str) -> str:
+    """``value`` for an error message: as ``text`` (``str`` or ``repr``)
+    writes it, but an int of more than 12 digits to 3 significant digits,
+    as ``1.00e+400``, so that the message stays one short line.  A list or
+    dict is written as ``repr`` writes it, each item by the same rule."""
+    if type(value) is list or type(value) is dict:
+        try:
+            return _items_text(value)
+        except RecursionError:  # nested deeper than the walk can follow
+            return repr(value)
     if not isinstance(value, int) or -(10**12) < value < 10**12:
-        return str(value)
+        return text(value)
     from decimal import Decimal  # imported here, off the start-up path
 
     return f"{Decimal(value):.3g}"
+
+
+def _items_text(value) -> str:
+    """:func:`size_text` of ``value`` as ``repr`` would write it."""
+    if type(value) is list:
+        return f"[{', '.join([_items_text(item) for item in value])}]"
+    if type(value) is dict:
+        return "{" + ", ".join([f"{_items_text(key)}: {_items_text(item)}" for key, item in value.items()]) + "}"
+    return size_text(value, repr)
 
 
 def check_integer(name: str, value, minimum: int) -> None:
@@ -80,7 +95,7 @@ def check_integer(name: str, value, minimum: int) -> None:
             return
     elif not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum:
         return
-    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {size_text(value, repr)}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +132,7 @@ class CameraParams:
         check_positive("sensing radius", self.r)
         check_real("field of view", self.phi)
         if not 0.0 < self.phi <= TAU + EPS:
-            raise ValueError(f"field of view must be in (0, 2*pi], got {self.phi}")
+            raise ValueError(f"field of view must be in (0, 2*pi], got {size_text(self.phi)}")
         _check_theta(self.theta)
 
 
@@ -132,6 +147,11 @@ class CameraPose:
 
     def __post_init__(self):
         check_integer("camera id", self.id, 0)
+        check_real("facing", self.facing)
+        # The range test of Point2D: NaN fails it, and an int too large
+        # for a float fails it rather than raising OverflowError.
+        if not -_FLOAT_MAX <= self.facing <= _FLOAT_MAX:
+            raise ValueError(f"facing must be finite, got {size_text(self.facing)}")
         object.__setattr__(self, "facing", normalize_bearing(self.facing))
 
 
@@ -153,7 +173,7 @@ class Segment:
 def _check_theta(theta: float) -> None:
     check_real("effective angle", theta)
     if not 0.0 < theta <= math.pi / 2 + EPS:
-        raise ValueError(f"effective angle must be in (0, pi/2], got {theta}")
+        raise ValueError(f"effective angle must be in (0, pi/2], got {size_text(theta)}")
 
 
 #: Most cameras a scenario may sweep or a line deployment may place.  It

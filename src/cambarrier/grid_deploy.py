@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from .full_view import Cameras, full_view_covered_segment
-from .geometry import EPS
+from .geometry import EPS, size_text
 from .grid_model import (
     CORNER_DUTIES,
     DOWN,
@@ -36,7 +36,7 @@ class CameraOutsideRegionError(ValueError):
 
     def __init__(self, ids):
         self.ids = tuple(ids)
-        super().__init__(f"cameras outside the region: {list(self.ids)}")
+        super().__init__(f"cameras outside the region: {size_text(list(self.ids))}")
 
 
 def cell_index(v, d: float, size: int) -> np.ndarray:
@@ -63,7 +63,7 @@ def camera_positions(width: float, height: float, cameras) -> tuple[np.ndarray, 
     ids = cameras.ids
     if len(ids) != len(set(ids)):
         dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
-        raise ValueError(f"duplicate camera ids: {dupes}")
+        raise ValueError(f"duplicate camera ids: {size_text(dupes)}")
     xs, ys = cameras.x, cameras.y
     outside = (xs < -EPS) | (xs > width + EPS) | (ys < -EPS) | (ys > height + EPS)
     if outside.any():

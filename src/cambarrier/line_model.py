@@ -13,7 +13,7 @@ scope; transform inputs instead of generalizing the placement.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .geometry import (
     EPS,
@@ -24,6 +24,7 @@ from .geometry import (
     Point2D,
     Segment,
     check_positive,
+    size_text,
     slack_ceil,
 )
 
@@ -47,7 +48,7 @@ class LineDeploymentParams:
         check_positive("row offset h", self.h)
         check_positive("spot spacing delta", self.delta)
         if not 0.0 < self.alpha < TAU:
-            raise ValueError(f"swing angle alpha must be in (0, 2*pi), got {self.alpha}")
+            raise ValueError(f"swing angle alpha must be in (0, 2*pi), got {size_text(self.alpha)}")
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,11 @@ class DeploymentCheck:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.swing_within_spacing
-            and self.spacing_within_recognition
-            and self.offset_within_range
-            and self.reach_within_range
-        )
+        return not self.failed()
 
     def failed(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name in (
-                "swing_within_spacing",
-                "spacing_within_recognition",
-                "offset_within_range",
-                "reach_within_range",
-            )
-            if not getattr(self, name)
-        )
+        """The names of the conditions that fail, in field order."""
+        return tuple(f.name for f in fields(self) if not getattr(self, f.name))
 
 
 def optimal_params(r: float) -> LineDeploymentParams:
@@ -118,7 +106,7 @@ def validate_params(params: LineDeploymentParams, r: float, theta: float) -> Dep
     """
     check_positive("sensing radius", r)
     if not math.pi / 4 - EPS <= theta <= math.pi / 2 + EPS:
-        raise ValueError(f"theta outside the supported band [pi/4, pi/2]: {theta}")
+        raise ValueError(f"theta outside the supported band [pi/4, pi/2]: {size_text(theta)}")
     return DeploymentCheck(
         swing_within_spacing=math.tan(params.alpha / 2.0) <= params.delta / params.h + EPS,
         spacing_within_recognition=params.delta <= 2.0 * params.h * math.tan(theta) + EPS,
@@ -147,7 +135,9 @@ def cameras_for_barrier(length: float, r: float) -> int:
         count = 2 * (slack_ceil(span) + 1)
         if count <= sys.float_info.max:
             return count
-    raise ValueError(f"a barrier of length {length} at radius {r} needs more cameras than a float can hold")
+    raise ValueError(
+        f"a barrier of length {size_text(length)} at radius {size_text(r)} needs more cameras than a float can hold"
+    )
 
 
 def place_line_deployment(

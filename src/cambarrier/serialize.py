@@ -137,7 +137,7 @@ def _camera_params(data: dict, params: dict, k: int) -> CameraParams:
     try:
         key = _non_finite(data, _CAMERA_NUMBERS)
         if key is not None:
-            raise ValueError(f"camera field {key!r} must be a finite number, got {data[key]!r}")
+            raise ValueError(f"camera field {key!r} must be a finite number, got {size_text(data[key], repr)}")
         triple = (data["r"], data["phi"], data["theta"])
         shared = params.get(triple)
         if shared is None:
@@ -421,7 +421,7 @@ def _deficit_tail(j: int) -> str:
 
 
 def _plan_error(key: str, expected: str, value) -> ValueError:
-    return ValueError(f"plan field {key!r} must be {expected}, got {value!r}")
+    return ValueError(f"plan field {key!r} must be {expected}, got {size_text(value, repr)}")
 
 
 def _plan_numbers(data: dict, keys) -> None:
@@ -695,17 +695,3 @@ def graph_to_dict(g) -> dict:
         ],
     }
 
-
-__all__ = [
-    "CSV_HEADER",
-    "dumps",
-    "format_number",
-    "sweep_csv_text",
-    "cameras_from_list",
-    "line_deployment_json",
-    "plan_to_dict",
-    "plan_json",
-    "plan_duties",
-    "plan_from_dict",
-    "graph_to_dict",
-]

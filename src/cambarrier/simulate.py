@@ -43,7 +43,7 @@ from .full_view import (
     sample_fractions,
     segment_points,
 )
-from .geometry import MAX_CAMERAS, TAU, CameraParams, CameraPose, Point2D, check_integer, check_real
+from .geometry import MAX_CAMERAS, TAU, CameraParams, CameraPose, Point2D, check_integer, check_real, size_text
 from .grid_deploy import camera_positions, cell_counts, staffed_mask
 from .grid_model import cell_mid_segment, grid_length_bound, grid_shape
 from .line_model import cameras_for_barrier
@@ -109,9 +109,8 @@ class ScenarioConfig:
             # A range test, as for the radius: an int too large for a
             # float fails it rather than raising OverflowError.
             if not 0.0 < side <= sys.float_info.max:
-                raise ValueError(
-                    f"region dimensions must be positive and finite, got {self.width} x {self.height}"
-                )
+                w, h = size_text(self.width), size_text(self.height)
+                raise ValueError(f"region dimensions must be positive and finite, got {w} x {h}")
         self.camera_params()
         _, m, _ = self.grid
         # A string or a dict would be taken apart into its items.
@@ -121,22 +120,22 @@ class ScenarioConfig:
         for c in self.counts:
             check_integer("camera count", c, 0)
             if c > MAX_CAMERAS:
-                raise ValueError(f"camera count {c} exceeds {MAX_CAMERAS}")
+                raise ValueError(f"camera count {size_text(c)} exceeds {MAX_CAMERAS}")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         check_integer("trials", self.trials, 1)
         # As a Python int: a numpy integer product could wrap around.
         work = int(self.trials) * sum(max(c, 1) for c in self.counts)
         if work > WORK_BUDGET:
             raise ValueError(
-                f"the sweep draws {work} cameras ({self.trials} trials per count, a count of 0 taken as 1), "
-                f"more than {WORK_BUDGET}"
+                f"the sweep draws {size_text(work)} cameras ({size_text(self.trials)} trials per count, "
+                f"a count of 0 taken as 1), more than {WORK_BUDGET}"
             )
         check_integer("seed", self.seed, 0)
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {MODES}, got {size_text(self.mode, repr)}")
         check_integer("samples", self.samples, 2)
         if self.samples > MAX_SAMPLES:
-            raise ValueError(f"samples {self.samples} exceeds {MAX_SAMPLES}")
+            raise ValueError(f"samples {size_text(self.samples)} exceeds {MAX_SAMPLES}")
         coarse = min(int(self.samples), _COARSE_SAMPLES)
         tested = work * (int(self.samples) + m * coarse)
         if self.mode == "static" and tested > WORK_BUDGET:

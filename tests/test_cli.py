@@ -637,6 +637,57 @@ def test_the_grid_cap_error_names_the_width_first(tmp_path, capsys):
     assert capsys.readouterr().err == WIDE_REGION_ERROR
 
 
+#: A JSON int of 401 digits.
+HUGE = 10**400
+
+#: (command, input file, path of the field in it, value, error line): a
+#: 401-digit int in a camera file, a plan or a config is named to 3
+#: significant digits, alone or in a pair.
+HUGE_INT_FAULTS = [
+    ("deploy-grid", "cameras", (0, "x"), HUGE, "camera field 'x' must be a finite number, got 1.00e+400"),
+    ("deploy-grid", "cameras", (0, "id"), -HUGE, "camera id must be an integer >= 0, got -1.00e+400"),
+    ("barrier", "plan", ("cameras", 0, "distance"), HUGE, "plan field 'distance' must be a finite number, got 1.00e+400"),
+    ("barrier", "plan", ("cameras", 0, "vertex"), [HUGE, 1],
+     "plan field 'vertex' must be a pair of integers in [1, 4] x [1, 6], got [1.00e+400, 1]"),
+    ("barrier", "plan", ("assignments", 0, "down"), HUGE,
+     "plan field 'down' must be the id of a camera in 'cameras', got 1.00e+400"),
+    ("k-barrier", "plan", ("grid", "width"), HUGE, "plan field 'width' must be a finite number, got 1.00e+400"),
+    ("simulate", "config", ("trials",), -HUGE, "trials must be an integer >= 1, got -1.00e+400"),
+    ("simulate", "config", ("trials",), HUGE,
+     "the sweep draws 2.10e+401 cameras (1.00e+400 trials per count, a count of 0 taken as 1), more than 100000000"),
+    ("simulate", "config", ("counts",), [HUGE], "camera count 1.00e+400 exceeds 1000000"),
+    ("simulate", "config", ("width",), HUGE, "region dimensions must be positive and finite, got 1.00e+400 x 30.0"),
+    ("simulate", "config", ("phi",), HUGE, "field of view must be in (0, 2*pi], got 1.00e+400"),
+    ("simulate", "config", ("samples",), HUGE, "samples 1.00e+400 exceeds 20000"),
+    ("simulate", "config", ("mode",), [HUGE], "mode must be one of ('static', 'mobile'), got [1.00e+400]"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, kind, path, value, message", HUGE_INT_FAULTS, ids=[f"{fault[0]}-{fault[2][-1]}" for fault in HUGE_INT_FAULTS]
+)
+def test_a_huge_int_is_named_in_one_short_line(tmp_path, capsys, command, kind, path, value, message):
+    cameras = [camera_to_dict(c) for c in random_deploy(20.0, 10.0, 120, 11, CameraParams(5.0, 2.0, 0.8))]
+    files = {"cameras": tmp_path / "cams.json", "plan": tmp_path / "plan.json", "config": tmp_path / "config.json"}
+    files["cameras"].write_text(json.dumps(cameras))
+    assert main(["deploy-grid", "--cameras", str(files["cameras"]), "--width", "20", "--height", "10",
+                 "--out", str(files["plan"])]) == 0
+    config = {"width": 30.0, "height": 30.0, "r": 20.0, "theta": 1.0, "phi": 2.0, "counts": [0, 20], "seed": 7}
+    files["config"].write_text(json.dumps(config))
+    data = json.loads(files[kind].read_text())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    files[kind].write_text(json.dumps(data))
+    region = ["--width", "20", "--height", "10"] if kind == "cameras" else []
+    capsys.readouterr()
+    assert main([command, f"--{kind}", str(files[kind]), *region]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and len(captured.err) < 200
+    assert captured.out == ""
+
+
 class TestSimulate:
     @pytest.fixture()
     def config_file(self, tmp_path):

@@ -1,6 +1,5 @@
-"""The package imports no name it leaves unused, and lists no name in the
-command line's lazy name table that no handler reads, except the shims
-that the benchmark's tracer wraps by module attribute, defines no private
+"""The package imports no name it leaves unused, except the shims that
+the benchmark's tracer wraps by module attribute, defines no private
 module-level helper that nothing in it reads, and exports no name that
 nothing in it reads unless the name is kept for a stated reason.  A
 module reads a name where it loads it as a bare name: ``obj.name`` reads
@@ -14,24 +13,16 @@ import sys
 from pathlib import Path
 
 import cambarrier
-from cambarrier import serialize
 
 PACKAGE = Path(cambarrier.__file__).parent
 
 #: Names kept only so that ``bench/spans.py`` can wrap them in the module
 #: where its targets look them up (ROADMAP item 5): imported and never read
-#: in ``simulate.py``, and in ``cli.py`` entries of its lazy name table
-#: (``_LAZY``) that no handler reads.  Listed here, not read from the
-#: tracer, so the list stays what ``src`` holds; delete each one from its
-#: module and from here once the tracer no longer wraps it.  The tracer's
-#: other ``cli`` names resolve through the package's exports.
+#: in ``simulate.py``.  Listed here, not read from the tracer, so the list
+#: stays what ``src`` holds; delete each one from its module and from here
+#: once the tracer no longer wraps it.  The tracer's ``cli`` names resolve
+#: through the package's exports.
 TRACER_SHIMS = {
-    "cli.py": {
-        "dumps",
-        "graph_to_dict",
-        "plan_from_dict",
-        "plan_to_dict",
-    },
     "simulate.py": {
         "build_graph",
         "prune_degree_one",
@@ -71,32 +62,15 @@ def reads(tree) -> set[str]:
     return names
 
 
-def handler_reads(source: str) -> set[str]:
-    """The names that the command handlers of ``source``, its module-level
-    functions named ``_cmd_*``, read."""
-    return set().union(
-        *(reads(node) for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"))
-    )
-
-
-def unread_lazy_names(source: str) -> set[str]:
-    """The names of the lazy name table ``source`` assigns to ``_LAZY`` at
-    module level that no handler of it reads; none without a table."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_LAZY" for t in node.targets):
-            return ast.literal_eval(node.value).keys() - handler_reads(source)
-    return set()
-
-
 def test_unused_imports_are_exactly_the_tracer_shims(monkeypatch):
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
-        names = unused_imports(source) | unread_lazy_names(source)
+        names = unused_imports(source)
         if names:
             found[path.name] = names
     assert found == TRACER_SHIMS
-    assert sum(map(len, found.values())) == 9
+    assert sum(map(len, found.values())) == 5
     assert unused_imports((PACKAGE / "cli.py").read_text()) == set()
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     monkeypatch.delitem(sys.modules, "spans", raising=False)
@@ -109,23 +83,6 @@ def test_the_check_sees_a_stray_import():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\n\n\ndef f():\n    import sys\n    return np.pi + tau\n"
     assert unused_imports(source) == {"os", "pi", "sys"}
     assert unused_imports('from math import pi\n__all__ = ["pi"]\n') == set()
-    # A lazy table entry: "stray" is read, but not by a handler; "shim" by none.
-    source = (
-        '_LAZY = {"dumps": "serialize", "EPS": "geometry", "stray": "serialize", "shim": "serialize"}\n\n\n'
-        "def _cmd_write(args):\n    return dumps([r for r in args if r > EPS])\n\n\n"
-        "def helper(stray):\n    return stray\n"
-    )
-    assert unread_lazy_names(source) == {"stray", "shim"}
-    assert unread_lazy_names(source.replace(', "stray": "serialize", "shim": "serialize"', "")) == set()
-    # The same through "_cli": an entry read as "_cli.stray" outside a
-    # handler, or as "args.shim" by one, is still unread.
-    source = (
-        '_LAZY = {"dumps": "serialize", "EPS": "geometry", "stray": "serialize", "shim": "serialize"}\n\n\n'
-        "def _cmd_write(args):\n    return _cli.dumps([r for r in args.shim if r > _cli.EPS])\n\n\n"
-        "def helper():\n    return _cli.stray\n"
-    )
-    assert unread_lazy_names(source) == {"stray", "shim"}
-    assert handler_reads(source) == {"_cli", "args", "r", "dumps", "EPS"}
 
 
 def private_definitions(source: str) -> set[str]:
@@ -205,7 +162,7 @@ def unread_exports(exported, sources: dict) -> set[str]:
 
 def test_every_export_is_read_in_the_package_or_kept_for_a_reason(monkeypatch):
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unread_exports(cambarrier.__all__ + serialize.__all__, sources) == KEPT_EXPORTS.keys()
+    assert unread_exports(cambarrier.__all__, sources) == KEPT_EXPORTS.keys()
     assert set(KEPT_EXPORTS.values()) == {"tracer", "paper", "item 1"}
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     monkeypatch.delitem(sys.modules, "spans", raising=False)

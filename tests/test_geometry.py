@@ -36,6 +36,7 @@ from cambarrier.geometry import (
     check_positive,
     check_real,
     normalize_bearing,
+    size_text,
 )
 from cambarrier.line_model import place_line_deployment
 from cambarrier.simulate import ScenarioConfig, coverage_probability_sweep
@@ -69,6 +70,34 @@ class TestTypes:
         big = int(sys.float_info.max)
         assert Point2D(big, -big) == Point2D(big, -big)
         assert Point2D(sys.float_info.max, -sys.float_info.max).x == sys.float_info.max
+
+    def test_size_text_names_a_huge_int_inside_a_list_or_dict(self):
+        assert size_text([10**400, 1]) == "[1.00e+400, 1]"
+        assert size_text({"a": [-(10**13), "x", True, 1.5, None]}) == "{'a': [-1.00e+13, 'x', True, 1.5, None]}"
+        assert size_text("x", repr) == "'x'" and size_text("x") == "x" and size_text(10**12 - 1) == "999999999999"
+        deep = [1]
+        for _ in range(600):  # deeper than the walk follows: written as repr writes it
+            deep = [deep]
+        assert size_text(deep) == repr(deep)
+
+    @pytest.mark.parametrize(
+        "facing, message",
+        [
+            (math.nan, "facing must be finite, got nan"),
+            (math.inf, "facing must be finite, got inf"),
+            (-math.inf, "facing must be finite, got -inf"),
+            (10**400, "facing must be finite, got 1.00e+400"),
+            (True, "facing must be a number, got True"),
+            ("0", "facing must be a number, got '0'"),
+        ],
+        ids=["nan", "inf", "-inf", "10**400", "True", "str"],
+    )
+    def test_pose_rejects_a_facing_that_is_not_a_finite_number(self, facing, message):
+        params = CameraParams(r=1.0, phi=1.0, theta=0.5)
+        with pytest.raises(ValueError) as info:
+            CameraPose(0, Point2D(0, 0), facing, params)
+        assert str(info.value) == message
+        assert CameraPose(0, Point2D(0, 0), int(sys.float_info.max), params).facing < TAU
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -131,13 +160,15 @@ class TestTypes:
         check_positive("length", value)
 
     @pytest.mark.parametrize(
-        "value",
-        [0, 0.0, -0.0, -1, math.nan, math.inf, -math.inf, 10**400, -(10**400), np.float64(math.nan)],
+        "value, text",
+        [(0, "0"), (0.0, "0.0"), (-0.0, "-0.0"), (-1, "-1"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+         (10**400, "1.00e+400"), (-(10**400), "-1.00e+400"), (np.float64(math.nan), "nan")],
         ids=["0", "0.0", "-0.0", "-1", "nan", "inf", "-inf", "10**400", "-10**400", "np.nan"],
     )
-    def test_check_positive_rejects_everything_else(self, value):
-        # An int too large for a float is refused, not an OverflowError.
-        with pytest.raises(ValueError, match=f"^length must be positive and finite, got {value}$"):
+    def test_check_positive_rejects_everything_else(self, value, text):
+        # An int too large for a float is refused, not an OverflowError,
+        # and written to 3 significant digits.
+        with pytest.raises(ValueError, match=f"^length must be positive and finite, got {re.escape(text)}$"):
             check_positive("length", value)
 
     @pytest.mark.parametrize("value", [True, False, np.bool_(False), "5", None, [1], {}], ids=repr)

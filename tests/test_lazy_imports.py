@@ -104,19 +104,9 @@ def test_a_star_import_in_a_fresh_interpreter_binds_every_export():
     assert fresh(script) == "[]\n"
 
 
-def test_every_lazy_cli_name_resolves_in_its_module():
-    from cambarrier import cli
-
-    for name, module in cli._LAZY.items():
-        assert getattr(cli, name) is getattr(importlib.import_module(f"cambarrier.{module}"), name), name
-    with pytest.raises(AttributeError, match="'bogus'"):
-        cli.bogus  # noqa: B018
-
-
 def test_every_cli_name_is_the_object_in_its_home_module(monkeypatch):
     """Each name the tracer wraps on ``cli`` or a handler reads as
-    ``_cli.<name>`` resolves through ``cli._LAZY`` or, for a name the
-    package exports, through the package's table, never both."""
+    ``_cli.<name>`` resolves through the package's table."""
     from cambarrier import cli
 
     monkeypatch.syspath_prepend(str(BENCH))
@@ -130,9 +120,36 @@ def test_every_cli_name_is_the_object_in_its_home_module(monkeypatch):
     }
     assert len(read) == 22 and "main" in traced
     for name in (traced | read) - {"main"}:
-        assert (name in cli._LAZY) != (name in cambarrier._EXPORTS), name
-        home = importlib.import_module(f"cambarrier.{cli._LAZY.get(name) or cambarrier._EXPORTS[name]}")
+        home = importlib.import_module(f"cambarrier.{cambarrier._EXPORTS[name]}")
         assert cli.__getattr__(name) is getattr(home, name), name
+
+
+def name_tables(source: str) -> set[str]:
+    """The names of ``__all__`` and ``_LAZY`` that ``source`` assigns, at
+    any depth."""
+    assigned = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        assigned.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    return assigned & {"__all__", "_LAZY"}
+
+
+def test_the_package_has_one_name_table():
+    package = Path(cambarrier.__file__).parent
+    tables = {path.name: name_tables(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in tables.items() if found} == {"__init__.py": {"__all__"}}
+
+
+def test_the_check_sees_a_second_table():
+    assert name_tables('_LAZY = {"dumps": "serialize"}\n') == {"_LAZY"}
+    assert name_tables("__all__: list = []\n__all__ += ['x']\n") == {"__all__"}
+    assert name_tables("def f():\n    global _LAZY\n    _LAZY, y = {}, 1\n") == {"_LAZY"}
+    assert name_tables("_LAZY_NAMES = {}\nx = _LAZY\nmodule.__all__ = []\n") == set()
 
 
 def test_an_unknown_cli_name_imports_nothing():

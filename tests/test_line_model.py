@@ -1,5 +1,6 @@
 import argparse
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -211,14 +212,17 @@ class TestPlacement:
 #: OverflowError in a float conversion; each must raise ValueError.
 OUT_OF_RANGE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), 0]
 OUT_OF_RANGE_IDS = ["nan", "inf", "-inf", "10**400", "-10**400", "0"]
+#: Each value as an error message writes it: an int of more than 12
+#: digits to 3 significant digits.
+OUT_OF_RANGE_TEXTS = ["nan", "inf", "-inf", "1.00e+400", "-1.00e+400", "0"]
 
 
 class TestNonFiniteInputs:
     """Every length and radius is range tested by ``check_positive``, as
     CameraParams tests its radius."""
 
-    @pytest.mark.parametrize("value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
-    def test_radius_is_refused_everywhere(self, value):
+    @pytest.mark.parametrize("value, text", zip(OUT_OF_RANGE, OUT_OF_RANGE_TEXTS), ids=OUT_OF_RANGE_IDS)
+    def test_radius_is_refused_everywhere(self, value, text):
         barrier = Segment(Point2D(0, 0), Point2D(10, 0))
         for call in (
             lambda: CameraParams(r=value, phi=1.0, theta=1.0),
@@ -228,21 +232,21 @@ class TestNonFiniteInputs:
             lambda: place_line_deployment(barrier, value),
             lambda: place_line_deployment(barrier, value, params=optimal_params(1.0)),
         ):
-            with pytest.raises(ValueError, match=f"^sensing radius must be positive and finite, got {value}$"):
+            with pytest.raises(ValueError, match=f"^sensing radius must be positive and finite, got {re.escape(text)}$"):
                 call()
 
-    @pytest.mark.parametrize("value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
-    def test_barrier_length_is_refused(self, value):
-        with pytest.raises(ValueError, match=f"^barrier length must be positive and finite, got {value}$"):
+    @pytest.mark.parametrize("value, text", zip(OUT_OF_RANGE, OUT_OF_RANGE_TEXTS), ids=OUT_OF_RANGE_IDS)
+    def test_barrier_length_is_refused(self, value, text):
+        with pytest.raises(ValueError, match=f"^barrier length must be positive and finite, got {re.escape(text)}$"):
             cameras_for_barrier(value, 5.0)
-        with pytest.raises(ValueError, match=f"^barrier length must be positive and finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^barrier length must be positive and finite, got {re.escape(text)}$"):
             cli._cmd_plan_line(argparse.Namespace(length=value, r=5.0, theta=math.pi / 4, out=None))
 
-    @pytest.mark.parametrize("value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
-    def test_row_offset_and_spacing_are_refused(self, value):
-        with pytest.raises(ValueError, match=f"^row offset h must be positive and finite, got {value}$"):
+    @pytest.mark.parametrize("value, text", zip(OUT_OF_RANGE, OUT_OF_RANGE_TEXTS), ids=OUT_OF_RANGE_IDS)
+    def test_row_offset_and_spacing_are_refused(self, value, text):
+        with pytest.raises(ValueError, match=f"^row offset h must be positive and finite, got {re.escape(text)}$"):
             LineDeploymentParams(h=value, delta=1.0, alpha=1.0)
-        with pytest.raises(ValueError, match=f"^spot spacing delta must be positive and finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^spot spacing delta must be positive and finite, got {re.escape(text)}$"):
             LineDeploymentParams(h=1.0, delta=value, alpha=1.0)
 
     def test_the_largest_float_is_still_accepted(self):

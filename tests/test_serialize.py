@@ -422,6 +422,20 @@ class RecordedPlan(dict):
         return super().__getitem__(key)
 
 
+#: An int of more than 12 digits in an error text, apart from the digits
+#: of a float or of a name.
+HUGE_INT = re.compile(r"(?<![\w.+-])-?\d{13,}(?![\w.])")
+
+
+def shortened(outcome):
+    """A frozen loader's ``outcome`` as the loaders give it now: each int
+    of more than 12 digits that its error text echoed in full is written
+    to 3 significant digits, as ``1.00e+400``."""
+    if isinstance(outcome, tuple) and isinstance(outcome[0], type):
+        return outcome[0], HUGE_INT.sub(lambda match: f"{Decimal(match[0]):.3g}", outcome[1])
+    return outcome
+
+
 def frozen_outcome(data):
     """The frozen loader's outcome on ``data``, and the first section it
     read that is not a list, or None.  It iterated any such section, so
@@ -474,7 +488,7 @@ def assert_same_fault(data, expected, section, got):
         else:
             assert type(node) is not dict and fault == f"expected a JSON object, got {type(node).__name__}"
     else:
-        assert got == expected
+        assert got == shortened(expected)
 
 
 def floated(data):
@@ -650,13 +664,13 @@ class TestOneTestAccept:
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(("cameras", "assignments")).flatmap(lambda section: one_field_mutations(BASE_PLANS, section)))
     def test_plan_loaders_match_the_frozen_walk(self, data):
-        assert load_outcome(plan_duties, data) == load_outcome(walk_plan_duties, data)
-        assert load_outcome(plan_from_dict, data) == load_outcome(walk_plan_from_dict, data)
+        assert load_outcome(plan_duties, data) == shortened(load_outcome(walk_plan_duties, data))
+        assert load_outcome(plan_from_dict, data) == shortened(load_outcome(walk_plan_from_dict, data))
 
     @settings(max_examples=400, deadline=None)
     @given(one_field_mutations(BASE_CAMERA_LISTS, None))
     def test_the_camera_file_loader_matches_the_frozen_walk(self, entries):
-        got, expected = load_outcome(cameras_from_list, entries), load_outcome(walk_cameras_from_list, entries)
+        got, expected = load_outcome(cameras_from_list, entries), shortened(load_outcome(walk_cameras_from_list, entries))
         assert got == expected
         if not isinstance(expected, tuple):
             assert sharing(got) == sharing(expected)
@@ -687,7 +701,7 @@ class TestOneTestAccept:
                         entry[key] = copy.deepcopy(value)
                     for load, walk in pairs:
                         got = load_outcome(load, data)
-                        assert got == load_outcome(walk, data), (section, k, key, value)
+                        assert got == shortened(load_outcome(walk, data)), (section, k, key, value)
                         seen.add(got[1] if isinstance(got, tuple) and isinstance(got[0], type) else "loaded")
         assert len(seen) > 60
 
@@ -704,7 +718,7 @@ class TestOneTestAccept:
         assert plan == walk_plan_from_dict(data)
         assert plan.grid.poses[cams[2]["id"]].params == CameraParams(12.5, math.tau, math.pi / 2)
         for key, value, error in (
-            ("x", 10**400, "camera field 'x' must be a finite number, got 1" + "0" * 400),
+            ("x", 10**400, "camera field 'x' must be a finite number, got 1.00e+400"),
             ("distance", math.inf, "plan field 'distance' must be a finite number, got inf"),
             ("vertex", [1.0, 1], "plan field 'vertex' must be a pair of integers in"),
             ("orientation", "left", "plan field 'orientation' must be 'down', 'up' or null, got 'left'"),
@@ -714,7 +728,7 @@ class TestOneTestAccept:
             bad["cameras"][2][key] = value
             for load in (plan_duties, plan_from_dict):
                 got = load_outcome(load, bad)
-                assert got == load_outcome(walk_plan_from_dict, bad) and got[1].startswith(error)
+                assert got == shortened(load_outcome(walk_plan_from_dict, bad)) and got[1].startswith(error)
 
 
 def barrier_document(result, mask):
